@@ -33,15 +33,14 @@ import sys
 import numpy as np
 
 from .config import build_run_config, parse_config_file
-from .core import DecayModel, KaonParams
+from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
 from .entangled import BipartiteState, Family, joint_pdf_11, joint_survival_11
 from .errors import (CoverageError, DegenerateComparisonError,
                      DegenerateEvolutionError, DegenerateStateError,
                      FitFailureError, ModelPathologyError,
                      UndefinedSignatureError, UnsupportedRegimeError)
 from .inference import (discrimination_power, extract_epsilon,
-                        find_min_events_for_power, fit_intensity,
-                        weight_ratio_estimate)
+                        find_min_events_for_power, fit_intensity)
 from .sampler import (detect, read_binned, read_events, sample_decay_times,
                       sample_joint, write_binned, write_events)
 from .single_models import (cronin_fitch_intensity, cronin_fitch_state,
@@ -252,7 +251,7 @@ def cmd_discriminate(args) -> int:
             "RESULT discriminate"
             f" model_a={model_a.value} model_b={model_b.value}"
             f" alpha={_fmt(args.alpha)} trials={args.trials}"
-            f" power={lines[-1].split('power=')[1].split()[0]}")
+            f" power={rep.power:.6f}")
     _emit(run.out, lines)
     return EXIT_OK
 
@@ -287,7 +286,6 @@ def cmd_zeno(args) -> int:
     w = args.initial_plus
     if not (0.0 <= w <= 1.0):
         raise ValueError("--initial-plus must lie in [0, 1]")
-    from .core import QuasiSpinor
     initial = QuasiSpinor(math.sqrt(w), math.sqrt(1.0 - w))
     analytic = zeno_outcome_analytic(initial, params, schedule)
     lines = [
@@ -318,7 +316,6 @@ def cmd_spectrum(args) -> int:
     run = _run_config(args)
     width = args.width if args.width is not None else run.params.gamma_s
     mass = args.mass
-    from .core import ComplexEnergy
     energy = ComplexEnergy(mass, width)
     e_min = args.e_min if args.e_min is not None else mass - 50.0 * width
     e_max = args.e_max if args.e_max is not None else mass + 50.0 * width

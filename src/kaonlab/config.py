@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import KaonParams
+from .core import EPSILON_ABS, EPSILON_ARG_DEG, TAU_L, TAU_S, KaonParams
 from .sampler import DetectorConfig, RunSeed
 
 KAON_KEYS = ("kaon.gamma_s", "kaon.gamma_l", "kaon.delta_m",
@@ -70,11 +70,12 @@ def build_run_config(args, config: dict) -> RunConfig:
     are treated as unset flags.
     """
     get = lambda name: getattr(args, name, None)
-    gamma_s = _pick(get("gamma_s"), config, "kaon.gamma_s", 1.0 / 8.92e-11, float)
-    gamma_l = _pick(get("gamma_l"), config, "kaon.gamma_l", 1.0 / 5.17e-8, float)
+    gamma_s = _pick(get("gamma_s"), config, "kaon.gamma_s", 1.0 / TAU_S, float)
+    gamma_l = _pick(get("gamma_l"), config, "kaon.gamma_l", 1.0 / TAU_L, float)
     delta_m = _pick(get("delta_m"), config, "kaon.delta_m", None, float)
-    eps_abs = _pick(get("epsilon_abs"), config, "kaon.epsilon_abs", 2.27e-3, float)
-    eps_arg = _pick(get("epsilon_arg_deg"), config, "kaon.epsilon_arg_deg", 43.37, float)
+    eps_abs = _pick(get("epsilon_abs"), config, "kaon.epsilon_abs", EPSILON_ABS, float)
+    eps_arg = _pick(get("epsilon_arg_deg"), config, "kaon.epsilon_arg_deg",
+                    EPSILON_ARG_DEG, float)
     params = KaonParams.from_polar_epsilon(eps_abs, math.radians(eps_arg),
                                            gamma_s=gamma_s, gamma_l=gamma_l,
                                            delta_m=delta_m)

@@ -13,7 +13,8 @@ beta family     K_L(l) K_L(r) - e^{i beta} K_S(l) K_S(r); beta = 0, pi are
 The observable is the (CP=+1, CP=+1) double pion-pair channel.  Its joint
 survival weight |psi11(tl,tr)|^2 factorises over left/right complex
 exponentials, so every model's joint pdf is a short sum of separable terms
-c * exp(-z*tl) * exp(-w*tr) and all normalisations are closed-form.
+c * exp(-z*tl) * exp(-w*tr) (a :class:`kaonlab.expsum.ExpSum2`) and all
+normalisations are closed-form.
 
 For the alpha family the standard derivative pdf is exactly
 (Gamma_S+Gamma_L) times the joint survival weight, so the standard and
@@ -37,9 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DecayModel, KaonParams
-from .errors import DegenerateStateError
-
-_TINY = 1e-300
+from .expsum import ExpSum2
 
 
 class Family(enum.Enum):
@@ -115,13 +114,11 @@ def _survival_terms(state: BipartiteState):
     gs, gl, dm = p.gamma_s, p.gamma_l, p.delta_m
     a = p.gamma_mean
     phase = cmath.exp(-1j * state.phase)
+    c = np.array([1.0, 1.0, -2.0 * phase], dtype=complex)
+    z = np.array([gl, gs, a + 1j * dm], dtype=complex)
     if state.family is Family.ALPHA:
-        c = np.array([1.0, 1.0, -2.0 * phase], dtype=complex)
-        z = np.array([gl, gs, a + 1j * dm], dtype=complex)
         w = np.array([gs, gl, a - 1j * dm], dtype=complex)
     else:
-        c = np.array([1.0, 1.0, -2.0 * phase], dtype=complex)
-        z = np.array([gl, gs, a + 1j * dm], dtype=complex)
         w = z.copy()
     return c, z, w
 
@@ -137,14 +134,6 @@ def _check_joint_times(tl, tr):
     return tl, tr
 
 
-def _eval_joint(c, z, w, tl, tr):
-    tl = np.asarray(tl, dtype=float)
-    tr = np.asarray(tr, dtype=float)
-    acc = (c * np.exp(-np.multiply.outer(tl, z) - np.multiply.outer(tr, w))).sum(axis=-1)
-    out = np.real(acc)
-    return out if out.shape else float(out)
-
-
 def joint_survival_11(state: BipartiteState, tl, tr):
     """|psi11(tl, tr)|^2: the (CP=+1, CP=+1) joint projection weight.
 
@@ -158,8 +147,7 @@ def joint_survival_11(state: BipartiteState, tl, tr):
     the diagonal tl = tr.
     """
     tl, tr = _check_joint_times(tl, tr)
-    c, z, w = _survival_terms(state)
-    return state.prefactor() * _eval_joint(c, z, w, tl, tr)
+    return state.prefactor() * ExpSum2(*_survival_terms(state)).pdf(tl, tr)
 
 
 def joint_model_terms(model: DecayModel, state: BipartiteState, normalized: bool = False):
@@ -179,13 +167,7 @@ def joint_model_terms(model: DecayModel, state: BipartiteState, normalized: bool
     pref = state.prefactor()
     if model is DecayModel.STANDARD:
         d = pref * c * (z + w)
-        if normalized:
-            total = float(np.real(np.sum(d / (z * w))))
-            if total <= _TINY:
-                raise DegenerateStateError("joint distribution has vanishing mass")
-            d = d / total
-        return d, z, w
-    if model is DecayModel.TIME_OPERATOR:
+    elif model is DecayModel.TIME_OPERATOR:
         gs, gl = p.gamma_s, p.gamma_l
         if state.family is Family.ALPHA:
             weights = np.array([gl * gs, gs * gl, gs * gl])
@@ -196,10 +178,10 @@ def joint_model_terms(model: DecayModel, state: BipartiteState, normalized: bool
         d = pref * c
     else:
         raise ValueError(f"unknown model {model!r}")
-    total = float(np.real(np.sum(d / (z * w))))
-    if total <= _TINY:
-        raise DegenerateStateError("joint distribution has vanishing mass")
-    return d / total, z, w
+    terms = ExpSum2(d, z, w)
+    if normalized or model is not DecayModel.STANDARD:
+        terms = terms.normalised()
+    return terms.d, terms.z, terms.w
 
 
 def joint_pdf_11(model: DecayModel, state: BipartiteState, tl, tr,
@@ -219,8 +201,7 @@ def joint_pdf_11(model: DecayModel, state: BipartiteState, tl, tr,
     tl, tr = _check_joint_times(tl, tr)
     if calibration <= 0:
         raise ValueError(f"calibration must be > 0, got {calibration}")
-    d, z, w = joint_model_terms(model, state)
-    return calibration * _eval_joint(d, z, w, tl, tr)
+    return calibration * ExpSum2(*joint_model_terms(model, state)).pdf(tl, tr)
 
 
 def evaluate_joint_grid(fn, tl_grid, tr_grid) -> JointGrid:

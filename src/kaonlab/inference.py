@@ -14,14 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .core import DecayModel, KaonParams
 from .errors import (CoverageError, DegenerateComparisonError, FitFailureError)
+from .expsum import ExpSum
 from .sampler import BinnedCounts, RunSeed
-from .single_models import _intensity_weights, cdf as model_cdf
+from .single_models import intensity_terms, model_terms
 
 _MU_FLOOR = 1e-300
+# central-difference step of the bin-mean derivatives, as a fraction of
+# each parameter's scale (its bound width; i0 itself for i0)
+_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,28 +68,11 @@ def extract_epsilon(pairs: int, decays: int, params: KaonParams,
     return EpsilonExtraction(r, r_t, apply_tau_factor, math.sqrt(value))
 
 
-def _bin_exponential(edges, rate):
-    lo, hi = edges[:-1], edges[1:]
-    return (np.exp(-rate * lo) - np.exp(-rate * hi)) / rate
-
-
-def _bin_damped_trig(edges, a, b, phase):
-    """Integral of exp(-a t) cos(b t + phase) over each bin."""
-    lo, hi = edges[:-1], edges[1:]
-    zc = a - 1j * b
-    vals = (np.exp(-zc * lo) - np.exp(-zc * hi)) / zc
-    return np.real(np.exp(1j * phase) * vals)
-
-
 def intensity_bin_means(model: DecayModel, params: KaonParams, edges,
                         i0: float = 1.0) -> np.ndarray:
     """Exact integrals of the pion-pair intensity template over bins."""
-    edges = np.asarray(edges, dtype=float)
-    w_long, w_int, phase, pref = _intensity_weights(model, params)
-    mu = (_bin_exponential(edges, params.gamma_s)
-          + w_long * _bin_exponential(edges, params.gamma_l)
-          + w_int * _bin_damped_trig(edges, params.gamma_mean, params.delta_m, phase))
-    return i0 * pref * mu
+    terms = ExpSum(*intensity_terms(model, params, normalized=False))
+    return i0 * terms.bin_mass(edges)
 
 
 @dataclass(frozen=True)
@@ -113,14 +100,22 @@ _BOUNDS = {
     "epsilon_abs": (0.0, 0.5),
     "epsilon_arg": (-math.pi, math.pi),
     "delta_m": None,  # (0, 10*gamma_s) filled at fit time
-    "i0": None,       # (0, inf) handled by profiling / log scale
+    "i0": (0.0, math.inf),  # profiled out analytically, never searched
 }
 FIT_PARAMETERS = ("epsilon_abs", "epsilon_arg", "delta_m", "i0")
 
 
-def _poisson_nll(mu, counts):
+def _poisson_excess(mu, counts):
+    """Poisson nll less its value at mu = counts: sum mu - n - n log(mu/n).
+
+    Each term vanishes at mu = n, so the sum resolves changes far below
+    the rounding of the nll's own terms, which reach 1e10 at 1e9 counts.
+    """
     mu = np.maximum(mu, _MU_FLOOR)
-    return float(np.sum(mu - counts * np.log(mu) + gammaln(counts + 1.0)))
+    n = np.maximum(counts, 1.0)
+    rel = (mu - counts) / n
+    log_ratio = np.where(rel > -0.5, np.log1p(np.maximum(rel, -0.5)), np.log(mu / n))
+    return float(np.sum(mu - counts - counts * log_ratio))
 
 
 def fit_intensity(binned: BinnedCounts, model: DecayModel,
@@ -133,10 +128,14 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     Bin expectations are closed-form integrals of the model's intensity
     template.  The optimiser is a derivative-free simplex restarted from 8
     deterministic points inside the bounded box (|epsilon| in [0, 0.5],
-    arg in (-pi, pi], delta_m in [0, 10*Gamma_S]); the calibration i0, when
-    free, is profiled out analytically at each step.  The covariance comes
-    from the observed information (central-difference Hessian at the
-    optimum).
+    arg in (-pi, pi], delta_m in [0, 10*Gamma_S]).  It runs in coordinates
+    that map the box onto the unit cube and on the nll less its value at
+    mu = counts, so its stopping tolerances mean the same for every
+    parameter and lie above the rounding of the objective; the calibration
+    i0, when free, is profiled out analytically at each step.  The
+    covariance is the inverse of the expected information J^T diag(1/mu) J
+    at the optimum, with J the derivatives of the bin means mu by central
+    differences, inverted after scaling to unit diagonal.
     """
     counts = np.asarray(binned.pair_counts, dtype=float)
     edges = binned.edges
@@ -155,16 +154,12 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         "delta_m": params_init.delta_m,
         "i0": i0_init if i0_init is not None else float(np.sum(counts)),
     }
-    bounds = dict(_BOUNDS)
-    bounds["delta_m"] = (0.0, 10.0 * params_init.gamma_s)
+    bounds = dict(_BOUNDS, delta_m=(0.0, 10.0 * params_init.gamma_s))
     profile_i0 = "i0" in free
     shape_free = tuple(name for name in free if name != "i0")
 
     def unpack(theta):
-        values = dict(base)
-        for name, value in zip(shape_free, theta):
-            values[name] = value
-        return values
+        return dict(base, **dict(zip(shape_free, theta)))
 
     def predict(values, i0):
         params = KaonParams.from_polar_epsilon(
@@ -184,108 +179,71 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
             i0 = float(np.sum(counts)) / denom
         else:
             i0 = base["i0"]
-        return _poisson_nll(i0 * shape, counts), i0
-
-    def objective(theta):
-        return nll_of(theta)[0]
+        return _poisson_excess(i0 * shape, counts), i0
 
     if shape_free:
         box = [bounds[name] for name in shape_free]
+        box_lo = np.array([b[0] for b in box])
+        width = np.array([b[1] - b[0] for b in box])
+
+        def objective(u):
+            return nll_of(box_lo + width * u)[0]
+
         x0 = np.array([base[name] for name in shape_free], dtype=float)
+        is_arg = np.array([name == "epsilon_arg" for name in shape_free])
         starts = [x0]
         # deterministic multistart: scaled perturbations of the initial
         # point, then a coarse lattice across the box
-        for factors in ((0.3, 1.0), (3.0, 1.0), (1.0, -1.0), (0.3, -1.0)):
-            point = []
-            for j, name in enumerate(shape_free):
-                lo, hi = box[j]
-                if name == "epsilon_arg":
-                    v = x0[j] + (0.0 if factors[1] > 0 else 0.5 * math.pi)
-                else:
-                    v = x0[j] * factors[0]
-                point.append(min(max(v, lo), hi))
-            starts.append(np.array(point))
-        offsets = [0.15, 0.5, 0.85]
+        for factor, turn in ((0.3, 0.0), (3.0, 0.0), (1.0, 0.5 * math.pi),
+                             (0.3, 0.5 * math.pi)):
+            point = np.where(is_arg, x0 + turn, x0 * factor)
+            starts.append(np.clip(point, box_lo, box_lo + width))
         for k in range(3):
-            point = []
-            for j, (lo, hi) in enumerate(box):
-                frac = offsets[(k + j) % 3]
-                point.append(lo + frac * (hi - lo))
-            starts.append(np.array(point))
-        best = None
-        last = None
-        for start in starts[:8]:
-            res = minimize(objective, start, method="Nelder-Mead",
-                           bounds=box,
-                           options={"maxiter": max_iterations, "xatol": 1e-12,
-                                    "fatol": 1e-12})
-            last = res
-            if best is None or res.fun < best.fun:
-                best = res
-        if best is None or not np.isfinite(best.fun):
-            raise FitFailureError("likelihood maximisation failed", last_result=last)
+            fracs = [(0.15, 0.5, 0.85)[(k + j) % 3] for j in range(len(box))]
+            starts.append(box_lo + width * np.array(fracs))
+        runs = [minimize(objective, (start - box_lo) / width, method="Nelder-Mead",
+                         bounds=[(0.0, 1.0)] * len(box),
+                         options={"maxiter": max_iterations, "xatol": 1e-10,
+                                  "fatol": 1e-9})
+                for start in starts]
+        best = min(runs, key=lambda res: res.fun)
+        if not np.isfinite(best.fun):
+            raise FitFailureError("likelihood maximisation failed", last_result=runs[-1])
         converged = bool(best.success)
-        theta_hat = np.asarray(best.x, dtype=float)
+        theta_hat = box_lo + width * np.asarray(best.x, dtype=float)
     else:
         theta_hat = np.array([], dtype=float)
         converged = True
 
-    nll_hat, i0_hat = nll_of(theta_hat)
-    values = unpack(theta_hat)
-    values["i0"] = i0_hat
+    excess, i0_hat = nll_of(theta_hat)
+    saturated = np.sum(counts - xlogy(counts, counts) + gammaln(counts + 1.0))
+    nll_hat = excess + float(saturated)
+    values = dict(unpack(theta_hat), i0=i0_hat)
 
-    # observed information over all free parameters (profiled i0 included)
-    def full_nll(vector):
-        local = dict(values)
-        for name, v in zip(free, vector):
-            local[name] = v
-        shape = predict(local, 1.0)
-        return _poisson_nll(local["i0"] * shape, counts)
+    # expected information over all free parameters (profiled i0 included);
+    # a bin the model gives no rate carries no information
+    def means(name, value):
+        local = dict(values, **{name: value})
+        return predict(local, local["i0"])
 
-    center = np.array([values[name] for name in free], dtype=float)
-    n_free = len(free)
-    f0 = full_nll(center)
-
-    step_caps = {"epsilon_abs": 0.25, "epsilon_arg": math.pi,
-                 "delta_m": 2.0 * params_init.gamma_s,
-                 "i0": 2.0 * abs(values["i0"]) + 1.0}
-
-    def calibrated_step(i):
-        # scale the step until the likelihood moves by O(1), i.e. the
-        # curvature is probed at the one-sigma scale, not at rounding noise
-        cap = step_caps[free[i]]
-        h = min(max(0.05 * abs(center[i]), 1e-12), cap)
-        for _ in range(60):
-            ei = np.zeros(n_free)
-            ei[i] = h
-            move = max(abs(full_nll(center + ei) - f0),
-                       abs(full_nll(center - ei) - f0))
-            if move > 4.0:
-                h *= 0.5
-            elif move < 0.25 and h < cap:
-                h = min(2.0 * h, cap)
-            else:
-                break
-        return h
-
-    steps = np.array([calibrated_step(i) for i in range(n_free)])
-    hess = np.zeros((n_free, n_free))
-    for i in range(n_free):
-        for j in range(i, n_free):
-            ei = np.zeros(n_free); ei[i] = steps[i]
-            ej = np.zeros(n_free); ej[j] = steps[j]
-            if i == j:
-                val = (full_nll(center + ei) - 2 * f0 + full_nll(center - ei)) / steps[i] ** 2
-            else:
-                val = (full_nll(center + ei + ej) - full_nll(center + ei - ej)
-                       - full_nll(center - ei + ej) + full_nll(center - ei - ej)) \
-                      / (4 * steps[i] * steps[j])
-            hess[i, j] = hess[j, i] = val
-    hess = 0.5 * (hess + hess.T)
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    scale = max(float(np.max(np.abs(eigvals))), 1e-300)
-    inv = 1.0 / np.maximum(eigvals, 1e-12 * scale)
-    cov = eigvecs @ np.diag(inv) @ eigvecs.T
+    scale = np.array([bounds[name][1] - bounds[name][0] if name != "i0"
+                      else values["i0"] for name in free])
+    jac = np.empty((counts.size, len(free)))
+    for j, name in enumerate(free):
+        lo_j, hi_j = bounds[name]
+        a = max(values[name] - _REL_STEP * scale[j], lo_j)
+        b = min(values[name] + _REL_STEP * scale[j], hi_j)
+        jac[:, j] = (means(name, b) - means(name, a)) / (b - a)
+    mu = predict(values, values["i0"])
+    seen = mu > 0
+    info = (jac[seen].T / mu[seen]) @ jac[seen]
+    # invert at unit diagonal (the parameters span 1e-3 to 1e19); a
+    # parameter the data cannot see keeps unit information at its scale,
+    # so the eigenvalue floor leaves it a variance of 1e12 scale^2
+    root = np.sqrt(np.diag(info))
+    root = np.where(root > 0, root, 1.0 / scale)
+    eigvals, eigvecs = np.linalg.eigh(info / np.outer(root, root))
+    cov = (eigvecs / np.maximum(eigvals, 1e-12)) @ eigvecs.T / np.outer(root, root)
     cov = 0.5 * (cov + cov.T)
 
     return FitResult(model=model,
@@ -314,14 +272,11 @@ class WeightRatioEstimate:
 def template_design_matrix(edges, params: KaonParams) -> np.ndarray:
     """Bin integrals of the four-term template
     {e^{-Gs t}, e^{-Gl t}, e^{-at} cos(dm t), e^{-at} sin(dm t)}."""
-    edges = np.asarray(edges, dtype=float)
-    a, dm = params.gamma_mean, params.delta_m
-    return np.column_stack([
-        _bin_exponential(edges, params.gamma_s),
-        _bin_exponential(edges, params.gamma_l),
-        _bin_damped_trig(edges, a, dm, 0.0),
-        _bin_damped_trig(edges, a, dm, -0.5 * math.pi),  # sin(dm t)
-    ])
+    damped = params.gamma_mean - 1j * params.delta_m
+    rates = (params.gamma_s, params.gamma_l, damped, damped)
+    # e^{-at} sin(dm t) = Re(-i e^{-(a - i dm) t})
+    return np.column_stack([ExpSum([d], [z]).bin_mass(edges)
+                            for d, z in zip((1.0, 1.0, 1.0, -1j), rates)])
 
 
 def weight_ratio_estimate(binned: BinnedCounts, params: KaonParams) -> WeightRatioEstimate:
@@ -408,8 +363,7 @@ class PowerReport:
 
 
 def _positive_bin_masses(model, state, edges):
-    cums = np.asarray(model_cdf(model, state, edges), dtype=float)
-    return np.diff(cums)
+    return ExpSum(*model_terms(model, state)).bin_mass(edges)
 
 
 def discrimination_edges(state, n_osc: int = 36, n_tail: int = 48) -> np.ndarray:

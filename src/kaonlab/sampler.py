@@ -1,11 +1,12 @@
 """Monte Carlo generation of decay events and detector binning.
 
 Sampling is inverse-CDF throughout.  Every model pdf in this package is a
-short sum of complex exponentials, so the cumulative distribution is known
-in closed form; a monotone cubic table over refined knots supplies the
-starting point and a safeguarded Newton iteration polishes each sample to
-machine precision.  Nothing is ever clipped: a model whose density goes
-negative anywhere on the scan grid is rejected with ModelPathologyError.
+short sum of complex exponentials, evaluated and integrated in closed form
+by :class:`kaonlab.expsum.ExpSum`; a monotone cubic table over refined
+knots supplies the starting point and a safeguarded Newton iteration
+polishes each sample to machine precision.  Nothing is ever clipped: a
+model whose density goes negative anywhere on the scan grid is rejected
+with ModelPathologyError.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
@@ -25,6 +26,7 @@ from .core import DecayModel
 from .entangled import BipartiteState, joint_model_terms
 from .errors import ModelPathologyError
 from .evolution import SuperpositionState
+from .expsum import ExpSum, ExpSum2
 from .single_models import model_terms
 
 SIDES = ("single", "left", "right")
@@ -170,28 +172,54 @@ def _invert_monotone(cdf, pdf, target, t, lo, hi, max_iter: int = 60):
     return t
 
 
+_N_LOG = 4096
+_N_OSC_MAX = 16384
+
+
+def _scan_knots(terms: ExpSum):
+    """(t_max, knots): table and scan knots on [0, t_max] for a sum.
+
+    t_max is where the tail mass has fallen below 1e-12.  The knots combine
+    a geometric ladder over the decay scales with a linear refinement
+    wherever the density oscillates (spacing one sixteenth of the
+    oscillation period).
+    """
+    z = terms.z
+    if np.any(z.real <= 0):
+        raise ValueError("every term must decay (Re z > 0)")
+    t_max = 40.0 / float(np.min(z.real))
+    for _ in range(60):
+        if abs(terms.sf(t_max)) < 1e-12:
+            break
+        t_max *= 1.5
+    else:
+        raise ModelPathologyError("tail mass does not vanish; cannot truncate")
+    fastest = float(np.max(z.real))
+    knots = [np.array([0.0]), np.geomspace(1e-6 / fastest, t_max, _N_LOG)]
+    omega = float(np.max(np.abs(z.imag)))
+    if omega > 0:
+        step = (2.0 * math.pi / omega) / 16.0
+        knots.append(np.linspace(0.0, t_max, min(int(t_max / step) + 1, _N_OSC_MAX)))
+    return t_max, np.unique(np.concatenate(knots))
+
+
+def _midpoint_scan(terms: ExpSum, knots):
+    """Knots and their midpoints, sorted, with the density there."""
+    scan = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+    return scan, terms.pdf(scan)
+
+
 class Dist1D:
     """Inverse-CDF sampler for a density Re sum_k d_k exp(-z_k t) on [0, inf).
 
-    The cumulative table is evaluated exactly at the knots; knots combine a
-    geometric ladder over the decay scales with a linear refinement wherever
-    the density oscillates (spacing one sixteenth of the oscillation
-    period).  Negative density anywhere on the refined scan aborts
-    construction.
+    The cumulative table is evaluated exactly at the knots of
+    :func:`_scan_knots`.  Negative density anywhere on the knots or their
+    midpoints aborts construction.
     """
 
-    N_LOG = 4096
-    N_OSC_MAX = 16384
-
     def __init__(self, coeffs, rates):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        rates = np.asarray(rates, dtype=complex)
-        if np.any(rates.real <= 0):
-            raise ValueError("every term must decay (Re z > 0)")
-        self._d = coeffs
-        self._z = rates
-        self.t_max = self._find_t_max()
-        self._knots = self._build_knots()
+        self._terms = ExpSum(coeffs, rates)
+        self.t_max, self._knots = _scan_knots(self._terms)
         cdf = self.cdf(self._knots)
         total = cdf[-1]
         if total <= 0:
@@ -208,42 +236,13 @@ class Dist1D:
             self._inverse = None
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.real(np.exp(-np.multiply.outer(t, self._z)) @ self._d)
+        return self._terms.pdf(t)
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.real((1.0 - np.exp(-np.multiply.outer(t, self._z))) @ (self._d / self._z))
-
-    def _tail(self, t):
-        return float(np.real(np.exp(-t * self._z) @ (self._d / self._z)))
-
-    def _find_t_max(self):
-        slowest = float(np.min(self._z.real))
-        t = 40.0 / slowest
-        for _ in range(60):
-            if abs(self._tail(t)) < 1e-12:
-                return t
-            t *= 1.5
-        raise ModelPathologyError("tail mass does not vanish; cannot truncate")
-
-    def _build_knots(self):
-        fastest = float(np.max(self._z.real))
-        lo = 1e-6 / fastest
-        knots = [np.array([0.0]), np.geomspace(lo, self.t_max, self.N_LOG)]
-        omega = float(np.max(np.abs(self._z.imag)))
-        if omega > 0:
-            step = (2.0 * math.pi / omega) / 16.0
-            n_osc = min(int(self.t_max / step) + 1, self.N_OSC_MAX)
-            knots.append(np.linspace(0.0, self.t_max, n_osc))
-        grid = np.unique(np.concatenate(knots))
-        return grid
+        return self._terms.cdf(t)
 
     def _check_positive(self):
-        mids = 0.5 * (self._knots[:-1] + self._knots[1:])
-        scan = np.concatenate([self._knots, mids])
-        scan.sort()
-        vals = self.pdf(scan)
+        scan, vals = _midpoint_scan(self._terms, self._knots)
         scale = float(np.max(np.abs(vals))) or 1.0
         bad = vals < -1e-12 * scale
         if np.any(bad):
@@ -273,26 +272,25 @@ class Dist1D:
                                 lambda ta, idx: self.pdf(ta), target, t, lo, hi)
 
 
-def positive_support(dist: Dist1D) -> list[tuple[float, float]]:
+def positive_support(terms: ExpSum) -> list[tuple[float, float]]:
     """Maximal intervals of [0, t_max] where the density is nonnegative.
 
-    Boundaries are refined to the sign-change points by bisection on the
-    density.  Used to sample a signed law conditioned on its physical
-    support; the conditioning only rescales the density inside the
-    segments, so template weights fitted within them are unchanged.
+    The scan runs over the knots and midpoints a :class:`Dist1D` of the
+    same sum would check.  Boundaries are refined to the sign-change points
+    by bisection on the density.  Used to sample a signed law conditioned
+    on its physical support; the conditioning only rescales the density
+    inside the segments, so template weights fitted within them are
+    unchanged.
     """
-    knots = dist._knots
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    scan = np.unique(np.concatenate([knots, mids]))
-    vals = dist.pdf(scan)
+    scan, vals = _midpoint_scan(terms, _scan_knots(terms)[1])
     scale = float(np.max(np.abs(vals))) or 1.0
     nonneg = vals >= -1e-14 * scale
 
     def refine(lo, hi):
-        flo = dist.pdf(np.array([lo]))[0]
+        flo = terms.pdf(lo)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fm = dist.pdf(np.array([mid]))[0]
+            fm = terms.pdf(mid)
             if (fm >= 0) == (flo >= 0):
                 lo, flo = mid, fm
             else:
@@ -323,35 +321,29 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = seed.generator()
-    u = rng.random(int(n))
-    if not restrict_to_support:
-        return Dist1D(coeffs, rates).ppf(u)
+    u = seed.generator().random(int(n))
     try:
         return Dist1D(coeffs, rates).ppf(u)
     except ModelPathologyError:
-        pass
-    dist = Dist1D.__new__(Dist1D)
-    dist._d = np.asarray(coeffs, dtype=complex)
-    dist._z = np.asarray(rates, dtype=complex)
-    dist.t_max = dist._find_t_max()
-    dist._knots = dist._build_knots()
-    segments = positive_support(dist)
+        if not restrict_to_support:
+            raise
+    terms = ExpSum(coeffs, rates)
+    segments = positive_support(terms)
     if not segments:
         raise ModelPathologyError("density has no nonnegative support")
-    cdf_lo = dist.cdf(np.array([s[0] for s in segments]))
-    cdf_hi = dist.cdf(np.array([s[1] for s in segments]))
+    ends = np.array(segments)
+    cdf_lo = terms.cdf(ends[:, 0])
+    cdf_hi = terms.cdf(ends[:, 1])
     masses = np.maximum(cdf_hi - cdf_lo, 0.0)
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     total = cum[-1]
     target = u * total
     seg_idx = np.clip(np.searchsorted(cum, target, side="right") - 1,
                       0, len(segments) - 1)
-    lo = np.array([segments[i][0] for i in seg_idx])
-    hi = np.array([segments[i][1] for i in seg_idx])
+    lo, hi = ends[seg_idx, 0], ends[seg_idx, 1]
     goal = cdf_lo[seg_idx] + (target - cum[seg_idx])
-    return _invert_monotone(lambda t, idx: dist.cdf(t),
-                            lambda t, idx: dist.pdf(t), goal,
+    return _invert_monotone(lambda t, idx: terms.cdf(t),
+                            lambda t, idx: terms.pdf(t), goal,
                             0.5 * (lo + hi), lo, hi, max_iter=90)
 
 
@@ -365,19 +357,18 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
     ``channel``.  Sample a second state for the other channel when
     simulating a full experiment.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d, z = model_terms(model, state)
-    dist = Dist1D(d, z)
-    rng = seed.generator()
-    times = dist.ppf(rng.random(int(n)))
+    times = sample_times_from_terms(*model_terms(model, state), n, seed)
     return [DecayEvent(i, side, channel, float(t)) for i, t in enumerate(times)]
 
 
 def _conditional_ppf(u, weights, w_rates, t_max):
     """Invert, per sample, the conditional CDF
     F(tr) = Re sum_k a_k (1 - e^{-w_k tr}) / Re sum_k a_k (1 - e^{-w_k t_max}),
-    with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k."""
+    with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k.
+
+    Each sample has its own coefficient vector, so these sums are row-wise
+    products over an (n, K) array, not the shared-coefficient matrix
+    products of :class:`ExpSum`."""
     a = weights  # (n, K) complex; already divided by w_k
     full = np.real(((1.0 - np.exp(-t_max * w_rates))[None, :] * a).sum(axis=1))
     target = u * full
@@ -395,11 +386,9 @@ def _conditional_ppf(u, weights, w_rates, t_max):
                             max_iter=90)
 
 
-def _check_joint_positive(c, z, w, t_max):
+def _check_joint_positive(joint: ExpSum2, t_max):
     grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, 160)])
-    el = np.exp(-np.multiply.outer(grid, z))
-    er = np.exp(-np.multiply.outer(grid, w))
-    vals = np.real(np.einsum("ik,jk,k->ij", el, er, c))
+    vals = joint.pdf(*np.meshgrid(grid, grid, indexing="ij"))
     scale = float(np.max(np.abs(vals))) or 1.0
     if np.min(vals) < -1e-10 * scale:
         i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
@@ -420,15 +409,16 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c, z, w = joint_model_terms(model, state, normalized=True)
-    marginal = Dist1D(c / w, z)
-    _check_joint_positive(c, z, w, marginal.t_max)
+    joint = ExpSum2(*joint_model_terms(model, state, normalized=True))
+    left = joint.marginal()
+    marginal = Dist1D(left.d, left.z)
+    _check_joint_positive(joint, marginal.t_max)
     rng = seed.generator()
     u_left = rng.random(int(n))
     u_right = rng.random(int(n))
     tl = marginal.ppf(u_left)
-    cond_weights = np.exp(-np.multiply.outer(tl, z)) * (c / w)[None, :]
-    tr = _conditional_ppf(u_right, cond_weights, w, marginal.t_max)
+    cond_weights = np.exp(-np.multiply.outer(tl, left.z)) * left.d[None, :]
+    tr = _conditional_ppf(u_right, cond_weights, joint.w, marginal.t_max)
     out = []
     for i, (a, b) in enumerate(zip(tl, tr)):
         out.append((DecayEvent(i, "left", "pair", float(a)),

@@ -15,8 +15,9 @@ makes them experimentally distinguishable.
 Everything is evaluated through exact complex pair sums: |psi(t)|^2 =
 Re sum_{jk} C_jk exp(-Z_jk t) with C_jk = alpha_j conj(alpha_k) and
 Z_jk = (Gamma_j+Gamma_k)/2 + i(m_j - m_k).  Each model's pdf is then
-Re sum D_jk exp(-Z_jk t) for model-specific coefficients D, so pdfs,
-cumulative distributions and normalisations are all closed-form.
+Re sum D_jk exp(-Z_jk t) for model-specific coefficients D; this module
+only builds the coefficients, and :mod:`kaonlab.expsum` evaluates,
+integrates and normalises the sums in closed form.
 
 Sign conventions: projecting an initial K0 exactly gives an interference
 phase cos(delta_m t - arg eps) in the 2pi channel, while the conventional
@@ -36,6 +37,7 @@ import numpy as np
 from .core import DecayModel, KaonParams, interference_weights
 from .errors import DegenerateStateError, UndefinedSignatureError
 from .evolution import SuperpositionState
+from .expsum import ExpSum
 
 _TINY = 1e-300
 
@@ -75,12 +77,6 @@ def _pair_terms(state: SuperpositionState):
     return c.ravel(), z.ravel()
 
 
-def _eval_terms(coeffs, z, t):
-    t = np.asarray(t, dtype=float)
-    out = np.real(np.exp(-np.multiply.outer(t, z)) @ coeffs)
-    return out if out.shape else float(out)
-
-
 def _check_times(t):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -110,7 +106,7 @@ def survival_standard(state: SuperpositionState, t):
     s0 = float(np.real(np.sum(c)))
     if s0 <= _TINY:
         raise ValueError("initial intensity |psi(0)|^2 vanishes")
-    return _eval_terms(c / s0, z, t)
+    return ExpSum(c / s0, z).pdf(t)
 
 
 def model_terms(model: DecayModel, state: SuperpositionState):
@@ -131,20 +127,13 @@ def model_terms(model: DecayModel, state: SuperpositionState):
     if np.any(g <= 0):
         raise DegenerateStateError("zero-width mode: distribution is not normalisable")
     if model is DecayModel.HYBRID:
-        total = float(np.real(np.sum(c / z)))
-        if total <= _TINY:
-            raise DegenerateStateError("hybrid normalisation integral vanishes")
-        return c / total, z
-    if model is DecayModel.TIME_OPERATOR:
+        terms = ExpSum(c, z).normalised()
+    elif model is DecayModel.TIME_OPERATOR:
         root_g = np.sqrt(g)
-        weights = (root_g[:, None] * root_g[None, :]).ravel()
-        ct = c * weights
-        norm = float(np.real(np.sum(ct / z)))
-        if norm <= _TINY:
-            raise DegenerateStateError(
-                "time-operator normalisation vanishes (total destructive interference)")
-        return ct / norm, z
-    raise ValueError(f"unknown model {model!r}")
+        terms = ExpSum(c * (root_g[:, None] * root_g[None, :]).ravel(), z).normalised()
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return terms.d, terms.z
 
 
 def pdf(model: DecayModel, state: SuperpositionState, t):
@@ -155,17 +144,13 @@ def pdf(model: DecayModel, state: SuperpositionState, t):
     as computed (see :func:`negativity_report`), never clipped.
     """
     t = _check_times(t)
-    d, z = model_terms(model, state)
-    return _eval_terms(d, z, t)
+    return ExpSum(*model_terms(model, state)).pdf(t)
 
 
 def cdf(model: DecayModel, state: SuperpositionState, t):
     """Closed-form cumulative distribution of the decay time."""
     t = _check_times(t)
-    d, z = model_terms(model, state)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.real((1.0 - np.exp(-np.multiply.outer(t_arr, z))) @ (d / z))
-    return vals if np.ndim(t) else float(vals[0])
+    return ExpSum(*model_terms(model, state)).cdf(t)
 
 
 def pdf_decohered(model: DecayModel, state: SuperpositionState, t):
@@ -181,15 +166,14 @@ def pdf_decohered(model: DecayModel, state: SuperpositionState, t):
     w = np.abs(state.amplitudes()) ** 2
     g = state.widths()
     if model in (DecayModel.STANDARD, DecayModel.TIME_OPERATOR):
-        coeffs = w * g / np.sum(w)
+        terms = ExpSum(w * g / np.sum(w), g)
     elif model is DecayModel.HYBRID:
         if np.any(g <= 0):
             raise DegenerateStateError("zero-width mode: hybrid pdf not normalisable")
-        coeffs = w / np.sum(w / g)
+        terms = ExpSum(w, g).normalised()
     else:
         raise ValueError(f"unknown model {model!r}")
-    out = np.exp(-np.multiply.outer(np.asarray(t, dtype=float), g)) @ coeffs
-    return out if out.shape else float(out)
+    return terms.pdf(t)
 
 
 @dataclass(frozen=True)
@@ -298,13 +282,7 @@ def cronin_fitch_intensity(model: DecayModel, params: KaonParams, t, i0: float =
         raise ValueError(f"i0 must be > 0, got {i0}")
     if abs(1.0 + params.epsilon) < 1e-12:
         raise ValueError("normalisation singular at epsilon = -1")
-    w_long, w_int, phase, pref = _intensity_weights(model, params)
-    t = np.asarray(t, dtype=float)
-    out = i0 * pref * (np.exp(-params.gamma_s * t)
-                       + w_long * np.exp(-params.gamma_l * t)
-                       + w_int * np.exp(-params.gamma_mean * t)
-                       * np.cos(params.delta_m * t + phase))
-    return out if out.shape else float(out)
+    return i0 * ExpSum(*intensity_terms(model, params, normalized=False)).pdf(t)
 
 
 def intensity_terms(model: DecayModel, params: KaonParams,
@@ -320,10 +298,7 @@ def intensity_terms(model: DecayModel, params: KaonParams,
     z = np.array([params.gamma_s, params.gamma_l,
                   params.gamma_mean - 1j * params.delta_m], dtype=complex)
     if normalized:
-        total = float(np.real(np.sum(d / z)))
-        if total <= _TINY:
-            raise DegenerateStateError("intensity template has no positive mass")
-        d = d / total
+        d = ExpSum(d, z).normalised().d
     return d, z
 
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kaonlab import inference
 from kaonlab.core import DecayModel, KaonParams
 from kaonlab.errors import (CoverageError, DegenerateComparisonError,
                             FitFailureError)
 from kaonlab.inference import (discrimination_power, extract_epsilon,
                                find_min_events_for_power, fit_intensity,
-                               template_design_matrix, weight_ratio_estimate)
+                               intensity_bin_means, template_design_matrix,
+                               weight_ratio_estimate)
 from kaonlab.sampler import BinnedCounts, RunSeed, sample_times_from_terms
 from kaonlab.single_models import cronin_fitch_state, intensity_terms
 
@@ -110,6 +112,43 @@ class TestFitIntensity:
         assert fit.epsilon_abs < 5e-4
         assert fit.covariance[j, j] > 0.5  # rad^2: effectively unconstrained
         assert fit.covariance[j, j] > 100 * fit.covariance[i, i]
+
+    def test_calibration_error_is_the_counting_error(self, params):
+        # README default free parameters on 1e6 Poisson counts: the
+        # relative error of i0 is 1/sqrt(N)
+        edges = composite_edges(params)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, params, edges)
+        counts = RunSeed(11).generator().poisson(mu * (1e6 / mu.sum()))
+        binned = BinnedCounts(edges, counts, np.zeros_like(counts))
+        fit = fit_intensity(binned, DecayModel.TIME_OPERATOR, params,
+                            free=("epsilon_abs", "epsilon_arg", "i0"))
+        k = fit.free.index("i0")
+        rel = math.sqrt(fit.covariance[k, k]) / fit.i0
+        assert rel == pytest.approx(1.0 / math.sqrt(counts.sum()), rel=0.1)
+
+    @pytest.mark.parametrize("model", list(DecayModel))
+    def test_fit_ignores_the_last_ulp_of_the_bin_means(self, params, model,
+                                                       monkeypatch):
+        # an Asimov file of 1e9 twfo counts, where the README parameters are
+        # pinned tightly enough for 1e-8 relative to be resolvable
+        edges = np.linspace(0.0, 2e-8, 101)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, params, edges)
+        counts = np.round(mu * (1e9 / mu.sum())).astype(np.int64)
+        binned = BinnedCounts(edges, counts, np.zeros_like(counts))
+        exact = inference.intensity_bin_means
+
+        def fit(bin_means):
+            monkeypatch.setattr(inference, "intensity_bin_means", bin_means)
+            res = fit_intensity(binned, model, params,
+                                free=("epsilon_abs", "epsilon_arg", "i0"))
+            return res.converged, np.array([res.epsilon_abs, res.epsilon_arg, res.i0])
+
+        converged, values = fit(exact)
+        for direction in (np.inf, -np.inf):
+            moved_converged, moved = fit(
+                lambda *a, **k: np.nextafter(exact(*a, **k), direction))
+            assert moved_converged == converged
+            assert moved == pytest.approx(values, rel=1e-8, abs=0.0)
 
     def test_needs_enough_bins(self, params):
         edges = np.linspace(0.0, 5 * params.tau_s, 5)
@@ -218,6 +257,14 @@ class TestDiscriminationPower:
                                    st, 10 ** 5, 0.05, 200, RunSeed(12))
         assert rep.mean_stat_a > 0 > rep.mean_stat_b
         assert rep.n_dropped_bins > 0  # the standard law's negative bands
+
+    def test_laws_that_cannot_go_negative_drop_no_bins(self, params):
+        # the last bin's mass, about 2e-17, is lost to 1 - x cancellation
+        # when taken as a difference of the cdf
+        st = cronin_fitch_state(params, +1)
+        rep = discrimination_power(DecayModel.TIME_OPERATOR, DecayModel.HYBRID,
+                                   st, 1000, 0.05, 100, RunSeed(1))
+        assert rep.n_dropped_bins == 0
 
     def test_crossing_search(self, params):
         st = cronin_fitch_state(params, +1)

@@ -7,8 +7,9 @@ from scipy import stats
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams
 from kaonlab.errors import ModelPathologyError
 from kaonlab.evolution import SuperpositionState
+from kaonlab.expsum import ExpSum
 from kaonlab.entangled import BipartiteState
-from kaonlab.sampler import (BinnedCounts, DecayEvent, DetectorConfig, Dist1D,
+from kaonlab.sampler import (BinnedCounts, DecayEvent, DetectorConfig,
                              RunSeed, detect, positive_support, read_binned,
                              read_events, sample_decay_times, sample_joint,
                              sample_times_from_terms, write_binned,
@@ -88,11 +89,7 @@ class TestSampleDecayTimes:
         d, z = intensity_terms(DecayModel.STANDARD, params)
         times = sample_times_from_terms(d, z, 50_000, RunSeed(9),
                                         restrict_to_support=True)
-        dist = Dist1D.__new__(Dist1D)
-        dist._d, dist._z = np.asarray(d, complex), np.asarray(z, complex)
-        dist.t_max = dist._find_t_max()
-        dist._knots = dist._build_knots()
-        segments = positive_support(dist)
+        segments = positive_support(ExpSum(d, z))
         assert len(segments) >= 2
         inside = np.zeros(times.shape, dtype=bool)
         for lo, hi in segments:
