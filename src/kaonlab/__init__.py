@@ -20,7 +20,7 @@ from .single_models import (PdfCurve, cdf, cronin_fitch_intensity,
 from .entangled import (BipartiteState, Family, JointGrid,
                         family_discriminator, joint_pdf_11,
                         joint_survival_11)
-from .sampler import (BinnedCounts, DecayEvent, DetectorConfig, RunSeed,
+from .sampler import (BinnedCounts, DetectorConfig, EventTable, RunSeed,
                       detect, sample_decay_times, sample_joint)
 from .inference import (EpsilonExtraction, FitResult, PowerReport,
                         WeightRatioEstimate, discrimination_power,

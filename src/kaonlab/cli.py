@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,8 +42,9 @@ from .errors import (CoverageError, DegenerateComparisonError,
                      UndefinedSignatureError, UnsupportedRegimeError)
 from .inference import (discrimination_power, extract_epsilon,
                         find_min_events_for_power, fit_intensity)
-from .sampler import (detect, read_binned, read_events, sample_decay_times,
-                      sample_joint, write_binned, write_events)
+from .sampler import (DetectorConfig, detect, output_stream, read_binned,
+                      read_events, sample_decay_times, sample_joint,
+                      write_binned, write_events)
 from .single_models import (cronin_fitch_intensity, cronin_fitch_state,
                             negativity_report, pdf, survival_standard)
 from .spectral_zeno import (MeasurementSchedule, lorentzian_spectrum,
@@ -74,13 +76,9 @@ def _common_flags(parser):
 
 
 def _detector_flags(parser):
-    parser.add_argument("--window-tau", type=float, dest="window_tau")
-    parser.add_argument("--t-min", type=float, dest="t_min")
-    parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--bins", type=int)
-    parser.add_argument("--background-rate", type=float, dest="background_rate")
-    parser.add_argument("--efficiency", type=float)
-    parser.add_argument("--branching-charged", type=float, dest="branching_charged")
+    for f in fields(DetectorConfig):
+        name = "bins" if f.name == "n_bins" else f.name.replace("_", "-")
+        parser.add_argument(f"--{name}", type=type(f.default))
 
 
 def _run_config(args):
@@ -89,12 +87,8 @@ def _run_config(args):
 
 
 def _emit(out_path, lines):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with output_stream(out_path or sys.stdout) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _model_of(run, args, default="standard"):
@@ -157,34 +151,18 @@ def cmd_simulate(args) -> int:
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
-        state = _bipartite_state(run, args)
-        pairs = sample_joint(model, state, args.n, run.seed)
-        events = [e for pair in pairs for e in pair]
+        events = sample_joint(model, _bipartite_state(run, args), args.n, run.seed)
     else:
-        state = _single_state(run, args)
-        channel = "pair" if int(getattr(args, "cp", None) or 1) == 1 else "triplet"
-        events = sample_decay_times(model, state, args.n, run.seed,
-                                    channel=channel)
-    if run.out:
-        write_events(run.out, events)
-    else:
-        sys.stdout.write("event_id,side,channel,time_s\n")
-        for e in events:
-            sys.stdout.write(f"{e.event_id},{e.side},{e.channel},{e.time:.17e}\n")
+        events = sample_decay_times(model, _single_state(run, args), args.n, run.seed,
+                                    channel="pair" if args.cp == 1 else "triplet")
+    write_events(run.out or sys.stdout, events)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     run = _run_config(args)
-    events = read_events(args.events)
-    binned = detect(events, run.detector, run.seed)
-    if run.out:
-        write_binned(run.out, binned)
-    else:
-        sys.stdout.write("bin_lo_s,bin_hi_s,pair_count,triplet_count\n")
-        for lo, hi, p, t in zip(binned.edges[:-1], binned.edges[1:],
-                                binned.pair_counts, binned.triplet_counts):
-            sys.stdout.write(f"{lo:.17e},{hi:.17e},{int(p)},{int(t)}\n")
+    binned = detect(read_events(args.events), run.detector, run.seed)
+    write_binned(run.out or sys.stdout, binned)
     return EXIT_OK
 
 

@@ -10,16 +10,14 @@ before any computation starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import EPSILON_ABS, EPSILON_ARG_DEG, TAU_L, TAU_S, KaonParams
 from .sampler import DetectorConfig, RunSeed
 
 KAON_KEYS = ("kaon.gamma_s", "kaon.gamma_l", "kaon.delta_m",
              "kaon.epsilon_abs", "kaon.epsilon_arg_deg")
-DETECTOR_KEYS = ("detector.window_tau", "detector.t_min", "detector.t_max",
-                 "detector.n_bins", "detector.background_rate",
-                 "detector.efficiency", "detector.branching_charged")
+DETECTOR_KEYS = tuple(f"detector.{f.name}" for f in fields(DetectorConfig))
 OTHER_KEYS = ("seed", "stream_id", "model", "out")
 
 KNOWN_KEYS = KAON_KEYS + DETECTOR_KEYS + OTHER_KEYS
@@ -79,17 +77,10 @@ def build_run_config(args, config: dict) -> RunConfig:
     params = KaonParams.from_polar_epsilon(eps_abs, math.radians(eps_arg),
                                            gamma_s=gamma_s, gamma_l=gamma_l,
                                            delta_m=delta_m)
-    detector = DetectorConfig(
-        window_tau=_pick(get("window_tau"), config, "detector.window_tau", 0.0, float),
-        t_min=_pick(get("t_min"), config, "detector.t_min", 0.0, float),
-        t_max=_pick(get("t_max"), config, "detector.t_max", 1e-6, float),
-        n_bins=_pick(get("bins"), config, "detector.n_bins", 100, int),
-        background_rate=_pick(get("background_rate"), config,
-                              "detector.background_rate", 0.0, float),
-        efficiency=_pick(get("efficiency"), config, "detector.efficiency", 1.0, float),
-        branching_charged=_pick(get("branching_charged"), config,
-                                "detector.branching_charged", 2.0 / 3.0, float),
-    )
+    detector = DetectorConfig(**{
+        f.name: _pick(get("bins" if f.name == "n_bins" else f.name), config,
+                      f"detector.{f.name}", f.default, type(f.default))
+        for f in fields(DetectorConfig)})
     seed = RunSeed(
         seed=int(_pick(get("seed"), config, "seed", 20250808, int)),
         stream_id=int(_pick(get("stream_id"), config, "stream_id", 0, int)),

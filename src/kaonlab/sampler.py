@@ -1,4 +1,4 @@
-"""Monte Carlo generation of decay events and detector binning.
+"""Monte Carlo generation of decay-event tables and detector binning.
 
 Sampling is inverse-CDF throughout.  Every model pdf in this package is a
 short sum of complex exponentials, evaluated and integrated in closed form
@@ -10,13 +10,15 @@ with ModelPathologyError.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
-(seed, stream_id, inputs) triple reproduces the event list bitwise, no
+(seed, stream_id, inputs) triple reproduces the event table bitwise, no
 matter how work is scheduled.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +65,40 @@ class RunSeed:
 
 
 @dataclass(frozen=True)
-class DecayEvent:
-    """One sampled decay: id, detector side, CP channel and proper time."""
+class EventTable:
+    """Sampled decays as four equal-length columns, one row per decay:
+    ``event_id``, the ``side`` and ``channel`` codes indexing :data:`SIDES`
+    and :data:`CHANNELS`, and the proper decay ``time`` in seconds."""
 
-    event_id: int
-    side: str
-    channel: str
-    time: float
+    event_id: np.ndarray
+    side: np.ndarray
+    channel: np.ndarray
+    time: np.ndarray
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if not math.isfinite(self.time) or self.time < 0:
-            raise ValueError(f"time must be finite and >= 0, got {self.time}")
+        columns = {"event_id": np.asarray(self.event_id, dtype=np.int64),
+                   "side": np.asarray(self.side, dtype=np.int64),
+                   "channel": np.asarray(self.channel, dtype=np.int64),
+                   "time": np.asarray(self.time, dtype=float)}
+        if columns["time"].ndim != 1 or len({c.shape for c in columns.values()}) != 1:
+            raise ValueError("event columns must be 1-D and of equal length")
+        for field, names in (("side", SIDES), ("channel", CHANNELS)):
+            bad = np.flatnonzero((columns[field] < 0) | (columns[field] >= len(names)))
+            if bad.size:
+                raise ValueError(f"{field} of event row {bad[0]} must be one of {names}")
+        bad = np.flatnonzero(~(np.isfinite(columns["time"]) & (columns["time"] >= 0)))
+        if bad.size:
+            raise ValueError(f"time of event row {bad[0]} must be finite and >= 0")
+        for field, column in columns.items():
+            object.__setattr__(self, field, column)
+
+    def __len__(self):
+        return self.time.size
+
+
+def _encode(tokens, names) -> np.ndarray:
+    """Codes into ``names`` of an array of tokens, -1 for a token not in it."""
+    return np.select([tokens == name for name in names], range(len(names)), -1)
 
 
 @dataclass(frozen=True)
@@ -100,14 +121,15 @@ class DetectorConfig:
     branching_charged: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not (0 <= self.t_min < self.t_max):
-            raise ValueError("need 0 <= t_min < t_max")
+        # written so that nan fails every comparison
+        if not (0 <= self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 <= t_min < t_max < inf")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if self.window_tau < 0:
-            raise ValueError("window_tau must be >= 0")
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
+        if not (0 <= self.window_tau < math.inf):
+            raise ValueError("window_tau must be finite and >= 0")
+        if not (0 <= self.background_rate < math.inf):
+            raise ValueError("background_rate must be finite and >= 0")
         if not (0 <= self.efficiency <= 1):
             raise ValueError("efficiency must lie in [0, 1]")
         if not (0 <= self.branching_charged <= 1):
@@ -349,7 +371,7 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
 
 def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
                        seed: RunSeed, side: str = "single",
-                       channel: str = "pair") -> list[DecayEvent]:
+                       channel: str = "pair") -> EventTable:
     """Draw n decay times from a model's pdf for one CP-sector state.
 
     The state describes a single coherent superposition (one CP
@@ -358,7 +380,8 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
     simulating a full experiment.
     """
     times = sample_times_from_terms(*model_terms(model, state), n, seed)
-    return [DecayEvent(i, side, channel, float(t)) for i, t in enumerate(times)]
+    return EventTable(np.arange(times.size), np.full(times.size, _encode(np.array(side), SIDES)),
+                      np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 
 def _conditional_ppf(u, weights, w_rates, t_max):
@@ -399,13 +422,13 @@ def _check_joint_positive(joint: ExpSum2, t_max):
 
 
 def sample_joint(model: DecayModel, state: BipartiteState, n: int,
-                 seed: RunSeed) -> list[tuple[DecayEvent, DecayEvent]]:
+                 seed: RunSeed) -> EventTable:
     """Draw n correlated (left, right) decay-time pairs from a joint pdf.
 
     Conditional decomposition: the left time is drawn from the closed-form
-    marginal, the right from the conditional given the left.  Both sides
-    are tagged as pion-pair (CP=+1) events, which is the channel the joint
-    distributions describe.
+    marginal, the right from the conditional given the left.  Each pair
+    gives two rows, left then right.  Both sides are tagged as pion-pair
+    (CP=+1) events, which is the channel the joint distributions describe.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -419,14 +442,13 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     tl = marginal.ppf(u_left)
     cond_weights = np.exp(-np.multiply.outer(tl, left.z)) * left.d[None, :]
     tr = _conditional_ppf(u_right, cond_weights, joint.w, marginal.t_max)
-    out = []
-    for i, (a, b) in enumerate(zip(tl, tr)):
-        out.append((DecayEvent(i, "left", "pair", float(a)),
-                    DecayEvent(i, "right", "pair", float(b))))
-    return out
+    return EventTable(np.repeat(np.arange(tl.size), 2),
+                      np.tile([SIDES.index("left"), SIDES.index("right")], tl.size),
+                      np.full(2 * tl.size, CHANNELS.index("pair")),
+                      np.column_stack((tl, tr)).ravel())
 
 
-def detect(events, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:
+def detect(events: EventTable, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:
     """Run events through the detector model and bin the detections.
 
     Each event time is smeared uniformly over the integration window,
@@ -436,8 +458,8 @@ def detect(events, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:
     bin_width is then added per bin and channel.  Before background,
     pair + triplet counts equal the detected event count exactly.
     """
-    times = np.array([e.time for e in events], dtype=float)
-    is_pair = np.array([e.channel == "pair" for e in events], dtype=bool)
+    times = events.time
+    is_pair = events.channel == CHANNELS.index("pair")
     rng = seed.generator()
     if times.size:
         smear = (rng.random(times.size) - 0.5) * det.window_tau
@@ -458,52 +480,60 @@ def detect(events, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:
                         trip_counts.astype(np.int64))
 
 
-def write_events(path, events) -> None:
-    """Event file: one record per line, full-precision scientific times."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("event_id,side,channel,time_s\n")
-        for e in events:
-            fh.write(f"{e.event_id},{e.side},{e.channel},{e.time:.17e}\n")
+def output_stream(out):
+    """Context manager: the text stream ``out``, or the file it names."""
+    if hasattr(out, "write"):
+        return contextlib.nullcontext(out)
+    return open(out, "w", encoding="ascii")
 
 
-def read_events(path) -> list[DecayEvent]:
-    events = []
+# The file formats; field names are the header.  The string fields are wider
+# than "triplet", the longest valid token, so none is truncated into one.
+_EVENT_ROW = np.dtype([("event_id", np.int64), ("side", "U8"), ("channel", "U8"),
+                       ("time_s", float)])
+_BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
+                        ("pair_count", np.int64), ("triplet_count", np.int64)])
+
+
+def _read_rows(path, row: np.dtype) -> np.ndarray:
+    """The records of a CSV file with ``row``'s header, parsed in one call."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        if header != "event_id,side,channel,time_s":
-            raise ValueError(f"unexpected event-file header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            event_id, side, channel, time_s = line.split(",")
-            events.append(DecayEvent(int(event_id), side, channel, float(time_s)))
-    return events
+        if header != ",".join(row.names):
+            raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
+        # a header-only file holds no records; that is not worth a warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+
+
+def write_events(path, events: EventTable) -> None:
+    """Event file, one record per line; ``path`` may be an open text stream."""
+    with output_stream(path) as fh:
+        fh.write(",".join(_EVENT_ROW.names) + "\n")
+        fh.writelines(f"{i},{SIDES[s]},{CHANNELS[c]},{t:.17e}\n" for i, s, c, t in zip(
+            events.event_id.tolist(), events.side.tolist(),
+            events.channel.tolist(), events.time.tolist()))
+
+
+def read_events(path) -> EventTable:
+    rows = _read_rows(path, _EVENT_ROW)
+    return EventTable(rows["event_id"], _encode(rows["side"], SIDES),
+                      _encode(rows["channel"], CHANNELS), rows["time_s"])
 
 
 def write_binned(path, binned: BinnedCounts) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("bin_lo_s,bin_hi_s,pair_count,triplet_count\n")
+    """Binned file (``path`` may be an open text stream): one bin per line."""
+    with output_stream(path) as fh:
+        fh.write(",".join(_BINNED_ROW.names) + "\n")
         for lo, hi, p, t in zip(binned.edges[:-1], binned.edges[1:],
                                 binned.pair_counts, binned.triplet_counts):
             fh.write(f"{lo:.17e},{hi:.17e},{int(p)},{int(t)}\n")
 
 
 def read_binned(path) -> BinnedCounts:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "bin_lo_s,bin_hi_s,pair_count,triplet_count":
-            raise ValueError(f"unexpected binned-file header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            lo, hi, p, t = line.split(",")
-            rows.append((float(lo), float(hi), int(p), int(t)))
-    if not rows:
+    rows = _read_rows(path, _BINNED_ROW)
+    if not rows.size:
         raise ValueError("binned file contains no rows")
-    edges = np.array([r[0] for r in rows] + [rows[-1][1]])
-    return BinnedCounts(edges,
-                        np.array([r[2] for r in rows], dtype=np.int64),
-                        np.array([r[3] for r in rows], dtype=np.int64))
+    return BinnedCounts(np.append(rows["bin_lo_s"], rows["bin_hi_s"][-1]),
+                        rows["pair_count"], rows["triplet_count"])

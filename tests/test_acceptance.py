@@ -255,7 +255,7 @@ def test_criterion_09_sampler_fidelity():
                 scan = np.linspace(0.0, 5e-9, 20000)
                 assert negativity_report(model, state, scan).clean
             events = sample_decay_times(model, state, n, RunSeed(40, stream))
-            u = np.sort(cdf(model, state, np.array([e.time for e in events])))
+            u = np.sort(cdf(model, state, events.time))
             ks = float(np.max(np.abs(u - (np.arange(1, n + 1) - 0.5) / n)))
             assert ks < 1.63 / math.sqrt(n)
             n_bins = 200

@@ -11,7 +11,7 @@ from kaonlab.config import build_run_config, parse_config_file
 from kaonlab.core import DecayModel, KaonParams
 from kaonlab.entangled import BipartiteState, Family, joint_pdf_11, joint_survival_11
 from kaonlab.inference import extract_epsilon
-from kaonlab.sampler import RunSeed, read_events, sample_decay_times
+from kaonlab.sampler import DetectorConfig, RunSeed, read_events, sample_decay_times
 from kaonlab.single_models import cronin_fitch_state, pdf, survival_standard
 
 # every config knob: key, flag attribute, config-file value, flag value,
@@ -97,6 +97,9 @@ class TestConfigFile:
             resolved = read(build_run_config(empty_args(), {}))
             assert resolved == pytest.approx(default)
 
+    def test_detector_defaults_are_the_dataclass_defaults(self):
+        assert build_run_config(Namespace(), {}).detector == DetectorConfig()
+
     def test_invalid_config_fails_before_compute(self):
         with pytest.raises(ValueError):
             build_run_config(empty_args(), {"detector.efficiency": "1.5"})
@@ -162,7 +165,8 @@ class TestCliGolden:
         expected = sample_decay_times(DecayModel.TIME_OPERATOR,
                                       cronin_fitch_state(KaonParams(), +1),
                                       20, RunSeed(99))
-        assert events == expected
+        for column in ("event_id", "side", "channel", "time"):
+            assert np.array_equal(getattr(events, column), getattr(expected, column))
 
     def test_simulate_standard_pathology_exits_three(self, tmp_path, capsys):
         out = tmp_path / "events.csv"
@@ -291,10 +295,71 @@ class TestCliContract:
         events = tmp_path / "e.csv"
         main(["simulate", "--model", "twfo", "--n", "5", "--seed", "2",
               "--out", str(events)])
-        code = main(["detect", "--events", str(events), "--t-min", "1e-6",
-                     "--t-max", "1e-7"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: invalid-argument:")
+        for bad in (["--t-min", "1e-6", "--t-max", "1e-7"],
+                    ["--window-tau", "nan"], ["--window-tau", "inf"],
+                    ["--t-min", "nan"], ["--t-max", "inf"], ["--t-max", "nan"],
+                    ["--background-rate", "inf"], ["--background-rate", "nan"]):
+            code = main(["detect", "--events", str(events), *bad])
+            assert code == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid-argument:"), bad
+            assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("row", [
+        "0,single,pair",                # 3 fields
+        "1.5,single,pair,1e-9",         # non-integer id
+        "0,singles,pair,1e-9",          # truncated to 'single' by a too-narrow field
+        "0,single,pairs,1e-9",
+        "0,single,pair,nan",
+        "0,single,pair,inf",
+        "0,single,pair,-1e-9",
+    ])
+    def test_malformed_event_rows_rejected(self, tmp_path, capsys, row):
+        events = tmp_path / "e.csv"
+        events.write_text(f"event_id,side,channel,time_s\n0,single,pair,1e-9\n{row}\n")
+        assert main(["detect", "--events", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument:")
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("body, n_events", [
+        ("", 0), ("0,single,pair,1e-9\n\n1,single,triplet,2e-9\n", 2)])
+    def test_empty_and_blank_line_event_files_accepted(self, tmp_path, body, n_events):
+        events = tmp_path / "e.csv"
+        events.write_text("event_id,side,channel,time_s\n" + body)
+        binned = tmp_path / "b.csv"
+        # a subprocess, so that a warning would reach stderr uncaptured
+        proc = subprocess.run(
+            [sys.executable, "-m", "kaonlab", "detect", "--events", str(events),
+             "--t-max", "1e-8", "--branching-charged", "1", "--out", str(binned)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        counts = np.loadtxt(binned, delimiter=",", skiprows=1)[:, 2:]
+        assert counts.sum() == n_events
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "twfo", "--n", "50", "--seed", "4"],
+        ["simulate", "--joint", "--model", "twfo", "--n", "50", "--seed", "4"],
+    ], ids=["single", "joint"])
+    def test_stdout_and_out_bytes_identical(self, tmp_path, capsys, argv):
+        events = tmp_path / "e.csv"
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(events)]) == 0
+        assert capsys.readouterr().out.encode("ascii") == events.read_bytes()
+        detect = ["detect", "--events", str(events), "--t-max", "1e-9", "--bins", "7",
+                  "--seed", "4"]
+        binned = tmp_path / "b.csv"
+        assert main(detect) == 0
+        assert main(detect + ["--out", str(binned)]) == 0
+        assert capsys.readouterr().out.encode("ascii") == binned.read_bytes()
+
+    def test_joint_file_rows_are_left_then_right(self, tmp_path):
+        events = tmp_path / "e.csv"
+        assert main(["simulate", "--joint", "--model", "twfo", "--n", "30",
+                     "--out", str(events)]) == 0
+        rows = [line.split(",") for line in events.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [i for i in range(30) for _ in "lr"]
+        assert [r[1] for r in rows] == ["left", "right"] * 30
 
     def test_module_entry_point(self):
         proc = subprocess.run(

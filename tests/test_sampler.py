@@ -9,11 +9,11 @@ from kaonlab.errors import ModelPathologyError
 from kaonlab.evolution import SuperpositionState
 from kaonlab.expsum import ExpSum
 from kaonlab.entangled import BipartiteState
-from kaonlab.sampler import (BinnedCounts, DecayEvent, DetectorConfig,
-                             RunSeed, detect, positive_support, read_binned,
-                             read_events, sample_decay_times, sample_joint,
-                             sample_times_from_terms, write_binned,
-                             write_events)
+from kaonlab.sampler import (CHANNELS, SIDES, BinnedCounts, DetectorConfig,
+                             EventTable, RunSeed, detect, positive_support,
+                             read_binned, read_events, sample_decay_times,
+                             sample_joint, sample_times_from_terms,
+                             write_binned, write_events)
 from kaonlab.single_models import (cdf, cronin_fitch_state, intensity_terms,
                                    model_terms)
 
@@ -53,22 +53,22 @@ class TestSampleDecayTimes:
         st = cronin_fitch_state(params, +1)
         one = sample_decay_times(DecayModel.TIME_OPERATOR, st, 1, RunSeed(77, 2))
         two = sample_decay_times(DecayModel.TIME_OPERATOR, st, 1, RunSeed(77, 2))
-        assert one[0].time == two[0].time
-        assert one[0].event_id == 0
+        assert one.time[0] == two.time[0]
+        assert one.event_id[0] == 0
 
     def test_exponential_mean(self):
         g = 2.0e9
         st = SuperpositionState.from_amplitudes([1.0], [ComplexEnergy(0.0, g)])
         n = 200_000
         events = sample_decay_times(DecayModel.STANDARD, st, n, RunSeed(11))
-        mean = np.mean([e.time for e in events])
+        mean = np.mean(events.time)
         assert abs(mean - 1.0 / g) < 3.0 / (g * math.sqrt(n))
 
     def test_goodness_of_fit_against_analytic_cdf(self, params):
         st = cronin_fitch_state(params, +1)
         n = 200_000
         events = sample_decay_times(DecayModel.TIME_OPERATOR, st, n, RunSeed(40))
-        times = np.array([e.time for e in events])
+        times = events.time
         u = cdf(DecayModel.TIME_OPERATOR, st, times)
         assert equal_probability_gof(times, u) > 0.01
         ks = np.max(np.abs(np.sort(u) - (np.arange(1, n + 1) - 0.5) / n))
@@ -102,17 +102,16 @@ class TestSampleJoint:
         state = BipartiteState.alpha(0.0, params)
         pairs = sample_joint(DecayModel.TIME_OPERATOR, state, 50, RunSeed(5))
         again = sample_joint(DecayModel.TIME_OPERATOR, state, 50, RunSeed(5))
-        assert [(a.time, b.time) for a, b in pairs] == \
-            [(a.time, b.time) for a, b in again]
-        assert pairs[0][0].side == "left" and pairs[0][1].side == "right"
-        assert pairs[3][0].event_id == pairs[3][1].event_id == 3
+        assert np.array_equal(pairs.time, again.time)
+        assert SIDES[pairs.side[0]] == "left" and SIDES[pairs.side[1]] == "right"
+        assert pairs.event_id[6] == pairs.event_id[7] == 3
 
     def test_singlet_anticorrelation_dip(self, params):
         state = BipartiteState.alpha(0.0, params)
         n = 100_000
         pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(21))
-        tl = np.array([a.time for a, _ in pairs])
-        tr = np.array([b.time for _, b in pairs])
+        tl = pairs.time[pairs.side == SIDES.index("left")]
+        tr = pairs.time[pairs.side == SIDES.index("right")]
         w = 0.2 * params.tau_s
         near = np.mean(np.abs(tl - tr) < w)
         shifted = np.mean(np.abs(tl - tr - 2 * params.tau_s) < w)
@@ -126,8 +125,8 @@ class TestSampleJoint:
         state = BipartiteState.beta(0.0, params)
         n = 100_000
         pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(22))
-        tl = np.array([a.time for a, _ in pairs])
-        tr = np.array([b.time for _, b in pairs])
+        tl = pairs.time[pairs.side == SIDES.index("left")]
+        tr = pairs.time[pairs.side == SIDES.index("right")]
         big_t = tl + tr
         v = (tl - tr) / big_t
         u = 0.5 * (v + 1.0)  # uniform on (0,1) if the law depends on T only
@@ -163,22 +162,24 @@ class TestDetect:
 
     def test_channel_bookkeeping(self, params):
         events = self._events(params, 20000)
-        half = [DecayEvent(e.event_id, e.side, "triplet", e.time)
-                for e in events[:10000]] + list(events[10000:])
+        first = np.arange(len(events)) < 10000
+        half = EventTable(events.event_id, events.side,
+                          np.where(first, CHANNELS.index("triplet"), events.channel),
+                          events.time)
         det = DetectorConfig(t_max=30 * params.tau_s, n_bins=40,
                              efficiency=0.8, branching_charged=2 / 3)
         binned = detect(half, det, RunSeed(3))
         total = binned.pair_counts.sum() + binned.triplet_counts.sum()
         # every detected event lands in exactly one channel; pairs suffer
         # the extra charged-branching loss
-        in_range = [e for e in half if e.time <= det.t_max]
-        assert 0 < total <= len(in_range)
+        in_range = np.count_nonzero(half.time <= det.t_max)
+        assert 0 < total <= in_range
         assert binned.triplet_counts.sum() > binned.pair_counts.sum()
 
     def test_pure_background_is_poisson(self):
         det = DetectorConfig(t_min=0.0, t_max=1.0, n_bins=2000,
                              background_rate=10_000.0)
-        binned = detect([], det, RunSeed(8))
+        binned = detect(EventTable([], [], [], []), det, RunSeed(8))
         counts = np.concatenate([binned.pair_counts, binned.triplet_counts])
         mean = counts.mean()
         assert mean == pytest.approx(10_000.0 * (1.0 / 2000), rel=0.05)
@@ -198,7 +199,8 @@ class TestDetect:
         assert moved < 4 * math.sqrt(len(events)) + len(events) / 50
 
     def test_window_smearing_is_centred(self, params):
-        rng_events = [DecayEvent(i, "single", "pair", 5.0) for i in range(50000)]
+        rng_events = EventTable(np.arange(50000), np.zeros(50000, dtype=int),
+                                np.zeros(50000, dtype=int), np.full(50000, 5.0))
         det = DetectorConfig(t_min=0.0, t_max=10.0, n_bins=10, window_tau=2.0,
                              branching_charged=1.0)
         binned = detect(rng_events, det, RunSeed(6))
@@ -216,7 +218,9 @@ class TestEventFiles:
         text = path.read_text()
         assert text.splitlines()[0] == "event_id,side,channel,time_s"
         back = read_events(path)
-        assert back == events
+        assert len(back) == 20
+        for column in ("event_id", "side", "channel", "time"):
+            assert np.array_equal(getattr(back, column), getattr(events, column))
 
     def test_binned_round_trip(self, tmp_path):
         binned = BinnedCounts(np.array([0.0, 1.0, 2.0]),
@@ -236,8 +240,12 @@ class TestEventFiles:
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            DecayEvent(0, "middle", "pair", 1.0)
+            EventTable([0], [len(SIDES)], [0], [1.0])
         with pytest.raises(ValueError):
-            DecayEvent(0, "single", "pairs", 1.0)
+            EventTable([0], [0], [len(CHANNELS)], [1.0])
         with pytest.raises(ValueError):
-            DecayEvent(0, "single", "pair", -1.0)
+            EventTable([0], [0], [0], [-1.0])
+        with pytest.raises(ValueError):
+            EventTable([0], [0], [0], [np.nan])
+        with pytest.raises(ValueError):
+            EventTable([0, 1], [0], [0], [1.0])
