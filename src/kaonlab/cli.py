@@ -81,6 +81,27 @@ def _detector_flags(parser):
         parser.add_argument(f"--{name}", type=type(f.default))
 
 
+def _grid_flags(parser):
+    """A curve command's time grid.  Its own dests keep these flags out of
+    the detector config, which shares their spellings."""
+    parser.add_argument("--t-min", type=float, dest="grid_t_min", metavar="T_MIN")
+    parser.add_argument("--t-max", type=float, dest="grid_t_max", metavar="T_MAX")
+    parser.add_argument("--bins", type=int, dest="grid_bins", metavar="BINS")
+
+
+def _time_grid(args, t_max, bins) -> np.ndarray:
+    """The grid of the grid flags; ``t_max`` and ``bins`` are the defaults."""
+    t_min = args.grid_t_min or 0.0
+    t_max = t_max if args.grid_t_max is None else args.grid_t_max
+    bins = bins if args.grid_bins is None else args.grid_bins
+    # written so that nan fails the comparison
+    if not (-math.inf < t_min < t_max < math.inf):
+        raise ValueError("need finite --t-min < --t-max")
+    if bins < 1:
+        raise ValueError("--bins must be >= 1")
+    return np.linspace(t_min, t_max, bins)
+
+
 def _run_config(args):
     config = parse_config_file(args.config) if getattr(args, "config", None) else {}
     return build_run_config(args, config)
@@ -110,23 +131,19 @@ def cmd_predict(args) -> int:
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
-        t_max = args.t_max if args.t_max is not None else 5.0 * run.params.tau_s
-        n = args.bins or 50
-        grid = np.linspace(args.t_min or 0.0, t_max, n)
+        grid = _time_grid(args, 5.0 * run.params.tau_s, 50)
         state = _bipartite_state(run, args)
         tl, tr = np.meshgrid(grid, grid, indexing="ij")
         surv = joint_survival_11(state, tl, tr)
         dens = joint_pdf_11(model, state, tl, tr)
         lines = ["tl_s,tr_s,survival,pdf"]
-        for i in range(n):
-            for j in range(n):
+        for i in range(grid.size):
+            for j in range(grid.size):
                 lines.append(f"{_fmt(grid[i])},{_fmt(grid[j])},"
                              f"{_fmt(surv[i, j])},{_fmt(dens[i, j])}")
         _emit(run.out, lines)
         return EXIT_OK
-    t_max = args.t_max if args.t_max is not None else 5.0 * run.params.tau_l
-    n = args.bins or 400
-    grid = np.linspace(args.t_min or 0.0, t_max, n)
+    grid = _time_grid(args, 5.0 * run.params.tau_l, 400)
     state = _single_state(run, args)
     if args.quantity == "intensity":
         values = cronin_fitch_intensity(model, run.params, grid, i0=args.i0)
@@ -299,8 +316,7 @@ def cmd_spectrum(args) -> int:
     e_max = args.e_max if args.e_max is not None else mass + 50.0 * width
     spec = lorentzian_spectrum(energy, e_min, e_max, n_points=args.points)
     if args.survival:
-        t_max = args.t_max if args.t_max is not None else 5.0 / width
-        grid = np.linspace(args.t_min or 0.0, t_max, args.bins or 200)
+        grid = _time_grid(args, 5.0 / width, 200)
         values = survival_from_spectrum(spec, grid, convention=args.convention)
         lines = ["t_s,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(grid, values)]
     else:
@@ -326,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", action="store_true")
     p.add_argument("--family", choices=["alpha", "beta"], default="alpha")
     p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--t-min", type=float, dest="t_min")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--bins", type=int)
+    _grid_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="sample decay events to an event file")
@@ -390,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--survival", action="store_true")
     p.add_argument("--convention", choices=["autocorrelation", "time_operator"],
                    default="autocorrelation")
-    p.add_argument("--t-min", type=float, dest="t_min")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--bins", type=int)
+    _grid_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
     return parser

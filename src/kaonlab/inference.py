@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln, xlogy
 
 from .core import DecayModel, KaonParams
 from .errors import (CoverageError, DegenerateComparisonError, FitFailureError)
@@ -137,6 +135,11 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     at the optimum, with J the derivatives of the bin means mu by central
     differences, inverted after scaling to unit diagonal.
     """
+    # scipy is imported here, not at module level: no other command needs
+    # it, and its import costs most of the package's start-up time
+    from scipy.optimize import minimize
+    from scipy.special import gammaln, xlogy
+
     counts = np.asarray(binned.pair_counts, dtype=float)
     edges = binned.edges
     if int(np.count_nonzero(counts)) < 5:

@@ -2,11 +2,11 @@
 
 Sampling is inverse-CDF throughout.  Every model pdf in this package is a
 short sum of complex exponentials, evaluated and integrated in closed form
-by :class:`kaonlab.expsum.ExpSum`; a monotone cubic table over refined
-knots supplies the starting point and a safeguarded Newton iteration
-polishes each sample to machine precision.  Nothing is ever clipped: a
-model whose density goes negative anywhere on the scan grid is rejected
-with ModelPathologyError.
+by :class:`kaonlab.expsum.ExpSum`.  The exact cdf and pdf at refined knots
+give each sample a cubic Hermite starting point, and a bracketed Newton
+iteration stops once the cdf residual reaches the cdf's own rounding
+floor.  Nothing is ever clipped: a model whose density goes negative
+anywhere on the scan grid is rejected with ModelPathologyError.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import DecayModel
 from .entangled import BipartiteState, joint_model_terms
@@ -36,6 +35,8 @@ CHANNELS = ("pair", "triplet")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# Re(x @ a) with |x_k| <= 2 rounds by at most this times sum_k |a_k|
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -160,20 +161,27 @@ class BinnedCounts:
         object.__setattr__(self, "triplet_counts", trip)
 
 
-def _invert_monotone(cdf, pdf, target, t, lo, hi, max_iter: int = 60):
+def _invert_monotone(cdf, pdf, target, t, lo, hi, tol, max_iter: int = 60):
     """Solve cdf(t) = target per element with bracketed Newton.
 
-    Converged elements drop out of the active set, so the expensive term
-    evaluations shrink with each pass; the result is deterministic
-    regardless of how many passes any element needs.
+    An element is done once |cdf(t) - target| <= tol (a scalar or one value
+    per element: the rounding floor of the cdf) or its bracket has
+    collapsed.  Done elements leave the active set before the pdf is
+    evaluated, so the term evaluations shrink with each pass; the result is
+    deterministic regardless of how many passes any element needs.
     """
     t = np.array(t, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    tol = np.broadcast_to(tol, t.shape)
     active = np.arange(t.size)
     for _ in range(max_iter):
         ta = t[active]
         f = cdf(ta, active) - target[active]
+        open_ = np.abs(f) > tol[active]
+        active, ta, f = active[open_], ta[open_], f[open_]
+        if active.size == 0:
+            break
         under = f < 0
         lo_a = np.where(under, ta, lo[active])
         hi_a = np.where(under, hi[active], ta)
@@ -186,9 +194,7 @@ def _invert_monotone(cdf, pdf, target, t, lo, hi, max_iter: int = 60):
         lo[active] = lo_a
         hi[active] = hi_a
         t[active] = t_new
-        done = (np.abs(t_new - ta) <= 1e-14 * np.maximum(t_new, 1e-300)) \
-            | (hi_a - lo_a <= 1e-14 * np.maximum(hi_a, 1e-300))
-        active = active[~done]
+        active = active[hi_a - lo_a > 1e-14 * np.maximum(hi_a, 1e-300)]
         if active.size == 0:
             break
     return t
@@ -234,7 +240,7 @@ def _midpoint_scan(terms: ExpSum, knots):
 class Dist1D:
     """Inverse-CDF sampler for a density Re sum_k d_k exp(-z_k t) on [0, inf).
 
-    The cumulative table is evaluated exactly at the knots of
+    The cdf and pdf are evaluated exactly at the knots of
     :func:`_scan_knots`.  Negative density anywhere on the knots or their
     midpoints aborts construction.
     """
@@ -247,15 +253,10 @@ class Dist1D:
         if total <= 0:
             raise ModelPathologyError("distribution has no positive mass")
         self._check_positive()
-        cdf = np.minimum(np.maximum.accumulate(cdf), total) / total
-        self._cdf_at_knots = cdf
+        self._cdf_at_knots = np.minimum(np.maximum.accumulate(cdf), total) / total
+        self._pdf_at_knots = self.pdf(self._knots)
         self._total = total
-        # monotone cubic inverse over strictly increasing cdf values
-        u, idx = np.unique(cdf, return_index=True)
-        if u.size >= 2:
-            self._inverse = PchipInterpolator(u, self._knots[idx], extrapolate=True)
-        else:
-            self._inverse = None
+        self._tol = _ROUNDING * float(np.sum(np.abs(self._terms.d / self._terms.z)))
 
     def pdf(self, t):
         return self._terms.pdf(t)
@@ -277,21 +278,35 @@ class Dist1D:
                 t_lo=float(lo), t_hi=float(hi))
 
     def ppf(self, u):
-        """Vectorised inverse CDF, polished by safeguarded Newton."""
+        """Vectorised inverse CDF.
+
+        Each u is bracketed between two knots.  On that bracket the inverse
+        is seeded by the cubic Hermite in u whose end values are the knots
+        and whose end slopes are the exact dt/du = total/pdf (the chord
+        where the pdf is not positive).  Newton then polishes the seed until
+        the cdf residual is within the cdf's rounding floor.
+        """
         u = np.asarray(u, dtype=float)
-        if self._inverse is not None:
-            t = np.clip(self._inverse(u), 0.0, self.t_max)
-        else:
-            t = np.full(u.shape, 0.5 * self.t_max)
-        # bracket each sample between neighbouring table knots
         idx = np.clip(np.searchsorted(self._cdf_at_knots, u),
                       1, self._knots.size - 1)
         lo = self._knots[idx - 1]
         hi = self._knots[idx]
-        t = np.clip(t, lo, hi)
+        u_lo = self._cdf_at_knots[idx - 1]
+        du = self._cdf_at_knots[idx] - u_lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.where(du > 0, (u - u_lo) / du, 0.0)
+            # each end's tangent, as the rise in t over the bracket's du
+            rise_lo = du * self._total / self._pdf_at_knots[idx - 1]
+            rise_hi = du * self._total / self._pdf_at_knots[idx]
+        rise_lo = np.where(np.isfinite(rise_lo) & (rise_lo > 0), rise_lo, hi - lo)
+        rise_hi = np.where(np.isfinite(rise_hi) & (rise_hi > 0), rise_hi, hi - lo)
+        seed = (lo + s * s * (3.0 - 2.0 * s) * (hi - lo)
+                + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
+        t = np.clip(seed, lo, hi)
         target = u * self._total
         return _invert_monotone(lambda ta, idx: self.cdf(ta),
-                                lambda ta, idx: self.pdf(ta), target, t, lo, hi)
+                                lambda ta, idx: self.pdf(ta), target, t, lo, hi,
+                                self._tol)
 
 
 def positive_support(terms: ExpSum) -> list[tuple[float, float]]:
@@ -365,8 +380,9 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
     lo, hi = ends[seg_idx, 0], ends[seg_idx, 1]
     goal = cdf_lo[seg_idx] + (target - cum[seg_idx])
     return _invert_monotone(lambda t, idx: terms.cdf(t),
-                            lambda t, idx: terms.pdf(t), goal,
-                            0.5 * (lo + hi), lo, hi, max_iter=90)
+                            lambda t, idx: terms.pdf(t), goal, 0.5 * (lo + hi), lo, hi,
+                            _ROUNDING * float(np.sum(np.abs(terms.d / terms.z))),
+                            max_iter=90)
 
 
 def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
@@ -406,7 +422,7 @@ def _conditional_ppf(u, weights, w_rates, t_max):
     start = np.full(u.shape, 0.5 * t_max)
     return _invert_monotone(cond_cdf, cond_pdf, target, start,
                             np.zeros_like(u), np.full_like(u, t_max),
-                            max_iter=90)
+                            _ROUNDING * np.abs(a).sum(axis=1), max_iter=90)
 
 
 def _check_joint_positive(joint: ExpSum2, t_max):
@@ -535,5 +551,10 @@ def read_binned(path) -> BinnedCounts:
     rows = _read_rows(path, _BINNED_ROW)
     if not rows.size:
         raise ValueError("binned file contains no rows")
+    # exact: the writer's 17 digits round-trip every edge
+    gap = np.flatnonzero(rows["bin_hi_s"][:-1] != rows["bin_lo_s"][1:])
+    if gap.size:
+        raise ValueError(f"bin_hi_s of binned row {gap[0]} differs from "
+                         "bin_lo_s of the next row; bins must be contiguous")
     return BinnedCounts(np.append(rows["bin_lo_s"], rows["bin_hi_s"][-1]),
                         rows["pair_count"], rows["triplet_count"])

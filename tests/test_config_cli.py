@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import textwrap
 from argparse import Namespace
 
 import numpy as np
@@ -360,6 +361,68 @@ class TestCliContract:
         rows = [line.split(",") for line in events.read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == [i for i in range(30) for _ in "lr"]
         assert [r[1] for r in rows] == ["left", "right"] * 30
+
+    def test_curve_grid_flags_leave_detector_config_alone(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("detector.t_max = 1e-8\n")
+        # each command with one grid end that its output must show
+        for argv, row, t in ((["predict", "--model", "twfo", "--t-min", "2e-8"], 0, 2e-8),
+                             (["predict", "--joint", "--t-max", "2e-6", "--bins", "3"], -1, 2e-6),
+                             (["spectrum", "--survival", "--t-min", "2e-8", "--t-max", "3e-8"],
+                              0, 2e-8)):
+            out = tmp_path / "curve.csv"
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0, argv
+            assert np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)[row] == t, argv
+
+    def test_bad_curve_grid_rejected(self, capsys):
+        for argv in (["spectrum", "--survival", "--t-min", "1e-9"],  # past the default t_max
+                     ["spectrum", "--survival", "--t-max", "nan"],
+                     ["predict", "--t-min", "1e-7", "--t-max", "1e-7"],
+                     ["predict", "--t-max", "inf"],
+                     ["predict", "--t-min=-inf"],
+                     ["predict", "--bins", "0"],
+                     ["predict", "--joint", "--bins", "0"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: invalid-argument:"), argv
+            assert captured.err.count("\n") == 1, captured.err
+
+    def test_noncontiguous_binned_file_rejected(self, tmp_path, capsys):
+        binned = tmp_path / "b.csv"
+        binned.write_text("bin_lo_s,bin_hi_s,pair_count,triplet_count\n"
+                          "0,1e-10,50,0\n5e-10,6e-10,40,0\n6e-10,7e-10,30,0\n"
+                          "7e-10,8e-10,20,0\n8e-10,9e-10,10,0\n9e-10,1e-9,5,0\n")
+        assert main(["fit", "--model", "twfo", "--data", str(binned)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument:")
+        assert err.count("\n") == 1, err
+
+    def test_only_fit_imports_scipy(self, tmp_path):
+        events, binned = tmp_path / "e.csv", tmp_path / "b.csv"
+        script = textwrap.dedent(f"""
+            import sys
+            from kaonlab.cli import main
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+            for argv in (["extract-epsilon", "--pairs", "45", "--decays", "22700"],
+                         ["zeno", "--readout", "1e-9", "--measurements", "2e-10,5e-10",
+                          "--trials", "100"],
+                         ["simulate", "--model", "twfo", "--n", "20000", "--seed", "3",
+                          "--out", {str(events)!r}],
+                         ["detect", "--events", {str(events)!r}, "--t-max", "1e-9",
+                          "--bins", "20", "--out", {str(binned)!r}]):
+                assert main(argv) == 0, argv
+                assert not scipy_modules(), (argv, scipy_modules())
+            assert main(["fit", "--model", "twfo", "--data", {str(binned)!r}]) == 0
+            assert "scipy.optimize" in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "RESULT fit" in proc.stdout
 
     def test_module_entry_point(self):
         proc = subprocess.run(

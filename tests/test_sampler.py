@@ -7,9 +7,9 @@ from scipy import stats
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams
 from kaonlab.errors import ModelPathologyError
 from kaonlab.evolution import SuperpositionState
-from kaonlab.expsum import ExpSum
-from kaonlab.entangled import BipartiteState
-from kaonlab.sampler import (CHANNELS, SIDES, BinnedCounts, DetectorConfig,
+from kaonlab.expsum import ExpSum, ExpSum2
+from kaonlab.entangled import BipartiteState, joint_model_terms
+from kaonlab.sampler import (CHANNELS, SIDES, BinnedCounts, DetectorConfig, Dist1D,
                              EventTable, RunSeed, detect, positive_support,
                              read_binned, read_events, sample_decay_times,
                              sample_joint, sample_times_from_terms,
@@ -46,6 +46,59 @@ class TestRunSeed:
         b = s.generator(1).random(8)
         assert not np.allclose(a, b)
         assert np.array_equal(a, s.generator(0).random(8))
+
+
+class _CountingDist(Dist1D):
+    """Counts the cdf evaluations, one per Newton pass inside ppf."""
+
+    cdf_calls = 0
+
+    def cdf(self, t):
+        self.cdf_calls += 1
+        return super().cdf(t)
+
+
+def rounding_floor(coeffs):
+    """4 eps sum_k |a_k|: the absolute rounding bound of Re(x @ a), |x_k| <= 2."""
+    return 4.0 * np.finfo(float).eps * np.sum(np.abs(coeffs), axis=-1)
+
+
+class TestDist1D:
+    MODELS = [DecayModel.TIME_OPERATOR, DecayModel.HYBRID]
+
+    def _ppf(self, params, model, n=100_000):
+        d, z = model_terms(model, cronin_fitch_state(params, +1))
+        dist = _CountingDist(d, z)
+        dist.cdf_calls = 0
+        u = RunSeed(7).generator().random(n)
+        return dist, u, dist.ppf(u), rounding_floor(np.asarray(d) / np.asarray(z))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+    def test_ppf_converges_in_few_passes(self, params, model):
+        dist, _, _, _ = self._ppf(params, model)
+        assert 1 <= dist.cdf_calls <= 3
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+    def test_every_residual_within_rounding_floor(self, params, model):
+        dist, u, t, tol = self._ppf(params, model)
+        assert np.all(np.abs(dist.cdf(t) - u * dist._total) <= tol)
+
+    def test_zero_density_at_origin(self):
+        # f(t) = e^-t - e^-2t has f(0) = 0, so the seed's slope at the first
+        # knot falls back to the chord
+        dist = Dist1D([1.0, -1.0], [1.0, 2.0])
+        n = 100_000
+        u = RunSeed(13).generator().random(n)
+        t = dist.ppf(u)
+        assert np.all((t >= 0) & (t <= dist.t_max))
+        F = (1.0 - np.exp(-t)) ** 2
+        ks = np.max(np.abs(np.sort(F) - (np.arange(1, n + 1) - 0.5) / n))
+        assert ks < 1.63 / math.sqrt(n)
+        assert np.all(np.abs(dist.cdf(t) - u * dist._total) <= rounding_floor([1.0, -0.5]))
+
+    @pytest.mark.parametrize("coeffs, rates", [([1.0, -1.0], [1.0, 2.0]), ([2.0], [2.0])])
+    def test_u_zero_maps_to_t_zero(self, coeffs, rates):
+        assert Dist1D(coeffs, rates).ppf(np.array([0.0]))[0] == 0.0
 
 
 class TestSampleDecayTimes:
@@ -132,6 +185,24 @@ class TestSampleJoint:
         u = 0.5 * (v + 1.0)  # uniform on (0,1) if the law depends on T only
         ks = np.max(np.abs(np.sort(u) - (np.arange(1, n + 1) - 0.5) / n))
         assert ks < 1.63 / math.sqrt(n)
+
+    def test_conditional_residuals_within_rounding_floor(self, params):
+        state = BipartiteState.alpha(0.0, params)
+        n, seed = 10_000, RunSeed(24)
+        pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, seed)
+        tl, tr = pairs.time[0::2], pairs.time[1::2]
+        rng = seed.generator()
+        rng.random(n)
+        u_right = rng.random(n)
+        joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR, state,
+                                           normalized=True))
+        left = joint.marginal()
+        t_max = Dist1D(left.d, left.z).t_max
+        # the conditional cdf of tr given tl, up to the mass it has on [0, t_max]
+        a = np.exp(-np.multiply.outer(tl, left.z)) * left.d
+        full = np.real(((1.0 - np.exp(-t_max * joint.w)) * a).sum(axis=1))
+        cond = np.real(((1.0 - np.exp(-np.multiply.outer(tr, joint.w))) * a).sum(axis=1))
+        assert np.all(np.abs(cond - u_right * full) <= rounding_floor(a))
 
     def test_n_zero_rejected(self, params):
         with pytest.raises(ValueError):
