@@ -281,6 +281,8 @@ def cmd_zeno(args) -> int:
     w = args.initial_plus
     if not (0.0 <= w <= 1.0):
         raise ValueError("--initial-plus must lie in [0, 1]")
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0 (0: analytic only)")
     initial = QuasiSpinor(math.sqrt(w), math.sqrt(1.0 - w))
     analytic = zeno_outcome_analytic(initial, params, schedule)
     lines = [

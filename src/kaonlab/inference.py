@@ -148,6 +148,9 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     unknown = set(free) - set(FIT_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown fit parameters: {sorted(unknown)}")
+    repeated = sorted({name for name in free if free.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated fit parameters: {repeated}")
     if not free:
         raise ValueError("no free parameters requested")
 

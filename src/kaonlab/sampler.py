@@ -12,12 +12,20 @@ Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
 (seed, stream_id, inputs) triple reproduces the event table bitwise, no
 matter how work is scheduled.
+
+Event files are formatted and parsed in chunks across the CPUs in the
+process's affinity mask, by forked worker processes; sampling stays in
+the calling process.  The chunks are joined in file order, so the bytes
+written and the table read are identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -503,39 +511,134 @@ def output_stream(out):
     return open(out, "w", encoding="ascii")
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_inherited = None  # set in each worker process only, by _inherit
+
+
+def _inherit(fn, data):
+    global _inherited
+    _inherited = functools.partial(fn, data)
+
+
+def _call_inherited(item):
+    return _inherited(item)
+
+
+def _map_chunks(fn, data, items: list):
+    """``fn(data, item)`` for each of ``items``, in order, on every CPU.
+
+    The workers are forked, so they inherit ``data`` instead of receiving
+    it pickled: only the small items and the results cross between
+    processes.  With one CPU, one item or no fork, the builtin ``map``
+    runs the same ``fn`` in this process.  The workers have exited once
+    the results are consumed or the consumer stops; a worker that dies
+    raises BrokenProcessPool rather than leaving its item unanswered.
+    """
+    workers = min(_cpu_count(), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        yield from map(functools.partial(fn, data), items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(fn, data)) as pool:
+        yield from pool.map(_call_inherited, items)
+
+
 # The file formats; field names are the header.  The string fields are wider
 # than "triplet", the longest valid token, so none is truncated into one.
-_EVENT_ROW = np.dtype([("event_id", np.int64), ("side", "U8"), ("channel", "U8"),
+_EVENT_ROW = np.dtype([("event_id", np.int64), ("side", "S8"), ("channel", "S8"),
                        ("time_s", float)])
 _BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
                         ("pair_count", np.int64), ("triplet_count", np.int64)])
+_SIDE_TOKENS = tuple(name.encode() for name in SIDES)
+_CHANNEL_TOKENS = tuple(name.encode() for name in CHANNELS)
+_CHUNK_ROWS = 1 << 16   # event rows formatted per task
+_PIECE_BYTES = 1 << 22  # event-file bytes parsed per task, about 1e5 rows
+
+
+def _check_header(header: str, row: np.dtype) -> None:
+    if header != ",".join(row.names):
+        raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
+
+
+def _load_rows(lines, row: np.dtype) -> np.ndarray:
+    """The records of ``lines`` (a file or its bytes), parsed in one call."""
+    # a file or a piece of one without records is not worth a warning
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                          encoding="ascii")
 
 
 def _read_rows(path, row: np.dtype) -> np.ndarray:
     """The records of a CSV file with ``row``'s header, parsed in one call."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(row.names):
-            raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
-        # a header-only file holds no records; that is not worth a warning
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+        _check_header(fh.readline().strip(), row)
+        return _load_rows(fh, row)
+
+
+def _format_events(events: EventTable, bounds) -> str:
+    """The lines of event rows ``bounds[0]`` to ``bounds[1]``."""
+    rows = slice(*bounds)
+    return "".join(f"{i},{SIDES[s]},{CHANNELS[c]},{t:.17e}\n" for i, s, c, t in zip(
+        events.event_id[rows].tolist(), events.side[rows].tolist(),
+        events.channel[rows].tolist(), events.time[rows].tolist()))
+
+
+def _event_columns(rows: np.ndarray):
+    return (rows["event_id"], _encode(rows["side"], _SIDE_TOKENS),
+            _encode(rows["channel"], _CHANNEL_TOKENS), rows["time_s"])
+
+
+def _parse_events(text: bytes, bounds):
+    """Event columns of the whole lines ``text[bounds[0]:bounds[1]]``."""
+    return _event_columns(_load_rows(io.BytesIO(text[slice(*bounds)]), _EVENT_ROW))
+
+
+def _line_pieces(text: bytes, start: int):
+    """Bounds of ``text[start:]`` cut after a newline every ``_PIECE_BYTES``
+    or so; one empty piece for an empty body."""
+    cuts = [start]
+    while cuts[-1] < len(text):
+        cuts.append(text.find(b"\n", cuts[-1] + _PIECE_BYTES) + 1 or len(text))
+    return list(zip(cuts, cuts[1:])) or [(start, start)]
 
 
 def write_events(path, events: EventTable) -> None:
     """Event file, one record per line; ``path`` may be an open text stream."""
+    chunks = [(start, start + _CHUNK_ROWS) for start in range(0, len(events), _CHUNK_ROWS)]
     with output_stream(path) as fh:
         fh.write(",".join(_EVENT_ROW.names) + "\n")
-        fh.writelines(f"{i},{SIDES[s]},{CHANNELS[c]},{t:.17e}\n" for i, s, c, t in zip(
-            events.event_id.tolist(), events.side.tolist(),
-            events.channel.tolist(), events.time.tolist()))
+        fh.writelines(_map_chunks(_format_events, events, chunks))
 
 
 def read_events(path) -> EventTable:
-    rows = _read_rows(path, _EVENT_ROW)
-    return EventTable(rows["event_id"], _encode(rows["side"], SIDES),
-                      _encode(rows["channel"], CHANNELS), rows["time_s"])
+    """The table of the event file at ``path``.
+
+    The file is ASCII with universal newlines, as for a file opened as
+    text.  The body is parsed in pieces of whole lines and the table is
+    built from all of them, so a bad value names its row in the file.  A
+    file that fails to parse is parsed again in one call, on this error
+    path only, so that the message names the failing line as that call
+    counts lines.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = text.find(b"\n") + 1 or len(text)
+    try:
+        _check_header(text[:start].decode("ascii").strip(), _EVENT_ROW)
+        pieces = list(_map_chunks(_parse_events, text, _line_pieces(text, start)))
+    except ValueError:
+        pieces = [_event_columns(_read_rows(path, _EVENT_ROW))]
+    return EventTable(*map(np.concatenate, zip(*pieces)))
 
 
 def write_binned(path, binned: BinnedCounts) -> None:

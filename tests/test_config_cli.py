@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
+from kaonlab import sampler
 from kaonlab.cli import main
 from kaonlab.config import build_run_config, parse_config_file
 from kaonlab.core import DecayModel, KaonParams
@@ -204,6 +206,20 @@ class TestCliGolden:
         assert "RESULT fit model=twfo" in text
         assert "neg_log_likelihood:" in text
 
+    @pytest.mark.parametrize("free", ["i0,i0", "epsilon_abs,epsilon_abs"])
+    def test_fit_rejects_repeated_free_parameters(self, tmp_path, capsys, free):
+        events, binned = tmp_path / "events.csv", tmp_path / "binned.csv"
+        assert main(["simulate", "--model", "twfo", "--n", "20000", "--seed", "3",
+                     "--out", str(events)]) == 0
+        assert main(["detect", "--events", str(events), "--t-max", "2.7e-9",
+                     "--bins", "60", "--seed", "3", "--out", str(binned)]) == 0
+        assert main(["fit", "--data", str(binned), "--model", "twfo", "--free", free]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = free.split(",")[0]
+        assert captured.err == (f"error: invalid-argument: repeated fit parameters: "
+                                f"['{name}']\n")
+
     def test_discriminate_report(self, tmp_path):
         out = tmp_path / "power.txt"
         code = main(["discriminate", "--model-a", "twfo", "--model-b", "standard",
@@ -237,6 +253,17 @@ class TestCliGolden:
         for key in ("analytic_p_plus", "analytic_p_minus", "analytic_p_survival"):
             assert float(reports[0][key]) == pytest.approx(float(reports[1][key]),
                                                            abs=1e-12)
+
+    def test_zeno_rejects_negative_trials(self, capsys):
+        argv = ["zeno", "--readout", "2e-10", "--measurements", "3e-11"]
+        assert main(argv + ["--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid-argument: --trials")
+        assert captured.err.count("\n") == 1
+        assert main(argv + ["--trials", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "analytic_p_plus:" in out and "mc_trials" not in out
 
     def test_spectrum_density_curve_normalised(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -423,6 +450,26 @@ class TestCliContract:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "RESULT fit" in proc.stdout
+
+    def test_cli_import_loads_no_scipy_or_worker_pool(self):
+        script = ("import sys, kaonlab.cli; print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_event_file_workers_exit_silently(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+        events, binned = tmp_path / "e.csv", tmp_path / "b.csv"
+        # three write chunks and two read pieces
+        n = 2 * sampler._CHUNK_ROWS + 1
+        assert main(["simulate", "--model", "twfo", "--n", str(n), "--seed", "5",
+                     "--out", str(events)]) == 0
+        assert len(sampler._line_pieces(events.read_bytes(), 0)) > 1
+        assert main(["detect", "--events", str(events), "--t-max", "1e-8",
+                     "--out", str(binned)]) == 0
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+        assert len(read_events(events)) == n
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -162,6 +162,12 @@ class TestFitIntensity:
         with pytest.raises(ValueError):
             fit_intensity(binned, DecayModel.HYBRID, params, free=("mass",))
 
+    @pytest.mark.parametrize("free", [("i0", "i0"), ("epsilon_abs", "i0", "epsilon_abs")])
+    def test_repeated_parameter_rejected(self, params, free):
+        binned = self._sample_binned(DecayModel.HYBRID, params, 10 ** 4, 3)
+        with pytest.raises(ValueError, match=rf"repeated fit parameters: \['{free[0]}'\]"):
+            fit_intensity(binned, DecayModel.HYBRID, params, free=free)
+
 
 class TestWeightRatio:
     def test_design_matrix_integrates_template(self, params):

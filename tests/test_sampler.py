@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from kaonlab import sampler
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams
 from kaonlab.errors import ModelPathologyError
 from kaonlab.evolution import SuperpositionState
@@ -292,6 +294,87 @@ class TestEventFiles:
         assert len(back) == 20
         for column in ("event_id", "side", "channel", "time"):
             assert np.array_equal(getattr(back, column), getattr(events, column))
+
+    @staticmethod
+    def _table(n, joint):
+        rng = np.random.default_rng(n)
+        times = rng.exponential(1e-10, n)
+        times[::7] = 0.0
+        if joint:
+            return EventTable(np.arange(n) // 2, np.arange(n) % 2 + SIDES.index("left"),
+                              np.zeros(n, dtype=int), times)
+        return EventTable(np.arange(n), np.zeros(n, dtype=int), rng.integers(0, 2, n), times)
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["single", "joint"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_written_bytes_independent_of_worker_count(self, tmp_path, monkeypatch,
+                                                       joint, offset):
+        n = 0 if offset is None else sampler._CHUNK_ROWS + offset
+        events = self._table(n, joint)
+        # the row-by-row writer the chunked one must reproduce
+        expected = "event_id,side,channel,time_s\n" + "".join(
+            f"{i},{SIDES[s]},{CHANNELS[c]},{t:.17e}\n" for i, s, c, t in zip(
+                events.event_id.tolist(), events.side.tolist(),
+                events.channel.tolist(), events.time.tolist()))
+        for workers in (1, 3):
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            path, stream = tmp_path / f"e{workers}.csv", io.StringIO()
+            write_events(path, events)
+            write_events(stream, events)
+            assert path.read_text() == expected, workers
+            assert stream.getvalue() == expected, workers
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_pieces_cut_next_to_blank_lines_round_trip(self, tmp_path, monkeypatch,
+                                                        newline):
+        events = self._table(3000, joint=False)
+        stream = io.StringIO()
+        write_events(stream, events)
+        header, *rows = stream.getvalue().splitlines()
+        path = tmp_path / "e.csv"
+        # every data line is followed by a blank one, so every cut between
+        # pieces falls next to a blank line
+        path.write_bytes((newline.join([header, *(r + newline for r in rows)])
+                          + newline).encode("ascii"))
+        monkeypatch.setattr(sampler, "_PIECE_BYTES", 1000)
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+
+        def serial_reparse(*args):
+            raise AssertionError("a valid file went down the error path")
+
+        monkeypatch.setattr(sampler, "_read_rows", serial_reparse)
+        back = read_events(path)
+        for column in ("event_id", "side", "channel", "time"):
+            assert np.array_equal(getattr(back, column), getattr(events, column)), column
+
+    @pytest.mark.parametrize("row, message", [
+        ("150000,single,pair,1.0e-9x",
+         "could not convert string '1.0e-9x' to float64 at row 150000, column 4."),
+        ("150000,singles,pair,1e-9",
+         "side of event row 150000 must be one of ('single', 'left', 'right')"),
+        ("   ", "the dtype passed requires 4 columns but 1 were found at row 150001; "
+               "use `usecols` to select a subset and avoid this error"),
+    ], ids=["time", "singles", "whitespace"])
+    def test_bad_row_named_by_its_row_in_the_file(self, tmp_path, monkeypatch, row, message):
+        rows = [f"{i},single,pair,{i * 1e-12:.17e}" for i in range(200000)]
+        rows[150000] = row
+        path = tmp_path / "e.csv"
+        path.write_text("event_id,side,channel,time_s\n" + "\n".join(rows) + "\n")
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+        assert len(sampler._line_pieces(path.read_bytes(), 0)) > 1
+        with pytest.raises(ValueError) as info:
+            read_events(path)
+        assert str(info.value) == message
+
+    def test_whitespace_line_named_by_its_row_in_the_file(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("event_id,side,channel,time_s\n0,single,pair,1e-9\n \t \n"
+                        "1,single,pair,1e-9\n")
+        with pytest.raises(ValueError) as info:
+            read_events(path)
+        assert str(info.value) == ("the dtype passed requires 4 columns but 1 were found "
+                                   "at row 2; use `usecols` to select a subset and avoid "
+                                   "this error")
 
     def test_binned_round_trip(self, tmp_path):
         binned = BinnedCounts(np.array([0.0, 1.0, 2.0]),
