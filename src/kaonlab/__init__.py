@@ -8,18 +8,12 @@ the Monte Carlo / inference machinery to tell them apart at desk scale.
 """
 
 from .core import (ComplexEnergy, DecayModel, InterferenceWeights, KaonParams,
-                   QuasiSpinor, cp_basis_from_sl, cp_basis_from_strangeness,
-                   interference_weights, sl_basis_from_cp)
-from .evolution import (MassDecayMatrix, SuperpositionState,
-                        cronin_fitch_amplitudes, evolve_diagonal,
-                        evolve_matrix, long_time_projection)
-from .single_models import (PdfCurve, cdf, cronin_fitch_intensity,
-                            cronin_fitch_state, negativity_report, pdf,
-                            pdf_decohered, survival_standard,
+                   QuasiSpinor, SuperpositionState, interference_weights)
+from .single_models import (cdf, cronin_fitch_intensity, cronin_fitch_state,
+                            negativity_report, pdf, survival_standard,
                             weight_ratio_signature)
-from .entangled import (BipartiteState, Family, JointGrid,
-                        family_discriminator, joint_pdf_11,
-                        joint_survival_11)
+from .entangled import (BipartiteState, Family, family_discriminator,
+                        joint_pdf_11, joint_survival_11)
 from .sampler import (BinnedCounts, DetectorConfig, EventTable, RunSeed,
                       detect, sample_decay_times, sample_joint)
 from .inference import (EpsilonExtraction, FitResult, PowerReport,

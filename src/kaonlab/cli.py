@@ -37,8 +37,7 @@ from .config import build_run_config, parse_config_file
 from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
 from .entangled import BipartiteState, Family, joint_pdf_11, joint_survival_11
 from .errors import (CoverageError, DegenerateComparisonError,
-                     DegenerateEvolutionError, DegenerateStateError,
-                     FitFailureError, ModelPathologyError,
+                     DegenerateStateError, FitFailureError, ModelPathologyError,
                      UndefinedSignatureError, UnsupportedRegimeError)
 from .inference import (discrimination_power, extract_epsilon,
                         find_min_events_for_power, fit_intensity)
@@ -426,9 +425,8 @@ def main(argv=None) -> int:
     except (ValueError, CoverageError, OSError) as exc:
         sys.stderr.write(f"error: invalid-argument: {exc}\n")
         return EXIT_USAGE
-    except (FitFailureError, DegenerateComparisonError, DegenerateEvolutionError,
-            UndefinedSignatureError, UnsupportedRegimeError,
-            np.linalg.LinAlgError) as exc:
+    except (FitFailureError, DegenerateComparisonError, UndefinedSignatureError,
+            UnsupportedRegimeError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: numerical-failure: {exc}\n")
         return EXIT_NUMERICAL
 

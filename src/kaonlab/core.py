@@ -1,4 +1,8 @@
-"""Physical constants, complex-energy arithmetic and quasi-spin basis transforms.
+"""Physical constants, complex energies, kaon parameters and the state classes.
+
+A state is either a two-component CP-basis amplitude (:class:`QuasiSpinor`)
+or a coherent superposition of exponential modes
+(:class:`SuperpositionState`), which the decay-time laws consume.
 
 Everything downstream works in natural units (hbar = c = 1): times are in
 seconds, masses and widths in s^-1, so a metastable mode is the pair
@@ -16,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Kaon lifetimes and CP-violation parameter (PDG-era textbook values).
 TAU_S = 8.92e-11
 """K_S lifetime in seconds."""
@@ -30,6 +36,8 @@ EPSILON_ARG_DEG = 43.37
 """Phase of epsilon, degrees."""
 
 DEFAULT_EPSILON = EPSILON_ABS * cmath.exp(1j * math.radians(EPSILON_ARG_DEG))
+
+_NORM_TOL = 1e-9
 
 
 def _check_finite(name, value):
@@ -174,6 +182,49 @@ class QuasiSpinor:
 
 
 @dataclass(frozen=True)
+class SuperpositionState:
+    """Coherent superposition of exponential modes, sum_k alpha_k e^{-iE_k t}.
+
+    ``modes`` is a sequence of (amplitude, ComplexEnergy) pairs with the
+    amplitudes normalised to sum |alpha_k|^2 = 1.  Use
+    :meth:`from_amplitudes` to normalise raw amplitudes.
+    """
+
+    modes: tuple
+
+    def __post_init__(self):
+        modes = tuple((complex(a), e) for a, e in self.modes)
+        if len(modes) < 1:
+            raise ValueError("need at least one mode")
+        for amp, energy in modes:
+            _check_finite("amplitude", amp)
+            if not isinstance(energy, ComplexEnergy):
+                raise TypeError("mode energies must be ComplexEnergy")
+        total = sum(abs(a) ** 2 for a, _ in modes)
+        if abs(total - 1.0) > _NORM_TOL:
+            raise ValueError(f"amplitudes must satisfy sum |alpha|^2 = 1, got {total}")
+        object.__setattr__(self, "modes", modes)
+
+    @classmethod
+    def from_amplitudes(cls, amplitudes, energies) -> "SuperpositionState":
+        """Build a state from unnormalised amplitudes."""
+        amps = [complex(a) for a in amplitudes]
+        total = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        if total == 0.0:
+            raise ValueError("all amplitudes vanish")
+        return cls(tuple((a / total, e) for a, e in zip(amps, energies, strict=True)))
+
+    def amplitudes(self) -> np.ndarray:
+        return np.array([a for a, _ in self.modes], dtype=complex)
+
+    def masses(self) -> np.ndarray:
+        return np.array([e.mass for _, e in self.modes], dtype=float)
+
+    def widths(self) -> np.ndarray:
+        return np.array([e.width for _, e in self.modes], dtype=float)
+
+
+@dataclass(frozen=True)
 class InterferenceWeights:
     """Polar form of (Gamma1+Gamma2)/2 - i(m2-m1).
 
@@ -185,59 +236,6 @@ class InterferenceWeights:
 
     r_mod: float
     psi_phase: float
-
-
-def cp_basis_from_strangeness(k0_amp: complex, k0bar_amp: complex) -> QuasiSpinor:
-    """Rotate strangeness-basis amplitudes (K0, K0bar) into the CP basis.
-
-    Returns (psi1, psi2) = ((K0 - K0bar)/sqrt2, (K0 + K0bar)/sqrt2), the
-    amplitudes on the CP=+1 and CP=-1 eigenstates.
-    """
-    k0_amp = complex(k0_amp)
-    k0bar_amp = complex(k0bar_amp)
-    _check_finite("k0_amp", k0_amp)
-    _check_finite("k0bar_amp", k0bar_amp)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return QuasiSpinor((k0_amp - k0bar_amp) * inv_sqrt2,
-                       (k0_amp + k0bar_amp) * inv_sqrt2)
-
-
-def cp_basis_from_sl(amp_s: complex, amp_l: complex, epsilon: complex) -> QuasiSpinor:
-    """CP-basis amplitudes of a state given on the (K_S, K_L) basis.
-
-    Uses K_S = (K1 + eps*K2)/sqrt(1+|eps|^2) and
-    K_L = (eps*K1 + K2)/sqrt(1+|eps|^2).
-    """
-    eps = complex(epsilon)
-    _check_finite("epsilon", eps)
-    if abs(eps) >= 1:
-        raise ValueError(f"|epsilon| must be < 1, got {abs(eps)}")
-    norm = math.sqrt(1.0 + abs(eps) ** 2)
-    amp_s = complex(amp_s)
-    amp_l = complex(amp_l)
-    _check_finite("amp_s", amp_s)
-    _check_finite("amp_l", amp_l)
-    return QuasiSpinor((amp_s + eps * amp_l) / norm,
-                       (eps * amp_s + amp_l) / norm)
-
-
-def sl_basis_from_cp(spinor: QuasiSpinor, epsilon: complex) -> tuple[complex, complex]:
-    """Invert :func:`cp_basis_from_sl`: (K_S, K_L) amplitudes of a CP spinor.
-
-    The transform is singular at epsilon**2 = 1, hence the |epsilon| < 1
-    requirement.  Round-tripping with the forward transform reproduces the
-    input to better than 1e-12 relative for |epsilon| <= 0.1.
-    """
-    eps = complex(epsilon)
-    _check_finite("epsilon", eps)
-    if abs(eps) >= 1:
-        raise ValueError(f"|epsilon| must be < 1 (transform singular at "
-                         f"epsilon^2 = 1), got {abs(eps)}")
-    norm = math.sqrt(1.0 + abs(eps) ** 2)
-    det = 1.0 - eps * eps
-    amp_s = (spinor.psi1 - eps * spinor.psi2) * norm / det
-    amp_l = (spinor.psi2 - eps * spinor.psi1) * norm / det
-    return amp_s, amp_l
 
 
 def interference_weights(e1: ComplexEnergy, e2: ComplexEnergy) -> InterferenceWeights:

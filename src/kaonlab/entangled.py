@@ -23,9 +23,7 @@ the derivative picks up an extra sin(dm(tl+tr)+beta) term with relative
 amplitude 2*dm/(Gamma_S+Gamma_L) that the modulus-squared reading lacks,
 which is what makes the family a discriminating measurement.
 
-Equal left/right velocities are assumed throughout (tau_l = tau_r); the
-pion-pair detection calibration |<pi pi|K1>|^4 is a single multiplicative
-constant exposed as the ``calibration`` argument, default 1.
+Equal left/right velocities are assumed throughout (tau_l = tau_r).
 """
 
 from __future__ import annotations
@@ -79,32 +77,6 @@ class BipartiteState:
         """|eps|^2 / (2 |1-eps^2|^2), the 11-channel projection weight."""
         eps = self.params.epsilon
         return abs(eps) ** 2 / (2.0 * abs(1.0 - eps * eps) ** 2)
-
-
-@dataclass(frozen=True)
-class JointGrid:
-    """A matrix of values over strictly increasing (tl, tr) grids."""
-
-    tl_grid: np.ndarray
-    tr_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        tl = np.asarray(self.tl_grid, dtype=float)
-        tr = np.asarray(self.tr_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        for name, g in (("tl_grid", tl), ("tr_grid", tr)):
-            if g.ndim != 1 or g.size < 1 or not np.all(np.diff(g) > 0):
-                raise ValueError(f"{name} must be 1-d and strictly increasing")
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"{name} contains non-finite entries")
-        if vals.shape != (tl.size, tr.size):
-            raise ValueError("values shape must be (len(tl_grid), len(tr_grid))")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values contain non-finite entries")
-        object.__setattr__(self, "tl_grid", tl)
-        object.__setattr__(self, "tr_grid", tr)
-        object.__setattr__(self, "values", vals)
 
 
 def _survival_terms(state: BipartiteState):
@@ -184,8 +156,7 @@ def joint_model_terms(model: DecayModel, state: BipartiteState, normalized: bool
     return terms.d, terms.z, terms.w
 
 
-def joint_pdf_11(model: DecayModel, state: BipartiteState, tl, tr,
-                 calibration: float = 1.0):
+def joint_pdf_11(model: DecayModel, state: BipartiteState, tl, tr):
     """Joint decay-time density in the (CP=+1, CP=+1) channel.
 
     The standard density is the closed-form derivative
@@ -196,20 +167,10 @@ def joint_pdf_11(model: DecayModel, state: BipartiteState, tl, tr,
     2*delta_m/(Gamma_S+Gamma_L).
 
     Time-operator and hybrid densities are unit-normalised over the
-    quadrant; ``calibration`` rescales the detected rate.
+    quadrant.
     """
     tl, tr = _check_joint_times(tl, tr)
-    if calibration <= 0:
-        raise ValueError(f"calibration must be > 0, got {calibration}")
-    return calibration * ExpSum2(*joint_model_terms(model, state)).pdf(tl, tr)
-
-
-def evaluate_joint_grid(fn, tl_grid, tr_grid) -> JointGrid:
-    """Evaluate fn(tl, tr) on the cartesian grid, deterministically."""
-    tl_grid = np.asarray(tl_grid, dtype=float)
-    tr_grid = np.asarray(tr_grid, dtype=float)
-    tl_mesh, tr_mesh = np.meshgrid(tl_grid, tr_grid, indexing="ij")
-    return JointGrid(tl_grid, tr_grid, np.asarray(fn(tl_mesh, tr_mesh), dtype=float))
+    return ExpSum2(*joint_model_terms(model, state)).pdf(tl, tr)
 
 
 @dataclass(frozen=True)
@@ -223,9 +184,9 @@ class DiscriminatorReport:
     empty_signal: bool
 
 
-def family_discriminator(state: BipartiteState, tl_grid, tr_grid,
-                         constant_tol: float = 1e-9) -> DiscriminatorReport:
-    """Test whether p11/P11 is a time-independent constant on a grid.
+def family_discriminator(state: BipartiteState, tl_grid, tr_grid) -> DiscriminatorReport:
+    """Test whether p11/P11 is a time-independent constant on a grid, to a
+    relative spread of 1e-9.
 
     Grid points where the survival weight is numerically zero (the singlet
     diagonal, the beta-family corner) are excluded; if nothing is left (as
@@ -239,11 +200,9 @@ def family_discriminator(state: BipartiteState, tl_grid, tr_grid,
         raise ValueError("grid must be nonempty")
     if np.any(tl_grid < 0) or np.any(tr_grid < 0):
         raise ValueError("grid times must be >= 0")
-    surv = evaluate_joint_grid(
-        lambda a, b: joint_survival_11(state, a, b), tl_grid, tr_grid).values
-    dens = evaluate_joint_grid(
-        lambda a, b: joint_pdf_11(DecayModel.STANDARD, state, a, b),
-        tl_grid, tr_grid).values
+    tl, tr = np.meshgrid(tl_grid, tr_grid, indexing="ij")
+    surv = joint_survival_11(state, tl, tr)
+    dens = joint_pdf_11(DecayModel.STANDARD, state, tl, tr)
     floor = 1e-12 * float(np.max(surv)) if np.max(surv) > 0 else np.inf
     valid = surv > floor
     n_valid = int(np.count_nonzero(valid))
@@ -252,19 +211,5 @@ def family_discriminator(state: BipartiteState, tl_grid, tr_grid,
     ratio = dens[valid] / surv[valid]
     mean = float(np.mean(ratio))
     spread = float((np.max(ratio) - np.min(ratio)) / abs(mean)) if mean != 0 else math.inf
-    return DiscriminatorReport(spread < constant_tol, mean, spread, n_valid, False)
+    return DiscriminatorReport(spread < 1e-9, mean, spread, n_valid, False)
 
-
-def joint_negativity_report(model: DecayModel, state: BipartiteState,
-                            tl_grid, tr_grid):
-    """Fraction of grid points where a joint pdf is negative, with the most
-    negative value.  The standard beta-family density oscillates below zero
-    once the exponential carriers die out; it is reported, never clipped."""
-    tl_grid = np.asarray(tl_grid, dtype=float)
-    tr_grid = np.asarray(tr_grid, dtype=float)
-    grid = evaluate_joint_grid(
-        lambda a, b: joint_pdf_11(model, state, a, b), tl_grid, tr_grid)
-    vals = grid.values
-    scale = float(np.max(np.abs(vals))) or 1.0
-    neg = vals < -1e-14 * scale
-    return float(np.mean(neg)), float(vals.min())

@@ -29,10 +29,6 @@ class DegenerateStateError(KaonlabError):
     (e.g. totally destructive interference, vanishing normalisation)."""
 
 
-class DegenerateEvolutionError(KaonlabError):
-    """The mass-decay matrix is not diagonalisable (coincident eigenvalues)."""
-
-
 class UndefinedSignatureError(KaonlabError):
     """The weight-ratio signature is undefined (no interference term)."""
 

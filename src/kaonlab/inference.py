@@ -118,9 +118,7 @@ def _poisson_excess(mu, counts):
 
 def fit_intensity(binned: BinnedCounts, model: DecayModel,
                   params_init: KaonParams,
-                  free=("epsilon_abs", "epsilon_arg", "i0"),
-                  i0_init: float | None = None,
-                  max_iterations: int = 4000) -> FitResult:
+                  free=("epsilon_abs", "epsilon_arg", "i0")) -> FitResult:
     """Poisson maximum likelihood of binned pair counts under a model.
 
     Bin expectations are closed-form integrals of the model's intensity
@@ -158,7 +156,7 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         "epsilon_abs": abs(params_init.epsilon),
         "epsilon_arg": float(np.angle(params_init.epsilon)),
         "delta_m": params_init.delta_m,
-        "i0": i0_init if i0_init is not None else float(np.sum(counts)),
+        "i0": float(np.sum(counts)),
     }
     bounds = dict(_BOUNDS, delta_m=(0.0, 10.0 * params_init.gamma_s))
     profile_i0 = "i0" in free
@@ -209,7 +207,7 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
             starts.append(box_lo + width * np.array(fracs))
         runs = [minimize(objective, (start - box_lo) / width, method="Nelder-Mead",
                          bounds=[(0.0, 1.0)] * len(box),
-                         options={"maxiter": max_iterations, "xatol": 1e-10,
+                         options={"maxiter": 4000, "xatol": 1e-10,
                                   "fatol": 1e-9})
                 for start in starts]
         best = min(runs, key=lambda res: res.fun)
@@ -372,21 +370,21 @@ def _positive_bin_masses(model, state, edges):
     return ExpSum(*model_terms(model, state)).bin_mass(edges)
 
 
-def discrimination_edges(state, n_osc: int = 36, n_tail: int = 48) -> np.ndarray:
-    """Default binning: fine linear bins through the oscillation region,
+def discrimination_edges(state) -> np.ndarray:
+    """Default binning: 36 linear bins through the oscillation region, 48
     geometric bins out to where the slowest mode has died."""
     g = state.widths()
     fast, slow = float(np.max(g)), float(np.min(g))
     t_break = 30.0 / fast
     t_end = 30.0 / slow
-    fine = np.linspace(0.0, t_break, n_osc + 1)
-    tail = np.geomspace(t_break, t_end, n_tail + 1)[1:]
+    fine = np.linspace(0.0, t_break, 37)
+    tail = np.geomspace(t_break, t_end, 49)[1:]
     return np.concatenate([fine, tail])
 
 
 def discrimination_power(model_a: DecayModel, model_b: DecayModel, state,
                          n_events: int, alpha: float, trials: int,
-                         seed: RunSeed, edges=None) -> PowerReport:
+                         seed: RunSeed) -> PowerReport:
     """Power of the likelihood-ratio test of model_b against data from
     model_a, both laws taken at fixed (known) parameters.
 
@@ -406,8 +404,7 @@ def discrimination_power(model_a: DecayModel, model_b: DecayModel, state,
         raise ValueError(f"need at least 100 trials, got {trials}")
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
-    if edges is None:
-        edges = discrimination_edges(state)
+    edges = discrimination_edges(state)
     p_a = _positive_bin_masses(model_a, state, edges)
     p_b = _positive_bin_masses(model_b, state, edges)
     keep = (p_a > 0) & (p_b > 0)
@@ -432,17 +429,20 @@ def discrimination_power(model_a: DecayModel, model_b: DecayModel, state,
 
 def find_min_events_for_power(model_a: DecayModel, model_b: DecayModel, state,
                               n_grid, alpha: float, trials: int, seed: RunSeed,
-                              target: float = 0.95, edges=None):
+                              target: float = 0.95):
     """Smallest n on (and inside, by bisection) a grid reaching the target
-    power.  Returns (n_star, reports); n_star is None when even the largest
-    grid point falls short."""
+    power, which must lie in (0, 1).  Returns (n_star, reports); n_star is
+    None when even the largest grid point falls short."""
+    # written so that nan fails the comparison
+    if not (0.0 < target < 1.0):
+        raise ValueError(f"target power must lie in (0, 1), got {target}")
     n_grid = sorted(int(n) for n in n_grid)
     reports = []
     crossing = None
     below = None
     for n in n_grid:
         report = discrimination_power(model_a, model_b, state, n, alpha,
-                                      trials, seed, edges=edges)
+                                      trials, seed)
         reports.append(report)
         if crossing is None and report.power >= target:
             crossing = n
@@ -455,7 +455,7 @@ def find_min_events_for_power(model_a: DecayModel, model_b: DecayModel, state,
     while hi > lo + 1 and hi > int(1.05 * lo) + 1:
         mid = int(round(math.sqrt(lo * hi)))
         report = discrimination_power(model_a, model_b, state, mid, alpha,
-                                      trials, seed, edges=edges)
+                                      trials, seed)
         reports.append(report)
         if report.power >= target:
             hi = mid

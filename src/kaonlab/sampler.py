@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecayModel
+from .core import DecayModel, SuperpositionState
 from .entangled import BipartiteState, joint_model_terms
 from .errors import ModelPathologyError
-from .evolution import SuperpositionState
 from .expsum import ExpSum, ExpSum2
 from .single_models import model_terms
 
@@ -394,17 +393,16 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
 
 
 def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
-                       seed: RunSeed, side: str = "single",
-                       channel: str = "pair") -> EventTable:
+                       seed: RunSeed, channel: str = "pair") -> EventTable:
     """Draw n decay times from a model's pdf for one CP-sector state.
 
     The state describes a single coherent superposition (one CP
-    projection); the emitted events are tagged with the caller's
-    ``channel``.  Sample a second state for the other channel when
+    projection); the emitted events are tagged side ``single`` and the
+    caller's ``channel``.  Sample a second state for the other channel when
     simulating a full experiment.
     """
     times = sample_times_from_terms(*model_terms(model, state), n, seed)
-    return EventTable(np.arange(times.size), np.full(times.size, _encode(np.array(side), SIDES)),
+    return EventTable(np.arange(times.size), np.full(times.size, SIDES.index("single")),
                       np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 

@@ -34,38 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecayModel, KaonParams, interference_weights
+from .core import DecayModel, KaonParams, SuperpositionState, interference_weights
 from .errors import DegenerateStateError, UndefinedSignatureError
-from .evolution import SuperpositionState
 from .expsum import ExpSum
 
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class PdfCurve:
-    """A sampled curve: strictly increasing time grid plus finite values.
-
-    ``kind`` is "survival" (dimensionless, in [0,1]) or "density" (s^-1).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    kind: str = "density"
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size < 1 or values.shape != times.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("time grid must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("curve contains non-finite entries")
-        if self.kind == "survival" and (values.min() < -1e-12 or values.max() > 1 + 1e-12):
-            raise ValueError("survival values must lie in [0, 1]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
 
 def _pair_terms(state: SuperpositionState):
@@ -84,15 +57,6 @@ def _check_times(t):
     if np.any(arr < 0):
         raise ValueError("times must be >= 0")
     return arr
-
-
-def amplitude(state: SuperpositionState, t):
-    """psi(t) = sum_k alpha_k exp(-i(m_k - i*Gamma_k/2) t)."""
-    t = np.asarray(t, dtype=float)
-    alpha = state.amplitudes()
-    energy = state.masses() - 0.5j * state.widths()
-    out = np.exp(-1j * np.multiply.outer(t, energy)) @ alpha
-    return out if out.shape else complex(out)
 
 
 def survival_standard(state: SuperpositionState, t):
@@ -151,29 +115,6 @@ def cdf(model: DecayModel, state: SuperpositionState, t):
     """Closed-form cumulative distribution of the decay time."""
     t = _check_times(t)
     return ExpSum(*model_terms(model, state)).cdf(t)
-
-
-def pdf_decohered(model: DecayModel, state: SuperpositionState, t):
-    """Phase-averaged pdf: the interference term drops out.
-
-    Averaging over a random relative phase leaves the weighted sum of
-    exponentials.  Standard and time-operator then coincide,
-    (sum |alpha_k|^2 Gamma_k e^{-Gamma_k t}) / sum |alpha_k|^2, while the
-    hybrid reading rescales each survival weight by 1/Gamma_k, boosting
-    the short mode by Gamma_L/Gamma_S relative to the standard answer.
-    """
-    t = _check_times(t)
-    w = np.abs(state.amplitudes()) ** 2
-    g = state.widths()
-    if model in (DecayModel.STANDARD, DecayModel.TIME_OPERATOR):
-        terms = ExpSum(w * g / np.sum(w), g)
-    elif model is DecayModel.HYBRID:
-        if np.any(g <= 0):
-            raise DegenerateStateError("zero-width mode: hybrid pdf not normalisable")
-        terms = ExpSum(w, g).normalised()
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return terms.pdf(t)
 
 
 @dataclass(frozen=True)
@@ -278,6 +219,8 @@ def cronin_fitch_intensity(model: DecayModel, params: KaonParams, t, i0: float =
     in the relative term weights.
     """
     t = _check_times(t)
+    if not math.isfinite(i0):
+        raise ValueError(f"i0 must be finite, got {i0}")
     if i0 <= 0:
         raise ValueError(f"i0 must be > 0, got {i0}")
     if abs(1.0 + params.epsilon) < 1e-12:

@@ -81,14 +81,6 @@ class EnergySpectrum:
             object.__setattr__(self, "amplitude", amp)
 
 
-def captured_mass(energy: ComplexEnergy, e_min: float, e_max: float) -> float:
-    """Probability mass of the full-line Breit-Wigner inside [e_min, e_max]
-    (closed-form Cauchy distribution)."""
-    half = 0.5 * energy.width
-    return (math.atan((e_max - energy.mass) / half)
-            - math.atan((e_min - energy.mass) / half)) / math.pi
-
-
 def lorentzian_spectrum(energy: ComplexEnergy, e_min: float, e_max: float,
                         n_points: int = 8001) -> EnergySpectrum:
     """Breit-Wigner line density(E) = N / ((E-m)^2 + (Gamma/2)^2).

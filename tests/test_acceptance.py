@@ -14,9 +14,9 @@ import pytest
 from scipy import stats
 
 from kaonlab.cli import main
-from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
+from kaonlab.core import (ComplexEnergy, DecayModel, KaonParams, QuasiSpinor,
+                          SuperpositionState)
 from kaonlab.entangled import BipartiteState, family_discriminator, joint_pdf_11
-from kaonlab.evolution import SuperpositionState
 from kaonlab.inference import (discrimination_power, find_min_events_for_power,
                                weight_ratio_estimate)
 from kaonlab.sampler import (BinnedCounts, RunSeed, sample_decay_times,

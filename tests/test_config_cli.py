@@ -230,6 +230,17 @@ class TestCliGolden:
         assert lines[0].startswith("power: n=1000 ")
         assert lines[-1].startswith("RESULT discriminate ")
 
+    @pytest.mark.parametrize("target", ["-1", "0", "1", "1.5", "nan"])
+    def test_discriminate_rejects_target_power_outside_unit_interval(self, capsys,
+                                                                    target):
+        assert main(["discriminate", "--model-a", "twfo", "--model-b", "standard",
+                     "--n-events", "1000", "--trials", "100", "--find-crossing",
+                     "--target-power", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid-argument: target power must lie "
+                                f"in (0, 1), got {float(target)}\n")
+
     def test_extract_epsilon_matches_library(self, capsys):
         code = main(["extract-epsilon", "--pairs", "45", "--decays", "22700"])
         assert code == 0
@@ -401,6 +412,14 @@ class TestCliContract:
             assert main(argv + ["--out", str(out)]) == 0, argv
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0, argv
             assert np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)[row] == t, argv
+
+    @pytest.mark.parametrize("i0", ["nan", "inf", "0", "-1"])
+    def test_predict_intensity_rejects_bad_i0(self, capsys, i0):
+        assert main(["predict", "--quantity", "intensity", "--i0", i0]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid-argument: i0 must be")
+        assert captured.err.count("\n") == 1, captured.err
 
     def test_bad_curve_grid_rejected(self, capsys):
         for argv in (["spectrum", "--survival", "--t-min", "1e-9"],  # past the default t_max

@@ -4,11 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from kaonlab.core import (ComplexEnergy, DecayModel, KaonParams, QuasiSpinor,
-                          cp_basis_from_sl, cp_basis_from_strangeness,
-                          interference_weights, sl_basis_from_cp)
-
-SQRT2 = math.sqrt(2.0)
+from kaonlab.core import (ComplexEnergy, DecayModel, KaonParams,
+                          SuperpositionState, interference_weights)
 
 
 class TestKaonParams:
@@ -49,82 +46,24 @@ class TestKaonParams:
         assert e.value == 3.0 - 2.0j
 
 
-class TestCpFromStrangeness:
-    def test_k0_decomposition(self):
-        s = cp_basis_from_strangeness(1.0, 0.0)
-        assert s.psi1 == pytest.approx(1 / SQRT2)
-        assert s.psi2 == pytest.approx(1 / SQRT2)
-
-    def test_k1_inverse(self):
-        s = cp_basis_from_strangeness(1 / SQRT2, -1 / SQRT2)
-        assert s.psi1 == pytest.approx(1.0)
-        assert abs(s.psi2) < 1e-16
-
-    def test_zero_maps_to_zero(self):
-        s = cp_basis_from_strangeness(0.0, 0.0)
-        assert s.psi1 == 0 and s.psi2 == 0
-
-    def test_nonfinite_rejected(self):
+class TestSuperpositionState:
+    def test_normalisation_enforced(self):
+        e = ComplexEnergy(0.0, 1.0)
         with pytest.raises(ValueError):
-            cp_basis_from_strangeness(math.inf, 0.0)
+            SuperpositionState(((0.9, e), (0.9, e)))
 
-    def test_unitary(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = complex(*rng.normal(size=2))
-            b = complex(*rng.normal(size=2))
-            s = cp_basis_from_strangeness(a, b)
-            assert s.norm_sq == pytest.approx(abs(a) ** 2 + abs(b) ** 2,
-                                              rel=1e-14, abs=1e-14)
+    def test_from_amplitudes_normalises(self):
+        e1, e2 = ComplexEnergy(0.0, 1.0), ComplexEnergy(1.0, 2.0)
+        st = SuperpositionState.from_amplitudes([3.0, 4.0j], [e1, e2])
+        assert np.sum(np.abs(st.amplitudes()) ** 2) == pytest.approx(1.0, rel=1e-14)
 
-
-class TestSlBasis:
-    def test_ks_maps_to_pure_s(self):
-        eps = KaonParams().epsilon
-        norm = math.sqrt(1 + abs(eps) ** 2)
-        spinor = QuasiSpinor(1 / norm, eps / norm)
-        amp_s, amp_l = sl_basis_from_cp(spinor, eps)
-        assert amp_s == pytest.approx(1.0, rel=1e-12)
-        assert abs(amp_l) < 1e-14
-
-    def test_kl_maps_to_pure_l(self):
-        eps = KaonParams().epsilon
-        norm = math.sqrt(1 + abs(eps) ** 2)
-        spinor = QuasiSpinor(eps / norm, 1 / norm)
-        amp_s, amp_l = sl_basis_from_cp(spinor, eps)
-        assert abs(amp_s) < 1e-14
-        assert amp_l == pytest.approx(1.0, rel=1e-12)
-
-    def test_k0_amplitudes_against_linear_solve(self):
-        # oracle: solve the 2x2 mixing system numerically
-        eps = KaonParams().epsilon
-        norm = math.sqrt(1 + abs(eps) ** 2)
-        matrix = np.array([[1.0, eps], [eps, 1.0]], dtype=complex) / norm
-        rhs = np.array([1 / SQRT2, 1 / SQRT2], dtype=complex)
-        expected = np.linalg.solve(matrix, rhs)
-        amp_s, amp_l = sl_basis_from_cp(QuasiSpinor(*rhs), eps)
-        assert amp_s == pytest.approx(expected[0], rel=1e-12)
-        assert amp_l == pytest.approx(expected[1], rel=1e-12)
-        target = math.sqrt(1 + abs(eps) ** 2) / (SQRT2 * abs(1 + eps))
-        assert abs(amp_s) == pytest.approx(target, rel=1e-12)
-        assert abs(amp_l) == pytest.approx(target, rel=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            eps = 0.1 * rng.random() * cmath.exp(2j * math.pi * rng.random())
-            psi = QuasiSpinor(complex(*rng.normal(size=2)),
-                              complex(*rng.normal(size=2)))
-            amp_s, amp_l = sl_basis_from_cp(psi, eps)
-            back = cp_basis_from_sl(amp_s, amp_l, eps)
-            assert back.psi1 == pytest.approx(psi.psi1, rel=1e-12, abs=1e-12)
-            assert back.psi2 == pytest.approx(psi.psi2, rel=1e-12, abs=1e-12)
-
-    def test_singular_epsilon_rejected(self):
+    def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            sl_basis_from_cp(QuasiSpinor(1.0, 0.0), 1.0)
+            SuperpositionState.from_amplitudes([0.0], [ComplexEnergy(0.0, 1.0)])
+
+    def test_needs_a_mode(self):
         with pytest.raises(ValueError):
-            cp_basis_from_sl(1.0, 0.0, -1.0)
+            SuperpositionState(())
 
 
 class TestInterferenceWeights:

@@ -5,10 +5,8 @@ import pytest
 from scipy import integrate
 
 from kaonlab.core import DecayModel, KaonParams
-from kaonlab.entangled import (BipartiteState, DiscriminatorReport, Family,
-                               JointGrid, evaluate_joint_grid,
-                               family_discriminator, joint_model_terms,
-                               joint_negativity_report, joint_pdf_11,
+from kaonlab.entangled import (BipartiteState, family_discriminator,
+                               joint_model_terms, joint_pdf_11,
                                joint_survival_11)
 
 
@@ -174,16 +172,6 @@ class TestJointPdf:
             total += part
         assert total == pytest.approx(1.0, abs=5e-5)
 
-    def test_alpha_standard_nonnegative_beta_flagged(self, params):
-        grid = np.linspace(0.0, 40 * params.tau_s, 250)
-        frac_a, min_a = joint_negativity_report(
-            DecayModel.STANDARD, BipartiteState.alpha(0.0, params), grid, grid)
-        assert frac_a == 0.0
-        frac_b, min_b = joint_negativity_report(
-            DecayModel.STANDARD, BipartiteState.beta(0.0, params), grid, grid)
-        assert frac_b > 0.0
-        assert min_b < 0.0
-
     def test_factorisation_limit(self):
         # degenerate widths and no mass splitting: the joint law becomes a
         # product of single-particle exponentials
@@ -233,21 +221,7 @@ class TestFamilyDiscriminator:
                                  np.array([]), np.array([0.0]))
 
 
-class TestJointGrid:
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            JointGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
-
-    def test_evaluate_matches_pointwise(self, params):
-        state = BipartiteState.beta(0.2, params)
-        tl = np.linspace(0.0, 3 * params.tau_s, 7)
-        tr = np.linspace(0.0, 4 * params.tau_s, 9)
-        grid = evaluate_joint_grid(
-            lambda a, b: joint_survival_11(state, a, b), tl, tr)
-        assert grid.values.shape == (7, 9)
-        assert grid.values[3, 4] == pytest.approx(
-            joint_survival_11(state, tl[3], tr[4]), rel=1e-14)
-
+class TestBipartiteState:
     def test_phase_normalised_into_range(self, params):
         s = BipartiteState.alpha(3 * math.pi, params)
         assert s.phase == pytest.approx(math.pi)

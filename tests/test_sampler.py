@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from kaonlab import sampler
-from kaonlab.core import ComplexEnergy, DecayModel, KaonParams
+from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import ModelPathologyError
-from kaonlab.evolution import SuperpositionState
 from kaonlab.expsum import ExpSum, ExpSum2
 from kaonlab.entangled import BipartiteState, joint_model_terms
 from kaonlab.sampler import (CHANNELS, SIDES, BinnedCounts, DetectorConfig, Dist1D,
@@ -210,6 +209,13 @@ class TestSampleJoint:
         with pytest.raises(ValueError):
             sample_joint(DecayModel.TIME_OPERATOR,
                          BipartiteState.alpha(0.0, params), 0, RunSeed(1))
+
+    def test_standard_alpha_samples(self, params):
+        # the alpha family's standard density is (Gamma_S+Gamma_L) P11 >= 0
+        pairs = sample_joint(DecayModel.STANDARD, BipartiteState.alpha(0.0, params),
+                             1000, RunSeed(1))
+        assert len(pairs) == 2000
+        assert np.all(np.isfinite(pairs.time)) and np.all(pairs.time >= 0)
 
     def test_standard_beta_rejected_as_pathological(self, params):
         with pytest.raises(ModelPathologyError):

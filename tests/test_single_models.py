@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kaonlab.core import ComplexEnergy, DecayModel, KaonParams
+from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import DegenerateStateError, UndefinedSignatureError
-from kaonlab.evolution import SuperpositionState
-from kaonlab.single_models import (PdfCurve, cdf, cronin_fitch_intensity,
-                                   cronin_fitch_state, intensity_terms,
-                                   model_terms, negativity_report, pdf,
-                                   pdf_decohered, survival_standard,
-                                   weight_ratio_signature)
+from kaonlab.single_models import (cronin_fitch_intensity, cronin_fitch_state,
+                                   intensity_terms, negativity_report, pdf,
+                                   survival_standard, weight_ratio_signature)
 
 MODELS = list(DecayModel)
 
@@ -160,37 +157,25 @@ class TestPdf:
         assert np.array_equal(full, chunked)
 
 
-class TestDecohered:
-    def test_standard_equals_time_operator(self):
-        st = two_mode(0.8, 0.6, 2.0, 0.25, 5.0)
-        ts = np.linspace(0.0, 20.0, 200)
-        a = pdf_decohered(DecayModel.STANDARD, st, ts)
-        b = pdf_decohered(DecayModel.TIME_OPERATOR, st, ts)
-        assert a == pytest.approx(b, rel=1e-14)
+class TestCroninFitchState:
+    def test_k0_projection(self):
+        params = KaonParams()
+        eps = params.epsilon
+        st = cronin_fitch_state(params, +1)
+        for t in (0.0, 0.7 * params.tau_s, 12 * params.tau_s, 0.3 * params.tau_l):
+            e_s = cmath.exp(-1j * complex(0.0, -0.5 * params.gamma_s) * t)
+            e_l = cmath.exp(-1j * complex(params.delta_m, -0.5 * params.gamma_l) * t)
+            expected = abs(e_s + eps * e_l) ** 2 / abs(1.0 + eps) ** 2
+            assert survival_standard(st, t) == pytest.approx(expected, rel=1e-12)
 
-    def test_hybrid_boosts_short_weight_by_lifetime_ratio(self):
-        g1, g2 = 4.0, 0.5
-        st = two_mode(0.8, 0.6, g1, g2, 3.0)
-        ts = np.linspace(0.0, 30.0, 300)
-        hybrid = pdf_decohered(DecayModel.HYBRID, st, ts)
-        # implied survivals: integrate the pdfs from t to infinity
-        w = np.abs(st.amplitudes()) ** 2
-        # standard survival weights are w; hybrid's are w/Gamma (rescaled)
-        hyb_surv_short = w[0] / g1
-        hyb_surv_long = w[1] / g2
-        ratio_rescale = (hyb_surv_short / hyb_surv_long) / (w[0] / w[1])
-        assert ratio_rescale == pytest.approx(g2 / g1, rel=1e-14)
-        # and the realised curve matches its closed form
-        c = 1.0 / (w[0] / g1 + w[1] / g2)
-        assert hybrid == pytest.approx(
-            c * (w[0] * np.exp(-g1 * ts) + w[1] * np.exp(-g2 * ts)), rel=1e-13)
-
-    def test_single_mode_all_models_coincide(self):
-        st = two_mode(1.0, 0.0, 2.0, 0.5, 3.0)
-        ts = np.linspace(0.0, 8.0, 50)
-        curves = [pdf_decohered(m, st, ts) for m in MODELS]
-        for c in curves[1:]:
-            assert c == pytest.approx(curves[0], rel=1e-14)
+    def test_late_time_channel_ratio(self):
+        params = KaonParams()
+        # the 2pi/3pi intensity ratio settles near |epsilon|^2 = 5.2e-6
+        t = 20 * params.tau_s
+        ratio = (survival_standard(cronin_fitch_state(params, +1), t)
+                 / survival_standard(cronin_fitch_state(params, -1), t))
+        assert ratio == pytest.approx(abs(params.epsilon) ** 2, rel=0.05)
+        assert abs(params.epsilon) ** 2 == pytest.approx(5.2e-6, rel=1e-2)
 
 
 class TestIntensityTemplates:
@@ -276,17 +261,3 @@ class TestWeightRatioSignature:
         with pytest.raises(UndefinedSignatureError):
             weight_ratio_signature(DecayModel.STANDARD, KaonParams(epsilon=0.0))
 
-
-class TestPdfCurve:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            PdfCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-
-    def test_survival_range_checked(self):
-        with pytest.raises(ValueError):
-            PdfCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]), kind="survival")
-
-    def test_valid_curve(self):
-        c = PdfCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.2]),
-                     kind="survival")
-        assert c.times.size == 3

@@ -8,8 +8,7 @@ from kaonlab.core import ComplexEnergy, KaonParams, QuasiSpinor
 from kaonlab.errors import UnsupportedRegimeError
 from kaonlab.sampler import RunSeed
 from kaonlab.spectral_zeno import (EnergySpectrum, MeasurementSchedule,
-                                   captured_mass, lorentzian_spectrum,
-                                   survival_from_spectrum,
+                                   lorentzian_spectrum, survival_from_spectrum,
                                    zeno_outcome_analytic, zeno_sequence)
 
 GAMMA = 2.0
@@ -57,12 +56,6 @@ class TestLorentzian:
         spec = lorentzian_spectrum(ComplexEnergy(0.0, GAMMA), -30 * GAMMA,
                                    30 * GAMMA, 5001)
         assert spec.density == pytest.approx(spec.density[::-1], rel=1e-12)
-
-    def test_captured_mass_against_cauchy_cdf(self):
-        e = ComplexEnergy(0.0, GAMMA)
-        got = captured_mass(e, -50 * GAMMA, 50 * GAMMA)
-        assert got == pytest.approx((2 / math.pi) * math.atan(100.0), rel=1e-14)
-        assert got == pytest.approx(0.99363, rel=1e-4)
 
 
 class TestSurvival:
