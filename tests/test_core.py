@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kaonlab.core import (ComplexEnergy, DecayModel, KaonParams,
-                          SuperpositionState, interference_weights)
+from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, interference_weights
 
 
 class TestKaonParams:
@@ -44,26 +43,6 @@ class TestKaonParams:
     def test_complex_energy_value(self):
         e = ComplexEnergy(3.0, 4.0)
         assert e.value == 3.0 - 2.0j
-
-
-class TestSuperpositionState:
-    def test_normalisation_enforced(self):
-        e = ComplexEnergy(0.0, 1.0)
-        with pytest.raises(ValueError):
-            SuperpositionState(((0.9, e), (0.9, e)))
-
-    def test_from_amplitudes_normalises(self):
-        e1, e2 = ComplexEnergy(0.0, 1.0), ComplexEnergy(1.0, 2.0)
-        st = SuperpositionState.from_amplitudes([3.0, 4.0j], [e1, e2])
-        assert np.sum(np.abs(st.amplitudes()) ** 2) == pytest.approx(1.0, rel=1e-14)
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            SuperpositionState.from_amplitudes([0.0], [ComplexEnergy(0.0, 1.0)])
-
-    def test_needs_a_mode(self):
-        with pytest.raises(ValueError):
-            SuperpositionState(())
 
 
 class TestInterferenceWeights:

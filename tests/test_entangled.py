@@ -172,6 +172,21 @@ class TestJointPdf:
             total += part
         assert total == pytest.approx(1.0, abs=5e-5)
 
+    def test_alpha_standard_nonnegative_beta_flagged(self, params):
+        grid = np.linspace(0.0, 40 * params.tau_s, 250)
+        tl, tr = np.meshgrid(grid, grid, indexing="ij")
+
+        def negative(state):
+            vals = joint_pdf_11(DecayModel.STANDARD, state, tl, tr)
+            scale = float(np.max(np.abs(vals))) or 1.0
+            return vals < -1e-14 * scale, float(vals.min())
+
+        neg_a, _ = negative(BipartiteState.alpha(0.0, params))
+        assert not np.any(neg_a)
+        neg_b, min_b = negative(BipartiteState.beta(0.0, params))
+        assert np.any(neg_b)
+        assert min_b < 0.0
+
     def test_factorisation_limit(self):
         # degenerate widths and no mass splitting: the joint law becomes a
         # product of single-particle exponentials
