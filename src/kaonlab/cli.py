@@ -130,6 +130,9 @@ def cmd_predict(args) -> int:
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
+        if args.cp != 1 or args.quantity != "curves" or args.i0 is not None:
+            raise ValueError("--joint writes the pair's joint curves; "
+                             "--cp -1, --quantity intensity and --i0 do not apply")
         grid = _time_grid(args, 5.0 * run.params.tau_s, 50)
         state = _bipartite_state(run, args)
         tl, tr = np.meshgrid(grid, grid, indexing="ij")
@@ -143,11 +146,17 @@ def cmd_predict(args) -> int:
         _emit(run.out, lines)
         return EXIT_OK
     grid = _time_grid(args, 5.0 * run.params.tau_l, 400)
-    state = _single_state(run, args)
     if args.quantity == "intensity":
-        values = cronin_fitch_intensity(model, run.params, grid, i0=args.i0)
+        if args.cp != 1:
+            raise ValueError("--quantity intensity is the CP=+1 pion-pair template; "
+                             "--cp -1 does not apply")
+        values = cronin_fitch_intensity(model, run.params, grid,
+                                        i0=1.0 if args.i0 is None else args.i0)
         lines = ["t_s,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(grid, values)]
     else:
+        if args.i0 is not None:
+            raise ValueError("--i0 applies to --quantity intensity only")
+        state = _single_state(run, args)
         surv = survival_standard(state, grid)
         dens = pdf(model, state, grid)
         report = negativity_report(model, state, grid)
@@ -167,6 +176,9 @@ def cmd_simulate(args) -> int:
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
+        if args.cp != 1:
+            raise ValueError("--joint samples pion-pair (CP=+1) decays; "
+                             "--cp -1 does not apply")
         events = sample_joint(model, _bipartite_state(run, args), args.n, run.seed)
     else:
         events = sample_decay_times(model, _single_state(run, args), args.n, run.seed,
@@ -339,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", choices=["k0"], default="k0")
     p.add_argument("--cp", type=int, choices=[1, -1], default=1)
     p.add_argument("--quantity", choices=["curves", "intensity"], default="curves")
-    p.add_argument("--i0", type=float, default=1.0)
+    p.add_argument("--i0", type=float)
     p.add_argument("--joint", action="store_true")
     p.add_argument("--family", choices=["alpha", "beta"], default="alpha")
     p.add_argument("--phase", type=float, default=0.0)

@@ -366,10 +366,6 @@ class PowerReport:
     mean_stat_b: float
 
 
-def _positive_bin_masses(model, state, edges):
-    return ExpSum(*model_terms(model, state)).bin_mass(edges)
-
-
 def discrimination_edges(state) -> np.ndarray:
     """Default binning: 36 linear bins through the oscillation region, 48
     geometric bins out to where the slowest mode has died."""
@@ -405,8 +401,8 @@ def discrimination_power(model_a: DecayModel, model_b: DecayModel, state,
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     edges = discrimination_edges(state)
-    p_a = _positive_bin_masses(model_a, state, edges)
-    p_b = _positive_bin_masses(model_b, state, edges)
+    p_a = ExpSum(*model_terms(model_a, state)).bin_mass(edges)
+    p_b = ExpSum(*model_terms(model_b, state)).bin_mass(edges)
     keep = (p_a > 0) & (p_b > 0)
     n_dropped = int(np.count_nonzero(~keep))
     p_a = p_a[keep] / np.sum(p_a[keep])

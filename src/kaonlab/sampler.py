@@ -2,11 +2,14 @@
 
 Sampling is inverse-CDF throughout.  Every model pdf in this package is a
 short sum of complex exponentials, evaluated and integrated in closed form
-by :class:`kaonlab.expsum.ExpSum`.  The exact cdf and pdf at refined knots
-give each sample a cubic Hermite starting point, and a bracketed Newton
-iteration stops once the cdf residual reaches the cdf's own rounding
-floor.  Nothing is ever clipped: a model whose density goes negative
-anywhere on the scan grid is rejected with ModelPathologyError.
+by :class:`kaonlab.expsum.ExpSum`.  One table, :class:`Dist1D`, serves
+every single-time draw: the exact cdf and pdf at refined knots give each
+sample a cubic Hermite starting point, and a bracketed Newton iteration
+stops once the cdf residual reaches the cdf's own rounding floor.
+Nothing is ever clipped: a model whose density goes negative anywhere on
+the scan grid is rejected with ModelPathologyError, unless the caller
+asks for the law conditioned on its nonnegative support, which the same
+table draws by giving the negative panels zero mass.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
@@ -238,30 +241,57 @@ def _scan_knots(terms: ExpSum):
     return t_max, np.unique(np.concatenate(knots))
 
 
-def _midpoint_scan(terms: ExpSum, knots):
-    """Knots and their midpoints, sorted, with the density there."""
-    scan = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
-    return scan, terms.pdf(scan)
-
-
 class Dist1D:
     """Inverse-CDF sampler for a density Re sum_k d_k exp(-z_k t) on [0, inf).
 
     The cdf and pdf are evaluated exactly at the knots of
-    :func:`_scan_knots`.  Negative density anywhere on the knots or their
-    midpoints aborts construction.
+    :func:`_scan_knots`, the density also at their midpoints.  Density
+    below -1e-12 times its largest magnitude there aborts construction,
+    unless ``restrict_to_support`` is set: then each sign change is bisected
+    into a knot and the negative panels get zero mass, so the draws follow
+    the law conditioned on its nonnegative support.  For a nonnegative sum
+    the table and the draws are the same either way.
     """
 
-    def __init__(self, coeffs, rates):
+    def __init__(self, coeffs, rates, restrict_to_support: bool = False):
         self._terms = ExpSum(coeffs, rates)
-        self.t_max, self._knots = _scan_knots(self._terms)
-        cdf = self.cdf(self._knots)
-        total = cdf[-1]
+        self.t_max, knots = _scan_knots(self._terms)
+        cdf = self.cdf(knots)
+        scan = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+        vals = self.pdf(scan)
+        neg = vals < -1e-12 * (float(np.max(np.abs(vals))) or 1.0)
+        removed = np.zeros_like(cdf)  # mass of the negative panels up to each knot
+        if np.any(neg):
+            if not restrict_to_support:
+                i = int(np.argmax(neg))
+                lo = scan[max(i - 1, 0)]
+                hi = scan[min(i + 1, scan.size - 1)]
+                raise ModelPathologyError(
+                    f"density is negative near t in [{lo:.6e}, {hi:.6e}]; "
+                    "refusing to sample from an undefined distribution",
+                    t_lo=float(lo), t_hi=float(hi))
+            flip = np.flatnonzero(neg[1:] != neg[:-1])
+            lo, hi = scan[flip], scan[flip + 1]
+            up = self.pdf(lo) >= 0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                same = (self.pdf(mid) >= 0) == up
+                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+            roots = 0.5 * (lo + hi)
+            knots, first = np.unique(np.concatenate([knots, roots]), return_index=True)
+            cdf = np.concatenate([cdf, self.cdf(roots)])[first]
+            # each root below a panel flips the sign the scan starts with
+            flips = np.searchsorted(roots, 0.5 * (knots[:-1] + knots[1:]))
+            negative = (flips % 2 == 1) != neg[0]
+            removed = np.concatenate([[0.0], np.cumsum(np.where(negative, np.diff(cdf), 0.0))])
+        kept = cdf - removed
+        total = kept[-1]
         if total <= 0:
             raise ModelPathologyError("distribution has no positive mass")
-        self._check_positive()
-        self._cdf_at_knots = np.minimum(np.maximum.accumulate(cdf), total) / total
-        self._pdf_at_knots = self.pdf(self._knots)
+        self._knots = knots
+        self._removed = removed
+        self._cdf_at_knots = np.minimum(np.maximum.accumulate(kept), total) / total
+        self._pdf_at_knots = self.pdf(knots)
         self._total = total
         self._tol = _ROUNDING * float(np.sum(np.abs(self._terms.d / self._terms.z)))
 
@@ -271,19 +301,6 @@ class Dist1D:
     def cdf(self, t):
         return self._terms.cdf(t)
 
-    def _check_positive(self):
-        scan, vals = _midpoint_scan(self._terms, self._knots)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        bad = vals < -1e-12 * scale
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            lo = scan[max(i - 1, 0)]
-            hi = scan[min(i + 1, scan.size - 1)]
-            raise ModelPathologyError(
-                f"density is negative near t in [{lo:.6e}, {hi:.6e}]; "
-                "refusing to sample from an undefined distribution",
-                t_lo=float(lo), t_hi=float(hi))
-
     def ppf(self, u):
         """Vectorised inverse CDF.
 
@@ -291,7 +308,8 @@ class Dist1D:
         is seeded by the cubic Hermite in u whose end values are the knots
         and whose end slopes are the exact dt/du = total/pdf (the chord
         where the pdf is not positive).  Newton then polishes the seed until
-        the cdf residual is within the cdf's rounding floor.
+        the cdf, less the mass removed below the bracket, is within the
+        cdf's rounding floor of u * total.
         """
         u = np.asarray(u, dtype=float)
         idx = np.clip(np.searchsorted(self._cdf_at_knots, u),
@@ -310,48 +328,10 @@ class Dist1D:
         seed = (lo + s * s * (3.0 - 2.0 * s) * (hi - lo)
                 + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
         t = np.clip(seed, lo, hi)
-        target = u * self._total
+        target = u * self._total + self._removed[idx - 1]
         return _invert_monotone(lambda ta, idx: self.cdf(ta),
                                 lambda ta, idx: self.pdf(ta), target, t, lo, hi,
                                 self._tol)
-
-
-def positive_support(terms: ExpSum) -> list[tuple[float, float]]:
-    """Maximal intervals of [0, t_max] where the density is nonnegative.
-
-    The scan runs over the knots and midpoints a :class:`Dist1D` of the
-    same sum would check.  Boundaries are refined to the sign-change points
-    by bisection on the density.  Used to sample a signed law conditioned
-    on its physical support; the conditioning only rescales the density
-    inside the segments, so template weights fitted within them are
-    unchanged.
-    """
-    scan, vals = _midpoint_scan(terms, _scan_knots(terms)[1])
-    scale = float(np.max(np.abs(vals))) or 1.0
-    nonneg = vals >= -1e-14 * scale
-
-    def refine(lo, hi):
-        flo = terms.pdf(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = terms.pdf(mid)
-            if (fm >= 0) == (flo >= 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    segments = []
-    open_at = scan[0] if nonneg[0] else None
-    for i in range(1, scan.size):
-        if nonneg[i] and not nonneg[i - 1]:
-            open_at = refine(scan[i - 1], scan[i])
-        elif not nonneg[i] and nonneg[i - 1]:
-            segments.append((open_at, refine(scan[i - 1], scan[i])))
-            open_at = None
-    if open_at is not None:
-        segments.append((open_at, float(scan[-1])))
-    return [(float(a), float(b)) for a, b in segments if b > a]
 
 
 def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
@@ -360,36 +340,13 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
 
     A density that dips negative raises ModelPathologyError unless
     ``restrict_to_support`` is set, in which case sampling conditions on
-    the nonnegative segments (an explicit, documented restriction, not a
-    silent clip).
+    the nonnegative panels of :class:`Dist1D` (an explicit, documented
+    restriction, not a silent clip).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     u = seed.generator().random(int(n))
-    try:
-        return Dist1D(coeffs, rates).ppf(u)
-    except ModelPathologyError:
-        if not restrict_to_support:
-            raise
-    terms = ExpSum(coeffs, rates)
-    segments = positive_support(terms)
-    if not segments:
-        raise ModelPathologyError("density has no nonnegative support")
-    ends = np.array(segments)
-    cdf_lo = terms.cdf(ends[:, 0])
-    cdf_hi = terms.cdf(ends[:, 1])
-    masses = np.maximum(cdf_hi - cdf_lo, 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cum[-1]
-    target = u * total
-    seg_idx = np.clip(np.searchsorted(cum, target, side="right") - 1,
-                      0, len(segments) - 1)
-    lo, hi = ends[seg_idx, 0], ends[seg_idx, 1]
-    goal = cdf_lo[seg_idx] + (target - cum[seg_idx])
-    return _invert_monotone(lambda t, idx: terms.cdf(t),
-                            lambda t, idx: terms.pdf(t), goal, 0.5 * (lo + hi), lo, hi,
-                            _ROUNDING * float(np.sum(np.abs(terms.d / terms.z))),
-                            max_iter=90)
+    return Dist1D(coeffs, rates, restrict_to_support).ppf(u)
 
 
 def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,

@@ -318,7 +318,7 @@ def zeno_sequence(initial: QuasiSpinor, params: KaonParams,
     instants = list(schedule.times) + [schedule.readout]
     prev = 0.0
     p1, p2 = p1_0, p2_0  # superposition weights, updated along the flight
-    for k, instant in enumerate(instants):
+    for instant in instants:
         dt = instant - prev
         fs = math.exp(-params.gamma_s * dt)
         fl = math.exp(-params.gamma_l * dt)
@@ -328,15 +328,12 @@ def zeno_sequence(initial: QuasiSpinor, params: KaonParams,
         survive_prob = np.where(in_super, s_super,
                                 np.where(channel == 1, fs, fl))
         alive &= u_surv < survive_prob
-        is_last = k == len(instants) - 1
         u_col = rng.random(n)
         cond_plus = (p1 * fs / s_super) if s_super > 0 else 0.0
         collapse = alive & in_super
         channel = np.where(collapse, np.where(u_col < cond_plus, 1, 2), channel)
         p1, p2 = p1 * fs / max(s_super, 1e-300), p2 * fl / max(s_super, 1e-300)
         prev = instant
-        if is_last:
-            break
     p_plus = float(np.mean(alive & (channel == 1)))
     p_minus = float(np.mean(alive & (channel == 2)))
     return ZenoOutcome(p_plus, p_minus, p_plus + p_minus, n, "monte-carlo")

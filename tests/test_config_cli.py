@@ -421,6 +421,32 @@ class TestCliContract:
         assert captured.err.startswith("error: invalid-argument: i0 must be")
         assert captured.err.count("\n") == 1, captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--quantity", "intensity", "--cp", "-1"],
+        ["predict", "--joint", "--cp", "-1"],
+        ["predict", "--joint", "--quantity", "intensity"],
+        ["predict", "--joint", "--i0", "5"],
+        ["predict", "--i0", "5"],
+        ["simulate", "--joint", "--cp", "-1", "--n", "10"],
+    ], ids=["intensity-cp", "joint-cp", "joint-quantity", "joint-i0", "curves-i0",
+            "simulate-joint-cp"])
+    def test_flags_that_do_not_apply_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: invalid-argument:"), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
+    def test_predict_intensity_scales_with_i0(self, tmp_path):
+        curves = []
+        for extra in ([], ["--cp", "1", "--i0", "2"]):
+            out = tmp_path / f"intensity{len(curves)}.csv"
+            assert main(["predict", "--quantity", "intensity", "--out", str(out)]
+                        + extra) == 0
+            curves.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=1))
+        assert np.array_equal(curves[1], 2.0 * curves[0])
+
     def test_bad_curve_grid_rejected(self, capsys):
         for argv in (["spectrum", "--survival", "--t-min", "1e-9"],  # past the default t_max
                      ["spectrum", "--survival", "--t-max", "nan"],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 
 from kaonlab import sampler
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
@@ -11,9 +12,8 @@ from kaonlab.errors import ModelPathologyError
 from kaonlab.expsum import ExpSum, ExpSum2
 from kaonlab.entangled import BipartiteState, joint_model_terms
 from kaonlab.sampler import (CHANNELS, SIDES, BinnedCounts, DetectorConfig, Dist1D,
-                             EventTable, RunSeed, detect, positive_support,
-                             read_binned, read_events, sample_decay_times,
-                             sample_joint, sample_times_from_terms,
+                             EventTable, RunSeed, detect, read_binned, read_events,
+                             sample_decay_times, sample_joint, sample_times_from_terms,
                              write_binned, write_events)
 from kaonlab.single_models import (cdf, cronin_fitch_state, intensity_terms,
                                    model_terms)
@@ -102,6 +102,78 @@ class TestDist1D:
         assert Dist1D(coeffs, rates).ppf(np.array([0.0]))[0] == 0.0
 
 
+def signed_terms(law, params):
+    """Sums whose density dips negative: the standard intensity template
+    (its one band leaves ~5e-6 of the mass beyond it), e^-t (1 + 2 cos 3t),
+    whose bands cut its mass into ~20 comparable segments, and
+    e^-t (1 - 2 cos 3t), negative at t = 0."""
+    if law == "standard-intensity":
+        return intensity_terms(DecayModel.STANDARD, params)
+    return [1.0, 2.0 if law == "cosine" else -2.0], [1.0, 1.0 + 3.0j]
+
+
+@pytest.mark.parametrize("law", ["standard-intensity", "cosine", "negative-start"])
+class TestRestrictedDist1D:
+    """Restricted, Dist1D draws a signed sum conditioned on its nonnegative
+    support."""
+
+    N = 100_000
+
+    def test_every_residual_within_rounding_floor(self, params, law):
+        d, z = signed_terms(law, params)
+        dist = Dist1D(d, z, True)
+        u = RunSeed(3).generator().random(self.N)
+        t = dist.ppf(u)
+        tol = rounding_floor(np.asarray(d) / np.asarray(z))
+        idx = np.clip(np.searchsorted(dist._cdf_at_knots, u), 1, dist._knots.size - 1)
+        target = u * dist._total + dist._removed[idx - 1]
+        assert np.all(np.abs(dist.cdf(t) - target) <= tol)
+
+    def test_ks_against_conditioned_law(self, params, law):
+        # oracle without Dist1D: sign changes by brentq on a dense grid, and
+        # the closed-form cdf summed over the nonnegative segments
+        d, z = signed_terms(law, params)
+        f = ExpSum(d, z)
+        grid = np.linspace(0.0, 40.0 / float(np.min(np.real(z))), 200_001)
+        nonneg = f.pdf(grid) >= 0
+        roots = np.array([brentq(f.pdf, grid[i], grid[i + 1], xtol=1e-300)
+                          for i in np.flatnonzero(nonneg[1:] != nonneg[:-1])])
+        # every sign change before the tail mass falls below 1e-9 is a knot;
+        # shallower bands are below Dist1D's negativity threshold
+        resolved = roots[f.sf(roots) > 1e-9 * f.sf(0.0)]
+        assert resolved.size >= 2
+        knots = Dist1D(d, z, True)._knots
+        gap = np.min(np.abs(np.subtract.outer(resolved, knots)), axis=1)
+        assert np.all(gap <= 1e-12 * resolved)
+        ends = np.concatenate([[0.0], roots, [grid[-1]]])
+        a, b = ends[:-1], ends[1:]
+        keep = f.pdf(0.5 * (a + b)) >= 0
+        a, b = a[keep], b[keep]
+        times = sample_times_from_terms(d, z, self.N, RunSeed(9), restrict_to_support=True)
+        assert np.all(f.pdf(times) >= 0)
+        below = f.cdf(np.clip(times[:, None], a, b)) - f.cdf(a)
+        g = below.sum(axis=1) / np.sum(f.cdf(b) - f.cdf(a))
+        ks = np.max(np.abs(np.sort(g) - (np.arange(1, self.N + 1) - 0.5) / self.N))
+        assert ks < 1.63 / math.sqrt(self.N)
+
+
+def test_restricted_standard_intensity_converges_in_few_passes(params):
+    dist = _CountingDist(*signed_terms("standard-intensity", params), True)
+    dist.cdf_calls = 0
+    dist.ppf(RunSeed(3).generator().random(100_000))
+    assert 1 <= dist.cdf_calls <= 3
+
+
+@pytest.mark.parametrize("model", [DecayModel.TIME_OPERATOR, DecayModel.HYBRID],
+                         ids=lambda m: m.value)
+def test_restricting_a_nonnegative_sum_changes_no_draw(params, model):
+    d, z = intensity_terms(model, params)
+    plain = sample_times_from_terms(d, z, 100_000, RunSeed(5))
+    restricted = sample_times_from_terms(d, z, 100_000, RunSeed(5),
+                                         restrict_to_support=True)
+    assert np.array_equal(plain, restricted)
+
+
 class TestSampleDecayTimes:
     def test_single_event_is_reproducible(self, params):
         st = cronin_fitch_state(params, +1)
@@ -141,14 +213,11 @@ class TestSampleDecayTimes:
 
     def test_restricted_sampling_stays_on_support(self, params):
         d, z = intensity_terms(DecayModel.STANDARD, params)
+        with pytest.raises(ModelPathologyError):
+            Dist1D(d, z)
         times = sample_times_from_terms(d, z, 50_000, RunSeed(9),
                                         restrict_to_support=True)
-        segments = positive_support(ExpSum(d, z))
-        assert len(segments) >= 2
-        inside = np.zeros(times.shape, dtype=bool)
-        for lo, hi in segments:
-            inside |= (times >= lo - 1e-18) & (times <= hi + 1e-18)
-        assert np.all(inside)
+        assert np.all(ExpSum(d, z).pdf(times) >= 0)
 
 
 class TestSampleJoint:
