@@ -122,8 +122,14 @@ def _single_state(run, args):
 
 
 def _bipartite_state(run, args):
-    family = Family(args.family)
-    return BipartiteState(family, args.phase, run.params)
+    family = Family(args.family or "alpha")
+    return BipartiteState(family, 0.0 if args.phase is None else args.phase, run.params)
+
+
+def _reject_pair_flags(args):
+    if args.family is not None or args.phase is not None:
+        raise ValueError("--family and --phase choose the entangled pair; "
+                         "they apply with --joint only")
 
 
 def cmd_predict(args) -> int:
@@ -145,6 +151,7 @@ def cmd_predict(args) -> int:
                              f"{_fmt(surv[i, j])},{_fmt(dens[i, j])}")
         _emit(run.out, lines)
         return EXIT_OK
+    _reject_pair_flags(args)
     grid = _time_grid(args, 5.0 * run.params.tau_l, 400)
     if args.quantity == "intensity":
         if args.cp != 1:
@@ -181,6 +188,7 @@ def cmd_simulate(args) -> int:
                              "--cp -1 does not apply")
         events = sample_joint(model, _bipartite_state(run, args), args.n, run.seed)
     else:
+        _reject_pair_flags(args)
         events = sample_decay_times(model, _single_state(run, args), args.n, run.seed,
                                     channel="pair" if args.cp == 1 else "triplet")
     write_events(run.out or sys.stdout, events)
@@ -353,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=["curves", "intensity"], default="curves")
     p.add_argument("--i0", type=float)
     p.add_argument("--joint", action="store_true")
-    p.add_argument("--family", choices=["alpha", "beta"], default="alpha")
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--family", choices=["alpha", "beta"])
+    p.add_argument("--phase", type=float)
     _grid_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -363,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cp", type=int, choices=[1, -1], default=1)
     p.add_argument("--joint", action="store_true")
-    p.add_argument("--family", choices=["alpha", "beta"], default="alpha")
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--family", choices=["alpha", "beta"])
+    p.add_argument("--phase", type=float)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect", help="bin an event file through the detector model")

@@ -28,6 +28,15 @@ def _real(values):
     return out if out.shape else float(out)
 
 
+def _contract(x, a):
+    """sum_k x[..., k] a[k], the one reduction over k of every ExpSum.
+
+    einsum rather than ``@``: it never calls BLAS, whose helper threads
+    spin in forked workers, and it rounds each row alike however many rows
+    there are, so a value is bitwise the same in any batch."""
+    return np.einsum("...k,k->...", x, a)
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSum:
     """f(t) = Re sum_k d_k exp(-z_k t) on t >= 0.
@@ -44,21 +53,28 @@ class ExpSum:
         object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
 
     def pdf(self, t):
-        return _real(np.exp(-np.multiply.outer(t, self.z)) @ self.d)
+        return _real(_contract(np.exp(-np.multiply.outer(t, self.z)), self.d))
 
     def cdf(self, t):
         """Mass on [0, t]."""
-        return _real((1.0 - np.exp(-np.multiply.outer(t, self.z))) @ (self.d / self.z))
+        return _real(_contract(1.0 - np.exp(-np.multiply.outer(t, self.z)),
+                               self.d / self.z))
+
+    def cdf_pdf(self, t):
+        """``(cdf(t), pdf(t))``, bitwise, from one evaluation of exp(-t z)."""
+        tails = np.exp(-np.multiply.outer(t, self.z))
+        return (_real(_contract(1.0 - tails, self.d / self.z)),
+                _real(_contract(tails, self.d)))
 
     def sf(self, t):
         """Mass on (t, inf), summed directly so it keeps its digits where
         the cdf has rounded to the total."""
-        return _real(np.exp(-np.multiply.outer(t, self.z)) @ (self.d / self.z))
+        return _real(_contract(np.exp(-np.multiply.outer(t, self.z)), self.d / self.z))
 
     def bin_mass(self, edges) -> np.ndarray:
         """Mass in each bin [edges[i], edges[i+1]], as a difference of tails."""
         tails = np.exp(-np.multiply.outer(edges, self.z))
-        return np.real((tails[:-1] - tails[1:]) @ (self.d / self.z))
+        return np.real(_contract(tails[:-1] - tails[1:], self.d / self.z))
 
     def normalised(self) -> "ExpSum":
         """The same sum rescaled to unit mass on [0, inf)."""

@@ -16,10 +16,11 @@ Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id, inputs) triple reproduces the event table bitwise, no
 matter how work is scheduled.
 
-Event files are formatted and parsed in chunks across the CPUs in the
-process's affinity mask, by forked worker processes; sampling stays in
-the calling process.  The chunks are joined in file order, so the bytes
-written and the table read are identical for any CPU count.
+Draws are inverted, and event files formatted and parsed, in chunks
+across the CPUs in the process's affinity mask, by forked worker
+processes.  Each sample is solved on its own and the chunks are joined in
+order, so the draws, the bytes written and the table read are identical
+for any CPU count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import math
 import os
 import warnings
@@ -45,7 +47,7 @@ CHANNELS = ("pair", "triplet")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-# Re(x @ a) with |x_k| <= 2 rounds by at most this times sum_k |a_k|
+# Re(sum_k x_k a_k) with |x_k| <= 2 rounds by at most this times sum_k |a_k|
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
@@ -171,14 +173,16 @@ class BinnedCounts:
         object.__setattr__(self, "triplet_counts", trip)
 
 
-def _invert_monotone(cdf, pdf, target, t, lo, hi, tol, max_iter: int = 60):
+def _invert_monotone(cdf_pdf, target, t, lo, hi, tol, max_iter: int = 60):
     """Solve cdf(t) = target per element with bracketed Newton.
 
-    An element is done once |cdf(t) - target| <= tol (a scalar or one value
-    per element: the rounding floor of the cdf) or its bracket has
-    collapsed.  Done elements leave the active set before the pdf is
-    evaluated, so the term evaluations shrink with each pass; the result is
-    deterministic regardless of how many passes any element needs.
+    ``cdf_pdf(ta, active)`` gives the cdf and the pdf at the times ``ta`` of
+    the elements ``active`` from one evaluation of the terms.  An element
+    is done once |cdf(t) - target| <= tol (a scalar or one value per
+    element: the rounding floor of the cdf) or its bracket has collapsed.
+    Done elements leave the active set, so the term evaluations shrink with
+    each pass; the result is deterministic regardless of how many passes
+    any element needs.
     """
     t = np.array(t, dtype=float)
     lo = np.array(lo, dtype=float)
@@ -187,15 +191,15 @@ def _invert_monotone(cdf, pdf, target, t, lo, hi, tol, max_iter: int = 60):
     active = np.arange(t.size)
     for _ in range(max_iter):
         ta = t[active]
-        f = cdf(ta, active) - target[active]
+        cdf, p = cdf_pdf(ta, active)
+        f = cdf - target[active]
         open_ = np.abs(f) > tol[active]
-        active, ta, f = active[open_], ta[open_], f[open_]
+        active, ta, f, p = active[open_], ta[open_], f[open_], p[open_]
         if active.size == 0:
             break
         under = f < 0
         lo_a = np.where(under, ta, lo[active])
         hi_a = np.where(under, hi[active], ta)
-        p = pdf(ta, active)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             step = np.where(p > 0, f / np.where(p > 0, p, 1.0), 0.0)
             t_new = ta - step
@@ -301,17 +305,30 @@ class Dist1D:
     def cdf(self, t):
         return self._terms.cdf(t)
 
+    def cdf_pdf(self, t):
+        return self._terms.cdf_pdf(t)
+
     def ppf(self, u):
-        """Vectorised inverse CDF.
+        """Vectorised inverse CDF of a 1-D array ``u`` of values in [0, 1].
 
         Each u is bracketed between two knots.  On that bracket the inverse
         is seeded by the cubic Hermite in u whose end values are the knots
         and whose end slopes are the exact dt/du = total/pdf (the chord
         where the pdf is not positive).  Newton then polishes the seed until
         the cdf, less the mass removed below the bracket, is within the
-        cdf's rounding floor of u * total.
+        cdf's rounding floor of u * total.  Chunks of ``u`` are solved on
+        every CPU; each sample is solved on its own, so the draws do not
+        depend on the CPU count.
         """
         u = np.asarray(u, dtype=float)
+        # written so that nan fails the comparison
+        if u.ndim != 1 or not np.all((u >= 0) & (u <= 1)):
+            raise ValueError("u must be a 1-D array of values in [0, 1]")
+        return np.concatenate(list(_map_chunks(self._ppf_rows, u, _row_chunks(u.size))))
+
+    def _ppf_rows(self, u, bounds):
+        """The draws of ``u[bounds[0]:bounds[1]]``."""
+        u = u[slice(*bounds)]
         idx = np.clip(np.searchsorted(self._cdf_at_knots, u),
                       1, self._knots.size - 1)
         lo = self._knots[idx - 1]
@@ -329,8 +346,7 @@ class Dist1D:
                 + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
         t = np.clip(seed, lo, hi)
         target = u * self._total + self._removed[idx - 1]
-        return _invert_monotone(lambda ta, idx: self.cdf(ta),
-                                lambda ta, idx: self.pdf(ta), target, t, lo, hi,
+        return _invert_monotone(lambda ta, _: self.cdf_pdf(ta), target, t, lo, hi,
                                 self._tol)
 
 
@@ -363,27 +379,30 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
                       np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 
-def _conditional_ppf(u, weights, w_rates, t_max):
-    """Invert, per sample, the conditional CDF
+def _conditional_ppf(draws, bounds):
+    """Right times of rows ``bounds[0]`` to ``bounds[1]`` of ``draws`` =
+    (u, tl, left, w, t_max): per sample, the inverse of the conditional CDF
     F(tr) = Re sum_k a_k (1 - e^{-w_k tr}) / Re sum_k a_k (1 - e^{-w_k t_max}),
-    with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k.
+    with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k, where
+    ``left`` = Re sum_k (c_k / w_k) e^{-z_k tl} is the left marginal.
 
     Each sample has its own coefficient vector, so these sums are row-wise
-    products over an (n, K) array, not the shared-coefficient matrix
-    products of :class:`ExpSum`."""
-    a = weights  # (n, K) complex; already divided by w_k
+    products over an (n, K) array, not the shared-coefficient contractions
+    of :class:`ExpSum`."""
+    u, tl, left, w_rates, t_max = draws
+    rows = slice(*bounds)
+    u = u[rows]
+    a = np.exp(-np.multiply.outer(tl[rows], left.z)) * left.d[None, :]  # (n, K)
     full = np.real(((1.0 - np.exp(-t_max * w_rates))[None, :] * a).sum(axis=1))
     target = u * full
 
-    def cond_cdf(t, idx):
-        return np.real(((1.0 - np.exp(-np.multiply.outer(t, w_rates))) * a[idx]).sum(axis=1))
-
-    def cond_pdf(t, idx):
-        return np.real((np.exp(-np.multiply.outer(t, w_rates))
-                        * (a[idx] * w_rates[None, :])).sum(axis=1))
+    def cond_cdf_pdf(t, idx):
+        tails = np.exp(-np.multiply.outer(t, w_rates))
+        return (np.real(((1.0 - tails) * a[idx]).sum(axis=1)),
+                np.real((tails * (a[idx] * w_rates[None, :])).sum(axis=1)))
 
     start = np.full(u.shape, 0.5 * t_max)
-    return _invert_monotone(cond_cdf, cond_pdf, target, start,
+    return _invert_monotone(cond_cdf_pdf, target, start,
                             np.zeros_like(u), np.full_like(u, t_max),
                             _ROUNDING * np.abs(a).sum(axis=1), max_iter=90)
 
@@ -419,8 +438,9 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     u_left = rng.random(int(n))
     u_right = rng.random(int(n))
     tl = marginal.ppf(u_left)
-    cond_weights = np.exp(-np.multiply.outer(tl, left.z)) * left.d[None, :]
-    tr = _conditional_ppf(u_right, cond_weights, joint.w, marginal.t_max)
+    tr = np.concatenate(list(_map_chunks(_conditional_ppf,
+                                         (u_right, tl, left, joint.w, marginal.t_max),
+                                         _row_chunks(tl.size))))
     return EventTable(np.repeat(np.arange(tl.size), 2),
                       np.tile([SIDES.index("left"), SIDES.index("right")], tl.size),
                       np.full(2 * tl.size, CHANNELS.index("pair")),
@@ -495,6 +515,10 @@ def _map_chunks(fn, data, items: list):
     runs the same ``fn`` in this process.  The workers have exited once
     the results are consumed or the consumer stops; a worker that dies
     raises BrokenProcessPool rather than leaving its item unanswered.
+
+    ``fn`` must not call BLAS (``@``, ``np.dot``, ``np.linalg``): a forked
+    worker that does starts BLAS helper threads, which spin against the
+    other workers for the CPUs.
     """
     workers = min(_cpu_count(), len(items))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -515,7 +539,7 @@ _BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
                         ("pair_count", np.int64), ("triplet_count", np.int64)])
 _SIDE_TOKENS = tuple(name.encode() for name in SIDES)
 _CHANNEL_TOKENS = tuple(name.encode() for name in CHANNELS)
-_CHUNK_ROWS = 1 << 16   # event rows formatted per task
+_CHUNK_ROWS = 1 << 16   # draws solved, or event rows formatted, per task
 _PIECE_BYTES = 1 << 22  # event-file bytes parsed per task, about 1e5 rows
 
 
@@ -540,12 +564,20 @@ def _read_rows(path, row: np.dtype) -> np.ndarray:
         return _load_rows(fh, row)
 
 
+def _row_chunks(n: int) -> list:
+    """Bounds of rows 0 to n in pieces of ``_CHUNK_ROWS``; one empty piece
+    for n = 0."""
+    return [(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)] or [(0, 0)]
+
+
 def _format_events(events: EventTable, bounds) -> str:
     """The lines of event rows ``bounds[0]`` to ``bounds[1]``."""
     rows = slice(*bounds)
-    return "".join(f"{i},{SIDES[s]},{CHANNELS[c]},{t:.17e}\n" for i, s, c, t in zip(
-        events.event_id[rows].tolist(), events.side[rows].tolist(),
-        events.channel[rows].tolist(), events.time[rows].tolist()))
+    ids = events.event_id[rows].tolist()
+    fields = zip(ids, [SIDES[s] for s in events.side[rows].tolist()],
+                 [CHANNELS[c] for c in events.channel[rows].tolist()],
+                 events.time[rows].tolist())
+    return "%d,%s,%s,%.17e\n" * len(ids) % tuple(itertools.chain.from_iterable(fields))
 
 
 def _event_columns(rows: np.ndarray):
@@ -569,10 +601,9 @@ def _line_pieces(text: bytes, start: int):
 
 def write_events(path, events: EventTable) -> None:
     """Event file, one record per line; ``path`` may be an open text stream."""
-    chunks = [(start, start + _CHUNK_ROWS) for start in range(0, len(events), _CHUNK_ROWS)]
     with output_stream(path) as fh:
         fh.write(",".join(_EVENT_ROW.names) + "\n")
-        fh.writelines(_map_chunks(_format_events, events, chunks))
+        fh.writelines(_map_chunks(_format_events, events, _row_chunks(len(events))))
 
 
 def read_events(path) -> EventTable:

@@ -159,6 +159,13 @@ class TestCliGolden:
                 joint_pdf_11(DecayModel.STANDARD, state, tl, tr),
                 rel=1e-12, abs=1e-300)
 
+    def test_joint_pair_defaults_to_alpha_at_phase_zero(self, tmp_path):
+        outs = [tmp_path / "default.csv", tmp_path / "explicit.csv"]
+        assert main(["predict", "--joint", "--out", str(outs[0])]) == 0
+        assert main(["predict", "--joint", "--family", "alpha", "--phase", "0",
+                     "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_simulate_writes_events_matching_library(self, tmp_path):
         out = tmp_path / "events.csv"
         code = main(["simulate", "--model", "twfo", "--n", "20",
@@ -428,8 +435,13 @@ class TestCliContract:
         ["predict", "--joint", "--i0", "5"],
         ["predict", "--i0", "5"],
         ["simulate", "--joint", "--cp", "-1", "--n", "10"],
+        ["predict", "--family", "beta", "--phase", "1"],
+        ["predict", "--quantity", "intensity", "--family", "alpha"],
+        ["simulate", "--n", "10", "--model", "twfo", "--family", "beta", "--phase", "2"],
+        ["simulate", "--n", "10", "--model", "twfo", "--phase", "0"],
     ], ids=["intensity-cp", "joint-cp", "joint-quantity", "joint-i0", "curves-i0",
-            "simulate-joint-cp"])
+            "simulate-joint-cp", "curves-family-phase", "intensity-family",
+            "simulate-family-phase", "simulate-phase"])
     def test_flags_that_do_not_apply_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2
@@ -499,6 +511,19 @@ class TestCliContract:
     def test_cli_import_loads_no_scipy_or_worker_pool(self):
         script = ("import sys, kaonlab.cli; print(sorted(m for m in sys.modules "
                   "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_small_simulate_starts_no_worker_pool(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            from kaonlab.cli import main
+
+            assert main(["simulate", "--n", "1000", "--model", "twfo", "--seed", "3",
+                         "--out", {str(tmp_path / "e.csv")!r}]) == 0
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] in ("multiprocessing", "concurrent")))
+        """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

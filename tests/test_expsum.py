@@ -23,6 +23,15 @@ class TestExpSum:
         assert terms.cdf(np.zeros((2, 3))).shape == (2, 3)
         assert terms.pdf(0.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 5.0, 1001),
+                                   np.linspace(0.0, 5.0, 1001).reshape(7, 143)],
+                             ids=["scalar", "1-D", "2-D"])
+    def test_cdf_pdf_is_cdf_and_pdf_bitwise(self, t):
+        terms = ExpSum([2.0, 1.0 + 1j, -0.5j], [1.0, 3.0 - 2j, 2.0 + 7j])
+        cdf, pdf = terms.cdf_pdf(t)
+        assert type(cdf) is type(terms.cdf(t)) and type(pdf) is type(terms.pdf(t))
+        assert np.array_equal(cdf, terms.cdf(t)) and np.array_equal(pdf, terms.pdf(t))
+
     def test_sf_keeps_the_tail_where_cdf_rounds_to_one(self):
         gamma = 1.0 / 8.92e-11
         one = ExpSum([gamma], [gamma])

@@ -1,5 +1,6 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -50,17 +51,26 @@ class TestRunSeed:
 
 
 class _CountingDist(Dist1D):
-    """Counts the cdf evaluations, one per Newton pass inside ppf."""
+    """Counts the Newton passes of each chunk ppf solves: one fused cdf/pdf
+    evaluation per pass.  Solve with one CPU, so that the chunks run in
+    this process."""
 
-    cdf_calls = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.passes = []
 
-    def cdf(self, t):
-        self.cdf_calls += 1
-        return super().cdf(t)
+    def _ppf_rows(self, u, bounds):
+        self.passes.append(0)
+        return super()._ppf_rows(u, bounds)
+
+    def cdf_pdf(self, t):
+        self.passes[-1] += 1
+        return super().cdf_pdf(t)
 
 
 def rounding_floor(coeffs):
-    """4 eps sum_k |a_k|: the absolute rounding bound of Re(x @ a), |x_k| <= 2."""
+    """4 eps sum_k |a_k|: the absolute rounding bound of Re(sum_k x_k a_k),
+    |x_k| <= 2."""
     return 4.0 * np.finfo(float).eps * np.sum(np.abs(coeffs), axis=-1)
 
 
@@ -70,14 +80,14 @@ class TestDist1D:
     def _ppf(self, params, model, n=100_000):
         d, z = model_terms(model, cronin_fitch_state(params, +1))
         dist = _CountingDist(d, z)
-        dist.cdf_calls = 0
         u = RunSeed(7).generator().random(n)
         return dist, u, dist.ppf(u), rounding_floor(np.asarray(d) / np.asarray(z))
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
-    def test_ppf_converges_in_few_passes(self, params, model):
+    def test_ppf_converges_in_few_passes(self, params, model, monkeypatch):
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
         dist, _, _, _ = self._ppf(params, model)
-        assert 1 <= dist.cdf_calls <= 3
+        assert 1 <= max(dist.passes) <= 3
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
     def test_every_residual_within_rounding_floor(self, params, model):
@@ -100,6 +110,41 @@ class TestDist1D:
     @pytest.mark.parametrize("coeffs, rates", [([1.0, -1.0], [1.0, 2.0]), ([2.0], [2.0])])
     def test_u_zero_maps_to_t_zero(self, coeffs, rates):
         assert Dist1D(coeffs, rates).ppf(np.array([0.0]))[0] == 0.0
+
+    @pytest.mark.parametrize("u", [0.5, [np.nan], [1.5], [-0.1], [[0.5]]],
+                             ids=["scalar", "nan", "above-one", "negative", "2-D"])
+    def test_bad_u_rejected(self, u):
+        with pytest.raises(ValueError, match="1-D array of values in"):
+            Dist1D([1.0], [1.0]).ppf(u)
+
+    def test_u_ends_accepted(self):
+        dist = Dist1D([1.0], [1.0])
+        t = dist.ppf(np.array([0.0, 1.0]))
+        assert t[0] == 0.0 and 0.0 < t[1] <= dist.t_max
+
+
+CHUNK_SIZES = [0, 1, sampler._CHUNK_ROWS - 1, sampler._CHUNK_ROWS + 1,
+               3 * sampler._CHUNK_ROWS + 5]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("restricted", [False, True], ids=["twfo", "standard-intensity"])
+def test_draws_independent_of_cpu_count_and_chunking(params, monkeypatch, n, restricted):
+    if restricted:
+        dist = Dist1D(*intensity_terms(DecayModel.STANDARD, params), True)
+    else:
+        dist = Dist1D(*model_terms(DecayModel.TIME_OPERATOR, cronin_fitch_state(params)))
+    u = RunSeed(17).generator().random(n)
+    draws = []
+    for workers in (1, 3):
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+        draws.append(dist.ppf(u))
+        assert multiprocessing.active_children() == []
+    # all of u solved as one chunk
+    draws.append(dist._ppf_rows(u, (0, n)))
+    assert draws[0].shape == (n,)
+    for other in draws[1:]:
+        assert np.array_equal(draws[0], other)
 
 
 def signed_terms(law, params):
@@ -157,11 +202,11 @@ class TestRestrictedDist1D:
         assert ks < 1.63 / math.sqrt(self.N)
 
 
-def test_restricted_standard_intensity_converges_in_few_passes(params):
+def test_restricted_standard_intensity_converges_in_few_passes(params, monkeypatch):
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
     dist = _CountingDist(*signed_terms("standard-intensity", params), True)
-    dist.cdf_calls = 0
     dist.ppf(RunSeed(3).generator().random(100_000))
-    assert 1 <= dist.cdf_calls <= 3
+    assert 1 <= max(dist.passes) <= 3
 
 
 @pytest.mark.parametrize("model", [DecayModel.TIME_OPERATOR, DecayModel.HYBRID],
@@ -273,6 +318,19 @@ class TestSampleJoint:
         full = np.real(((1.0 - np.exp(-t_max * joint.w)) * a).sum(axis=1))
         cond = np.real(((1.0 - np.exp(-np.multiply.outer(tr, joint.w))) * a).sum(axis=1))
         assert np.all(np.abs(cond - u_right * full) <= rounding_floor(a))
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES[1:])
+    def test_pairs_independent_of_cpu_count_and_chunking(self, params, monkeypatch, n):
+        state = BipartiteState.beta(0.3, params)
+        tables = []
+        for workers, rows in ((1, sampler._CHUNK_ROWS), (3, sampler._CHUNK_ROWS), (1, n)):
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(sampler, "_CHUNK_ROWS", rows)
+            tables.append(sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(19)))
+            assert multiprocessing.active_children() == []
+        assert len(tables[0]) == 2 * n
+        for other in tables[1:]:
+            assert np.array_equal(tables[0].time, other.time)
 
     def test_n_zero_rejected(self, params):
         with pytest.raises(ValueError):
