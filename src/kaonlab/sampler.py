@@ -379,9 +379,8 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
                       np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 
-def _conditional_ppf(draws, bounds):
-    """Right times of rows ``bounds[0]`` to ``bounds[1]`` of ``draws`` =
-    (u, tl, left, w, t_max): per sample, the inverse of the conditional CDF
+def _conditional_ppf(u, tl, left, w_rates, t_max):
+    """Invert, per sample, the conditional CDF
     F(tr) = Re sum_k a_k (1 - e^{-w_k tr}) / Re sum_k a_k (1 - e^{-w_k t_max}),
     with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k, where
     ``left`` = Re sum_k (c_k / w_k) e^{-z_k tl} is the left marginal.
@@ -389,10 +388,7 @@ def _conditional_ppf(draws, bounds):
     Each sample has its own coefficient vector, so these sums are row-wise
     products over an (n, K) array, not the shared-coefficient contractions
     of :class:`ExpSum`."""
-    u, tl, left, w_rates, t_max = draws
-    rows = slice(*bounds)
-    u = u[rows]
-    a = np.exp(-np.multiply.outer(tl[rows], left.z)) * left.d[None, :]  # (n, K)
+    a = np.exp(-np.multiply.outer(tl, left.z)) * left.d[None, :]  # (n, K)
     full = np.real(((1.0 - np.exp(-t_max * w_rates))[None, :] * a).sum(axis=1))
     target = u * full
 
@@ -405,6 +401,16 @@ def _conditional_ppf(draws, bounds):
     return _invert_monotone(cond_cdf_pdf, target, start,
                             np.zeros_like(u), np.full_like(u, t_max),
                             _ROUNDING * np.abs(a).sum(axis=1), max_iter=90)
+
+
+def _joint_rows(draws, bounds):
+    """Times of pairs ``bounds[0]`` to ``bounds[1]`` of ``draws`` =
+    (u_left, u_right, marginal, left, w), left then right per pair: the
+    left time from the marginal table, the right from the conditional."""
+    u_left, u_right, marginal, left, w_rates = draws
+    tl = marginal._ppf_rows(u_left, bounds)
+    tr = _conditional_ppf(u_right[slice(*bounds)], tl, left, w_rates, marginal.t_max)
+    return np.column_stack((tl, tr)).ravel()
 
 
 def _check_joint_positive(joint: ExpSum2, t_max):
@@ -427,6 +433,8 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     marginal, the right from the conditional given the left.  Each pair
     gives two rows, left then right.  Both sides are tagged as pion-pair
     (CP=+1) events, which is the channel the joint distributions describe.
+    Chunks of pairs are drawn on every CPU, both times of a pair in one
+    task.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -437,14 +445,12 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     rng = seed.generator()
     u_left = rng.random(int(n))
     u_right = rng.random(int(n))
-    tl = marginal.ppf(u_left)
-    tr = np.concatenate(list(_map_chunks(_conditional_ppf,
-                                         (u_right, tl, left, joint.w, marginal.t_max),
-                                         _row_chunks(tl.size))))
-    return EventTable(np.repeat(np.arange(tl.size), 2),
-                      np.tile([SIDES.index("left"), SIDES.index("right")], tl.size),
-                      np.full(2 * tl.size, CHANNELS.index("pair")),
-                      np.column_stack((tl, tr)).ravel())
+    times = np.concatenate(list(_map_chunks(_joint_rows,
+                                            (u_left, u_right, marginal, left, joint.w),
+                                            _row_chunks(u_left.size))))
+    return EventTable(np.repeat(np.arange(u_left.size), 2),
+                      np.tile([SIDES.index("left"), SIDES.index("right")], u_left.size),
+                      np.full(2 * u_left.size, CHANNELS.index("pair")), times)
 
 
 def detect(events: EventTable, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:
