@@ -38,11 +38,12 @@ class UnsupportedRegimeError(KaonlabError):
 
 
 class FitFailureError(KaonlabError):
-    """Likelihood maximisation did not converge.  Carries the last iterate."""
+    """Likelihood maximisation did not converge.  ``best`` carries the best
+    point reached and its objective value, ``(x, fun)``, when known."""
 
-    def __init__(self, message, last_result=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
-        self.last_result = last_result
+        self.best = best
 
 
 class DegenerateComparisonError(KaonlabError):

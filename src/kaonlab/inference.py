@@ -116,28 +116,101 @@ def _poisson_excess(mu, counts):
     return float(np.sum(mu - counts - counts * log_ratio))
 
 
+def _poisson_saturated(counts) -> float:
+    """Poisson nll at mu = counts: sum n - n log n + log n!.
+
+    Each term is a few units, but n log n and log n! reach 2e10 at 1e9
+    counts.  From n = 100 on, the term is therefore Stirling's series for
+    log n! with n log n - n cancelled by hand; the series' truncation
+    there is below 1e-17.
+    """
+    def term(n):
+        if n >= 100:
+            series = (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+            return 0.5 * math.log(2.0 * math.pi * n) + series
+        return n - n * math.log(n) + math.lgamma(n + 1.0) if n > 0 else 0.0
+
+    return math.fsum(term(n) for n in np.asarray(counts, dtype=float).tolist())
+
+
+def _nelder_mead(func, x0, maxiter=4000):
+    """Minimise func over the unit cube by the Nelder-Mead simplex.
+
+    The same steps, in the same floating-point operations, as scipy's
+    ``minimize(func, x0, method="Nelder-Mead", bounds=[(0, 1)] * len(x0),
+    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-9})``: the
+    standard coefficients (reflection 1, expansion 2, contraction and
+    shrink 1/2), a first simplex of 5% steps (0.00025 from a zero
+    coordinate) reflected back below the upper bound, every trial point
+    clipped to the cube.  Returns (x, fun, converged); converged is False
+    when the iteration cap stopped the search.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+    fsim = np.array([func(vertex) for vertex in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # sorted twice, as scipy does: argsort is not stable, so ties may move
+    sim, fsim = ordered(*ordered(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-9):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], 0.0, 1.0)
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], 0.0, 1.0)
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], 0.0, 1.0)
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), 0.0, 1.0)
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], float(np.min(fsim)), iterations < maxiter
+
+
 def fit_intensity(binned: BinnedCounts, model: DecayModel,
                   params_init: KaonParams,
                   free=("epsilon_abs", "epsilon_arg", "i0")) -> FitResult:
     """Poisson maximum likelihood of binned pair counts under a model.
 
     Bin expectations are closed-form integrals of the model's intensity
-    template.  The optimiser is a derivative-free simplex restarted from 8
-    deterministic points inside the bounded box (|epsilon| in [0, 0.5],
-    arg in (-pi, pi], delta_m in [0, 10*Gamma_S]).  It runs in coordinates
-    that map the box onto the unit cube and on the nll less its value at
-    mu = counts, so its stopping tolerances mean the same for every
-    parameter and lie above the rounding of the objective; the calibration
-    i0, when free, is profiled out analytically at each step.  The
-    covariance is the inverse of the expected information J^T diag(1/mu) J
-    at the optimum, with J the derivatives of the bin means mu by central
-    differences, inverted after scaling to unit diagonal.
+    template.  The optimiser is a Nelder-Mead simplex (``_nelder_mead``)
+    restarted from 8 deterministic points inside the bounded box (|epsilon|
+    in [0, 0.5], arg in (-pi, pi], delta_m in [0, 10*Gamma_S]).  It runs in
+    coordinates that map the box onto the unit cube and on the nll less its
+    value at mu = counts, so its stopping tolerances mean the same for
+    every parameter and lie above the rounding of the objective; the
+    calibration i0, when free, is profiled out analytically at each step.
+    The covariance is the inverse of the expected information
+    J^T diag(1/mu) J at the optimum, with J the derivatives of the bin
+    means mu by central differences, inverted after scaling to unit
+    diagonal.
     """
-    # scipy is imported here, not at module level: no other command needs
-    # it, and its import costs most of the package's start-up time
-    from scipy.optimize import minimize
-    from scipy.special import gammaln, xlogy
-
     counts = np.asarray(binned.pair_counts, dtype=float)
     edges = binned.edges
     if int(np.count_nonzero(counts)) < 5:
@@ -205,23 +278,19 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         for k in range(3):
             fracs = [(0.15, 0.5, 0.85)[(k + j) % 3] for j in range(len(box))]
             starts.append(box_lo + width * np.array(fracs))
-        runs = [minimize(objective, (start - box_lo) / width, method="Nelder-Mead",
-                         bounds=[(0.0, 1.0)] * len(box),
-                         options={"maxiter": 4000, "xatol": 1e-10,
-                                  "fatol": 1e-9})
-                for start in starts]
-        best = min(runs, key=lambda res: res.fun)
-        if not np.isfinite(best.fun):
-            raise FitFailureError("likelihood maximisation failed", last_result=runs[-1])
-        converged = bool(best.success)
-        theta_hat = box_lo + width * np.asarray(best.x, dtype=float)
+        runs = [_nelder_mead(objective, (start - box_lo) / width) for start in starts]
+        # a nan likelihood ranks last, not first
+        u_hat, fun, converged = min(runs, key=lambda run: math.inf if math.isnan(run[1])
+                                    else run[1])
+        theta_hat = box_lo + width * u_hat
+        if not math.isfinite(fun):
+            raise FitFailureError("likelihood maximisation failed", best=(theta_hat, fun))
     else:
         theta_hat = np.array([], dtype=float)
         converged = True
 
     excess, i0_hat = nll_of(theta_hat)
-    saturated = np.sum(counts - xlogy(counts, counts) + gammaln(counts + 1.0))
-    nll_hat = excess + float(saturated)
+    nll_hat = excess + _poisson_saturated(counts)
     values = dict(unpack(theta_hat), i0=i0_hat)
 
     # expected information over all free parameters (profiled i0 included);

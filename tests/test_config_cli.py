@@ -483,30 +483,35 @@ class TestCliContract:
         assert err.startswith("error: invalid-argument:")
         assert err.count("\n") == 1, err
 
-    def test_only_fit_imports_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
         events, binned = tmp_path / "e.csv", tmp_path / "b.csv"
+        out = str(tmp_path / "out")
         script = textwrap.dedent(f"""
             import sys
             from kaonlab.cli import main
 
-            def scipy_modules():
-                return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-
             for argv in (["extract-epsilon", "--pairs", "45", "--decays", "22700"],
                          ["zeno", "--readout", "1e-9", "--measurements", "2e-10,5e-10",
                           "--trials", "100"],
+                         ["predict", "--model", "standard", "--bins", "50", "--out", {out!r}],
+                         ["predict", "--joint", "--family", "beta", "--out", {out!r}],
+                         ["spectrum", "--width", "1.12e10", "--out", {out!r}],
+                         ["spectrum", "--width", "1.12e10", "--survival", "--convention",
+                          "time_operator", "--out", {out!r}],
                          ["simulate", "--model", "twfo", "--n", "20000", "--seed", "3",
                           "--out", {str(events)!r}],
                          ["detect", "--events", {str(events)!r}, "--t-max", "1e-9",
-                          "--bins", "20", "--out", {str(binned)!r}]):
+                          "--bins", "20", "--out", {str(binned)!r}],
+                         ["fit", "--model", "twfo", "--data", {str(binned)!r}],
+                         ["discriminate", "--model-a", "twfo", "--model-b", "standard",
+                          "--n-events", "1000", "--trials", "100"]):
                 assert main(argv) == 0, argv
-                assert not scipy_modules(), (argv, scipy_modules())
-            assert main(["fit", "--model", "twfo", "--data", {str(binned)!r}]) == 0
-            assert "scipy.optimize" in sys.modules
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "RESULT fit" in proc.stdout
+        assert proc.stdout.endswith("\n[]\n"), proc.stdout[-300:]
 
     def test_cli_import_loads_no_scipy_or_worker_pool(self):
         script = ("import sys, kaonlab.cli; print(sorted(m for m in sys.modules "

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,15 @@ def composite_edges(params, fine_stop=30.0, fine_step=0.5, tail_bins=60):
 def binned_from_times(times, edges):
     counts, _ = np.histogram(times, bins=edges)
     return BinnedCounts(edges, counts, np.zeros(len(edges) - 1, dtype=np.int64))
+
+
+def asimov_binned(params, total=1e9):
+    """Twfo bin means over 100 bins to 2e-8 s, scaled to ``total`` counts
+    and rounded: the README parameters pin tightly at 1e9."""
+    edges = np.linspace(0.0, 2e-8, 101)
+    mu = intensity_bin_means(DecayModel.TIME_OPERATOR, params, edges)
+    counts = np.round(mu * (total / mu.sum())).astype(np.int64)
+    return BinnedCounts(edges, counts, np.zeros_like(counts))
 
 
 class TestExtractEpsilon:
@@ -129,12 +139,9 @@ class TestFitIntensity:
     @pytest.mark.parametrize("model", list(DecayModel))
     def test_fit_ignores_the_last_ulp_of_the_bin_means(self, params, model,
                                                        monkeypatch):
-        # an Asimov file of 1e9 twfo counts, where the README parameters are
-        # pinned tightly enough for 1e-8 relative to be resolvable
-        edges = np.linspace(0.0, 2e-8, 101)
-        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, params, edges)
-        counts = np.round(mu * (1e9 / mu.sum())).astype(np.int64)
-        binned = BinnedCounts(edges, counts, np.zeros_like(counts))
+        # 1e9 counts pin the parameters tightly enough for 1e-8 relative to
+        # be resolvable
+        binned = asimov_binned(params)
         exact = inference.intensity_bin_means
 
         def fit(bin_means):
@@ -167,6 +174,100 @@ class TestFitIntensity:
         binned = self._sample_binned(DecayModel.HYBRID, params, 10 ** 4, 3)
         with pytest.raises(ValueError, match=rf"repeated fit parameters: \['{free[0]}'\]"):
             fit_intensity(binned, DecayModel.HYBRID, params, free=free)
+
+    def test_saturated_term_matches_mpmath(self, params):
+        # the nll at mu = counts, summed over bins of 0 to ~1e9 counts
+        mpmath = pytest.importorskip("mpmath")
+        counts = np.concatenate([asimov_binned(params).pair_counts, np.arange(200)])
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(n - mpmath.mpf(n) * mpmath.log(n) + mpmath.loggamma(n + 1)
+                                if n else 0 for n in counts.tolist())
+        assert inference._poisson_saturated(counts) == pytest.approx(float(exact),
+                                                                     rel=0.0, abs=1e-10)
+
+    def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
+        from kaonlab.cli import main
+        from kaonlab.sampler import write_binned
+
+        binned = asimov_binned(params, total=1e6)
+        monkeypatch.setattr(inference, "intensity_bin_means",
+                            lambda model, params, edges, i0=1.0: np.full(len(edges) - 1, np.nan))
+        # a nan simplex never converges; a short cap keeps the 8 starts quick
+        monkeypatch.setattr(inference, "_nelder_mead",
+                            functools.partial(inference._nelder_mead, maxiter=20))
+        with pytest.raises(FitFailureError) as failure:
+            fit_intensity(binned, DecayModel.TIME_OPERATOR, params)
+        theta, fun = failure.value.best
+        assert theta.shape == (2,) and not math.isfinite(fun)
+        assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
+
+        path = tmp_path / "binned.csv"
+        write_binned(path, binned)
+        assert main(["fit", "--data", str(path), "--model", "twfo"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical-failure:")
+        assert captured.err.count("\n") == 1, captured.err
+
+
+class TestNelderMead:
+    """inference._nelder_mead against scipy's bounded Nelder-Mead: the same
+    point, value, success flag and number of calls, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(func, x0, maxiter=4000):
+        optimize = pytest.importorskip("scipy.optimize")
+        scipy_calls, port_calls = [], []
+        expected = optimize.minimize(lambda u: scipy_calls.append(1) or func(u), x0,
+                                     method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(x0),
+                                     options={"maxiter": maxiter, "xatol": 1e-10,
+                                              "fatol": 1e-9})
+        x, fun, converged = inference._nelder_mead(
+            lambda u: port_calls.append(1) or func(u), x0, maxiter=maxiter)
+        assert np.array_equal(x, expected.x)
+        assert fun == expected.fun
+        assert converged == expected.success
+        assert len(port_calls) == len(scipy_calls) == expected.nfev
+        return expected
+
+    def test_every_start_of_a_fit(self, params, monkeypatch):
+        runs = []
+        port = inference._nelder_mead
+
+        def record(func, x0):
+            runs.append((func, x0))
+            return port(func, x0)
+
+        monkeypatch.setattr(inference, "_nelder_mead", record)
+        fit_intensity(asimov_binned(params), DecayModel.TIME_OPERATOR, params,
+                      free=("epsilon_abs", "epsilon_arg", "delta_m", "i0"))
+        monkeypatch.undo()
+        assert len(runs) == 8
+        for func, x0 in runs:
+            self.assert_same_as_scipy(func, x0)
+
+    @staticmethod
+    def bowl(u):
+        return float((u[0] - 0.3) ** 2 + 3.0 * (u[1] - 0.6) ** 2)
+
+    @pytest.mark.parametrize("x0", [[1.0, 0.6], [0.0, 0.5]], ids=["upper-bound", "zero"])
+    def test_first_simplex(self, x0):
+        # a start on the upper bound reflects its 5% step back inside; a
+        # zero coordinate steps by 0.00025
+        self.assert_same_as_scipy(self.bowl, np.array(x0))
+
+    def test_shrink(self):
+        res = self.assert_same_as_scipy(lambda u: max(abs(u[0] - 0.3), abs(u[1] - 0.6)),
+                                        np.array([0.9, 0.1]))
+        # without a shrink each iteration costs at most two calls
+        assert res.nfev > 3 + 2 * (res.nit - 1)
+
+    def test_iteration_cap(self):
+        def rosenbrock(u):
+            return float(100.0 * (u[1] - u[0] ** 2) ** 2 + (1.0 - u[0]) ** 2)
+
+        res = self.assert_same_as_scipy(rosenbrock, np.array([0.1, 0.9]), maxiter=30)
+        assert not res.success
 
 
 class TestWeightRatio:
