@@ -9,7 +9,8 @@ and the entangled joint densities are its separable two-time form
 Re sum_k d_k exp(-z_k tl) exp(-w_k tr).  Everything else is closed form:
 the cumulative distribution is Re sum_k (d_k/z_k)(1 - exp(-z_k t)), the
 tail mass Re sum_k (d_k/z_k) exp(-z_k t), and the total mass
-Re sum_k d_k/z_k.  This module is the only place that arithmetic lives.
+Re sum_k d_k/z_k.  Given tl, tr has such a density, one coefficient row per
+tl.  This module is the only place that arithmetic lives.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ def _real(values):
 
 
 def _contract(x, a):
-    """sum_k x[..., k] a[k], the one reduction over k of every ExpSum.
+    """sum_k x[..., k] a[..., k], the one reduction over k of every ExpSum.
 
     einsum rather than ``@``: it never calls BLAS, whose helper threads
     spin in forked workers, and it rounds each row alike however many rows
     there are, so a value is bitwise the same in any batch."""
-    return np.einsum("...k,k->...", x, a)
+    return np.einsum("...k,...k->...", x, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +43,9 @@ class ExpSum:
     """f(t) = Re sum_k d_k exp(-z_k t) on t >= 0.
 
     Scalar times give floats, arrays give arrays of the same shape.
-    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.
+    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.  With one row of
+    ``d`` per sample, shape (n, K), ``pdf``, ``cdf``, ``cdf_pdf``, ``sf`` and
+    ``rounding_floor`` give one value per row, at one time or one per row.
     """
 
     d: np.ndarray
@@ -76,6 +79,11 @@ class ExpSum:
         tails = np.exp(-np.multiply.outer(edges, self.z))
         return np.real(_contract(tails[:-1] - tails[1:], self.d / self.z))
 
+    def rounding_floor(self):
+        """4 eps sum_k |d_k/z_k|: Re sum_k x_k a_k with |x_k| <= 2 rounds by at
+        most 4 eps sum_k |a_k|, so no solver can ask ``cdf`` or ``sf`` for more."""
+        return _real(4.0 * np.finfo(float).eps * np.sum(np.abs(self.d / self.z), axis=-1))
+
     def normalised(self) -> "ExpSum":
         """The same sum rescaled to unit mass on [0, inf)."""
         total = float(np.real(np.sum(self.d / self.z)))
@@ -99,9 +107,8 @@ class ExpSum2:
 
     def pdf(self, tl, tr):
         """Elementwise over broadcast-compatible ``tl`` and ``tr``."""
-        terms = self.d * np.exp(-np.multiply.outer(tl, self.z)
-                                - np.multiply.outer(tr, self.w))
-        return _real(terms.sum(axis=-1))
+        return _real(_contract(np.exp(-np.multiply.outer(tl, self.z)
+                                      - np.multiply.outer(tr, self.w)), self.d))
 
     def normalised(self) -> "ExpSum2":
         """The same sum rescaled to unit mass over the quadrant."""
@@ -113,3 +120,8 @@ class ExpSum2:
     def marginal(self) -> ExpSum:
         """The density of tl alone: tr integrated over [0, inf)."""
         return ExpSum(self.d / self.w, self.z)
+
+    def conditional(self, tl) -> ExpSum:
+        """The density in tr at each left time ``tl``, rows d_k exp(-z_k tl),
+        rates w; unnormalised, its mass is the marginal's density at tl."""
+        return ExpSum(self.d * np.exp(-np.multiply.outer(tl, self.z)), self.w)

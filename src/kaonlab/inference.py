@@ -143,7 +143,7 @@ def _nelder_mead(func, x0, maxiter=4000):
     shrink 1/2), a first simplex of 5% steps (0.00025 from a zero
     coordinate) reflected back below the upper bound, every trial point
     clipped to the cube.  Returns (x, fun, converged); converged is False
-    when the iteration cap stopped the search.
+    when the iteration cap stopped the search, or the first simplex is all nan.
     """
     x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     n = x0.size
@@ -159,6 +159,8 @@ def _nelder_mead(func, x0, maxiter=4000):
 
     # sorted twice, as scipy does: argsort is not stable, so ties may move
     sim, fsim = ordered(*ordered(sim, fsim))
+    if np.all(np.isnan(fsim)):
+        return sim[0], math.nan, False
     iterations = 1
     while iterations < maxiter:
         if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
@@ -209,7 +211,7 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     The covariance is the inverse of the expected information
     J^T diag(1/mu) J at the optimum, with J the derivatives of the bin
     means mu by central differences, inverted after scaling to unit
-    diagonal.
+    diagonal.  A likelihood not finite at the optimum raises FitFailureError.
     """
     counts = np.asarray(binned.pair_counts, dtype=float)
     edges = binned.edges
@@ -283,14 +285,14 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         u_hat, fun, converged = min(runs, key=lambda run: math.inf if math.isnan(run[1])
                                     else run[1])
         theta_hat = box_lo + width * u_hat
-        if not math.isfinite(fun):
-            raise FitFailureError("likelihood maximisation failed", best=(theta_hat, fun))
     else:
         theta_hat = np.array([], dtype=float)
         converged = True
 
     excess, i0_hat = nll_of(theta_hat)
     nll_hat = excess + _poisson_saturated(counts)
+    if not math.isfinite(nll_hat):
+        raise FitFailureError("likelihood maximisation failed", best=(theta_hat, nll_hat))
     values = dict(unpack(theta_hat), i0=i0_hat)
 
     # expected information over all free parameters (profiled i0 included);

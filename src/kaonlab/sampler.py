@@ -5,11 +5,13 @@ short sum of complex exponentials, evaluated and integrated in closed form
 by :class:`kaonlab.expsum.ExpSum`.  One table, :class:`Dist1D`, serves
 every single-time draw: the exact cdf and pdf at refined knots give each
 sample a cubic Hermite starting point, and a bracketed Newton iteration
-stops once the cdf residual reaches the cdf's own rounding floor.
-Nothing is ever clipped: a model whose density goes negative anywhere on
-the scan grid is rejected with ModelPathologyError, unless the caller
-asks for the law conditioned on its nonnegative support, which the same
-table draws by giving the negative panels zero mass.
+stops once the cdf residual reaches the cdf's own rounding floor.  The
+right time of a pair is found by the same Newton, on its conditional
+given the left: an ExpSum with one coefficient row per pair.  Nothing is
+ever clipped: a model whose density goes negative anywhere on the scan
+grid is rejected with ModelPathologyError, unless the caller asks for the
+law conditioned on its nonnegative support, which the same table draws by
+giving the negative panels zero mass.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
@@ -47,8 +49,6 @@ CHANNELS = ("pair", "triplet")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-# Re(sum_k x_k a_k) with |x_k| <= 2 rounds by at most this times sum_k |a_k|
-_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ class Dist1D:
         self._cdf_at_knots = np.minimum(np.maximum.accumulate(kept), total) / total
         self._pdf_at_knots = self.pdf(knots)
         self._total = total
-        self._tol = _ROUNDING * float(np.sum(np.abs(self._terms.d / self._terms.z)))
+        self._tol = self._terms.rounding_floor()
 
     def pdf(self, t):
         return self._terms.pdf(t)
@@ -379,37 +379,19 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
                       np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 
-def _conditional_ppf(u, tl, left, w_rates, t_max):
-    """Invert, per sample, the conditional CDF
-    F(tr) = Re sum_k a_k (1 - e^{-w_k tr}) / Re sum_k a_k (1 - e^{-w_k t_max}),
-    with per-sample complex weights a_k = c_k e^{-z_k tl} / w_k, where
-    ``left`` = Re sum_k (c_k / w_k) e^{-z_k tl} is the left marginal.
-
-    Each sample has its own coefficient vector, so these sums are row-wise
-    products over an (n, K) array, not the shared-coefficient contractions
-    of :class:`ExpSum`."""
-    a = np.exp(-np.multiply.outer(tl, left.z)) * left.d[None, :]  # (n, K)
-    full = np.real(((1.0 - np.exp(-t_max * w_rates))[None, :] * a).sum(axis=1))
-    target = u * full
-
-    def cond_cdf_pdf(t, idx):
-        tails = np.exp(-np.multiply.outer(t, w_rates))
-        return (np.real(((1.0 - tails) * a[idx]).sum(axis=1)),
-                np.real((tails * (a[idx] * w_rates[None, :])).sum(axis=1)))
-
-    start = np.full(u.shape, 0.5 * t_max)
-    return _invert_monotone(cond_cdf_pdf, target, start,
-                            np.zeros_like(u), np.full_like(u, t_max),
-                            _ROUNDING * np.abs(a).sum(axis=1), max_iter=90)
-
-
 def _joint_rows(draws, bounds):
     """Times of pairs ``bounds[0]`` to ``bounds[1]`` of ``draws`` =
-    (u_left, u_right, marginal, left, w), left then right per pair: the
-    left time from the marginal table, the right from the conditional."""
-    u_left, u_right, marginal, left, w_rates = draws
+    (u_left, u_right, marginal, joint), left then right per pair: the left
+    time from the marginal table, the right by inverting its conditional
+    cdf on [0, t_max], from 0.5 t_max, to that cdf's rounding floor."""
+    u_left, u_right, marginal, joint = draws
     tl = marginal._ppf_rows(u_left, bounds)
-    tr = _conditional_ppf(u_right[slice(*bounds)], tl, left, w_rates, marginal.t_max)
+    cond = joint.conditional(tl)
+    t_max = marginal.t_max
+    tr = _invert_monotone(lambda t, rows: ExpSum(cond.d[rows], cond.z).cdf_pdf(t),
+                          u_right[slice(*bounds)] * cond.cdf(t_max),
+                          np.full(tl.shape, 0.5 * t_max), np.zeros_like(tl),
+                          np.full_like(tl, t_max), cond.rounding_floor(), max_iter=90)
     return np.column_stack((tl, tr)).ravel()
 
 
@@ -445,8 +427,7 @@ def sample_joint(model: DecayModel, state: BipartiteState, n: int,
     rng = seed.generator()
     u_left = rng.random(int(n))
     u_right = rng.random(int(n))
-    times = np.concatenate(list(_map_chunks(_joint_rows,
-                                            (u_left, u_right, marginal, left, joint.w),
+    times = np.concatenate(list(_map_chunks(_joint_rows, (u_left, u_right, marginal, joint),
                                             _row_chunks(u_left.size))))
     return EventTable(np.repeat(np.arange(u_left.size), 2),
                       np.tile([SIDES.index("left"), SIDES.index("right")], u_left.size),

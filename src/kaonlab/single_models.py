@@ -59,6 +59,14 @@ def _check_times(t):
     return arr
 
 
+def _initial_intensity(c) -> float:
+    """s0 = |psi(0)|^2 = Re sum c, the standard law's normalisation."""
+    s0 = float(np.real(np.sum(c)))
+    if s0 <= _TINY:
+        raise ValueError("initial intensity |psi(0)|^2 vanishes")
+    return s0
+
+
 def survival_standard(state: SuperpositionState, t):
     """|psi(t)|^2 / |psi(0)|^2, the standard survival probability.
 
@@ -67,10 +75,7 @@ def survival_standard(state: SuperpositionState, t):
     """
     t = _check_times(t)
     c, z = _pair_terms(state)
-    s0 = float(np.real(np.sum(c)))
-    if s0 <= _TINY:
-        raise ValueError("initial intensity |psi(0)|^2 vanishes")
-    return ExpSum(c / s0, z).pdf(t)
+    return ExpSum(c / _initial_intensity(c), z).pdf(t)
 
 
 def model_terms(model: DecayModel, state: SuperpositionState):
@@ -84,10 +89,7 @@ def model_terms(model: DecayModel, state: SuperpositionState):
     c, z = _pair_terms(state)
     g = state.widths()
     if model is DecayModel.STANDARD:
-        s0 = float(np.real(np.sum(c)))
-        if s0 <= _TINY:
-            raise ValueError("initial intensity |psi(0)|^2 vanishes")
-        return c * z / s0, z
+        return c * z / _initial_intensity(c), z
     if np.any(g <= 0):
         raise DegenerateStateError("zero-width mode: distribution is not normalisable")
     if model is DecayModel.HYBRID:

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -185,29 +184,56 @@ class TestFitIntensity:
         assert inference._poisson_saturated(counts) == pytest.approx(float(exact),
                                                                      rel=0.0, abs=1e-10)
 
-    def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
+    @staticmethod
+    def nan_bin_means(monkeypatch):
+        """Make every bin mean nan; the returned list grows by one per call."""
+        calls = []
+
+        def means(model, params, edges, i0=1.0):
+            calls.append(1)
+            return np.full(len(edges) - 1, np.nan)
+
+        monkeypatch.setattr(inference, "intensity_bin_means", means)
+        return calls
+
+    @staticmethod
+    def assert_fit_command_fails(binned, tmp_path, capsys, *flags):
         from kaonlab.cli import main
         from kaonlab.sampler import write_binned
 
+        path = tmp_path / "binned.csv"
+        write_binned(path, binned)
+        assert main(["fit", "--data", str(path), "--model", "twfo", *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical-failure:")
+        assert captured.err.count("\n") == 1, captured.err
+
+    def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
         binned = asimov_binned(params, total=1e6)
-        monkeypatch.setattr(inference, "intensity_bin_means",
-                            lambda model, params, edges, i0=1.0: np.full(len(edges) - 1, np.nan))
-        # a nan simplex never converges; a short cap keeps the 8 starts quick
-        monkeypatch.setattr(inference, "_nelder_mead",
-                            functools.partial(inference._nelder_mead, maxiter=20))
+        calls = self.nan_bin_means(monkeypatch)
         with pytest.raises(FitFailureError) as failure:
             fit_intensity(binned, DecayModel.TIME_OPERATOR, params)
         theta, fun = failure.value.best
         assert theta.shape == (2,) and not math.isfinite(fun)
         assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
+        # a first simplex that is all nan ends its start: the 8 starts' 3
+        # vertices each, then the one evaluation at the best point
+        assert len(calls) <= 8 * 3 + 1
 
-        path = tmp_path / "binned.csv"
-        write_binned(path, binned)
-        assert main(["fit", "--data", str(path), "--model", "twfo"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: numerical-failure:")
-        assert captured.err.count("\n") == 1, captured.err
+        calls.clear()
+        self.assert_fit_command_fails(binned, tmp_path, capsys)
+        assert len(calls) <= 8 * 3 + 1
+
+    def test_nan_bin_means_fail_the_i0_only_fit(self, params, monkeypatch, tmp_path,
+                                                 capsys):
+        binned = asimov_binned(params, total=1e6)
+        self.nan_bin_means(monkeypatch)
+        with pytest.raises(FitFailureError) as failure:
+            fit_intensity(binned, DecayModel.TIME_OPERATOR, params, free=("i0",))
+        theta, fun = failure.value.best
+        assert theta.shape == (0,) and not math.isfinite(fun)
+        self.assert_fit_command_fails(binned, tmp_path, capsys, "--free", "i0")
 
 
 class TestNelderMead:
