@@ -111,6 +111,13 @@ def _emit(out_path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _emit_table(out_path, header, *columns):
+    """A CSV file: the header row, then one row of equal-length columns per line."""
+    with output_stream(out_path or sys.stdout) as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17e", delimiter=",",
+                   header=header, comments="")
+
+
 def _model_of(run, args, default="standard"):
     name = getattr(args, "model", None) or run.model_name or default
     return DecayModel.parse(name)
@@ -142,14 +149,9 @@ def cmd_predict(args) -> int:
         grid = _time_grid(args, 5.0 * run.params.tau_s, 50)
         state = _bipartite_state(run, args)
         tl, tr = np.meshgrid(grid, grid, indexing="ij")
-        surv = joint_survival_11(state, tl, tr)
-        dens = joint_pdf_11(model, state, tl, tr)
-        lines = ["tl_s,tr_s,survival,pdf"]
-        for i in range(grid.size):
-            for j in range(grid.size):
-                lines.append(f"{_fmt(grid[i])},{_fmt(grid[j])},"
-                             f"{_fmt(surv[i, j])},{_fmt(dens[i, j])}")
-        _emit(run.out, lines)
+        _emit_table(run.out, "tl_s,tr_s,survival,pdf", tl.ravel(), tr.ravel(),
+                    joint_survival_11(state, tl, tr).ravel(),
+                    joint_pdf_11(model, state, tl, tr).ravel())
         return EXIT_OK
     _reject_pair_flags(args)
     grid = _time_grid(args, 5.0 * run.params.tau_l, 400)
@@ -159,13 +161,11 @@ def cmd_predict(args) -> int:
                              "--cp -1 does not apply")
         values = cronin_fitch_intensity(model, run.params, grid,
                                         i0=1.0 if args.i0 is None else args.i0)
-        lines = ["t_s,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(grid, values)]
+        _emit_table(run.out, "t_s,value", grid, values)
     else:
         if args.i0 is not None:
             raise ValueError("--i0 applies to --quantity intensity only")
         state = _single_state(run, args)
-        surv = survival_standard(state, grid)
-        dens = pdf(model, state, grid)
         report = negativity_report(model, state, grid)
         if not report.clean:
             first = report.intervals[0]
@@ -173,9 +173,8 @@ def cmd_predict(args) -> int:
                 f"warning: model-pathology: pdf negative on fraction "
                 f"{report.fraction:.3e} of the grid, first interval "
                 f"[{_fmt(first[0])}, {_fmt(first[1])}]\n")
-        lines = ["t_s,survival,pdf"] + [
-            f"{_fmt(t)},{_fmt(s)},{_fmt(d)}" for t, s, d in zip(grid, surv, dens)]
-    _emit(run.out, lines)
+        _emit_table(run.out, "t_s,survival,pdf", grid, survival_standard(state, grid),
+                    pdf(model, state, grid))
     return EXIT_OK
 
 
@@ -338,12 +337,10 @@ def cmd_spectrum(args) -> int:
     spec = lorentzian_spectrum(energy, e_min, e_max, n_points=args.points)
     if args.survival:
         grid = _time_grid(args, 5.0 / width, 200)
-        values = survival_from_spectrum(spec, grid, convention=args.convention)
-        lines = ["t_s,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(grid, values)]
+        _emit_table(run.out, "t_s,value", grid,
+                    survival_from_spectrum(spec, grid, convention=args.convention))
     else:
-        lines = ["energy_s_inv,density"] + [
-            f"{_fmt(e)},{_fmt(d)}" for e, d in zip(spec.energies, spec.density)]
-    _emit(run.out, lines)
+        _emit_table(run.out, "energy_s_inv,density", spec.energies, spec.density)
     return EXIT_OK
 
 
@@ -384,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="Poisson maximum-likelihood fit of binned counts")
     _common_flags(p)
     p.add_argument("--data", required=True, help="binned counts CSV")
-    p.add_argument("--free", default="epsilon_abs,epsilon_arg,i0")
+    p.add_argument("--free", default="epsilon_abs,epsilon_arg,i0",
+                   help="comma-separated, from epsilon_abs, epsilon_arg, delta_m "
+                        "and i0; must list i0, the calibration every fit profiles out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("discriminate", help="likelihood-ratio test power scan")

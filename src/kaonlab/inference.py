@@ -207,7 +207,8 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     coordinates that map the box onto the unit cube and on the nll less its
     value at mu = counts, so its stopping tolerances mean the same for
     every parameter and lie above the rounding of the objective; the
-    calibration i0, when free, is profiled out analytically at each step.
+    calibration i0, which ``free`` must list, is profiled out analytically
+    at each step.
     The covariance is the inverse of the expected information
     J^T diag(1/mu) J at the optimum, with J the derivatives of the bin
     means mu by central differences, inverted after scaling to unit
@@ -224,17 +225,17 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     repeated = sorted({name for name in free if free.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated fit parameters: {repeated}")
-    if not free:
-        raise ValueError("no free parameters requested")
+    if "i0" not in free:
+        raise ValueError("free parameters must include i0, the calibration, "
+                         "which every fit profiles out")
 
     base = {
         "epsilon_abs": abs(params_init.epsilon),
         "epsilon_arg": float(np.angle(params_init.epsilon)),
         "delta_m": params_init.delta_m,
-        "i0": float(np.sum(counts)),
     }
+    total = float(np.sum(counts))
     bounds = dict(_BOUNDS, delta_m=(0.0, 10.0 * params_init.gamma_s))
-    profile_i0 = "i0" in free
     shape_free = tuple(name for name in free if name != "i0")
 
     def unpack(theta):
@@ -249,15 +250,11 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         return intensity_bin_means(model, params, edges, i0=i0)
 
     def nll_of(theta):
-        values = unpack(theta)
-        shape = predict(values, 1.0)
-        if profile_i0:
-            denom = float(np.sum(shape))
-            if denom <= 0:
-                return 1e30, base["i0"]
-            i0 = float(np.sum(counts)) / denom
-        else:
-            i0 = base["i0"]
+        shape = predict(unpack(theta), 1.0)
+        denom = float(np.sum(shape))
+        if denom <= 0:
+            return 1e30, total
+        i0 = total / denom
         return _poisson_excess(i0 * shape, counts), i0
 
     if shape_free:

@@ -58,7 +58,9 @@ class RunSeed:
     ``stream_id`` separates logically independent streams under one seed
     (e.g. left/right detectors, power-scan trials).  Substreams are derived
     by mixing a substream index into the Philox key, so parallel workers
-    can draw without coordination.
+    can draw without coordination.  Substreams in use: 0 the sampled decay
+    times, Zeno's outcomes and the power scan's null trials; 1 the power
+    scan's alternative trials; 2 every draw of ``detect``.
     """
 
     seed: int
@@ -446,7 +448,7 @@ def detect(events: EventTable, det: DetectorConfig, seed: RunSeed) -> BinnedCoun
     """
     times = events.time
     is_pair = events.channel == CHANNELS.index("pair")
-    rng = seed.generator()
+    rng = seed.generator(substream=2)
     if times.size:
         smear = (rng.random(times.size) - 0.5) * det.window_tau
         times = times + smear
@@ -616,11 +618,11 @@ def read_events(path) -> EventTable:
 
 def write_binned(path, binned: BinnedCounts) -> None:
     """Binned file (``path`` may be an open text stream): one bin per line."""
+    rows = np.rec.fromarrays((binned.edges[:-1], binned.edges[1:], binned.pair_counts,
+                              binned.triplet_counts), dtype=_BINNED_ROW)
     with output_stream(path) as fh:
-        fh.write(",".join(_BINNED_ROW.names) + "\n")
-        for lo, hi, p, t in zip(binned.edges[:-1], binned.edges[1:],
-                                binned.pair_counts, binned.triplet_counts):
-            fh.write(f"{lo:.17e},{hi:.17e},{int(p)},{int(t)}\n")
+        np.savetxt(fh, rows, fmt="%.17e,%.17e,%d,%d", header=",".join(_BINNED_ROW.names),
+                   comments="")
 
 
 def read_binned(path) -> BinnedCounts:

@@ -13,8 +13,9 @@ from kaonlab.cli import main
 from kaonlab.config import build_run_config, parse_config_file
 from kaonlab.core import DecayModel, KaonParams
 from kaonlab.entangled import BipartiteState, Family, joint_pdf_11, joint_survival_11
-from kaonlab.inference import extract_epsilon
-from kaonlab.sampler import DetectorConfig, RunSeed, read_events, sample_decay_times
+from kaonlab.inference import extract_epsilon, intensity_bin_means
+from kaonlab.sampler import (BinnedCounts, DetectorConfig, RunSeed, read_events,
+                             sample_decay_times, write_binned)
 from kaonlab.single_models import cronin_fitch_state, pdf, survival_standard
 
 # every config knob: key, flag attribute, config-file value, flag value,
@@ -226,6 +227,20 @@ class TestCliGolden:
         name = free.split(",")[0]
         assert captured.err == (f"error: invalid-argument: repeated fit parameters: "
                                 f"['{name}']\n")
+
+    def test_fit_without_i0_rejected(self, tmp_path, capsys):
+        binned = tmp_path / "binned.csv"
+        edges = np.linspace(0.0, 2e-8, 101)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, KaonParams(), edges)
+        counts = np.round(mu * (1e6 / mu.sum())).astype(np.int64)
+        write_binned(binned, BinnedCounts(edges, counts, np.zeros_like(counts)))
+        assert main(["fit", "--data", str(binned), "--model", "twfo",
+                     "--free", "epsilon_abs,epsilon_arg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid-argument: ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert "i0" in captured.err
 
     def test_discriminate_report(self, tmp_path):
         out = tmp_path / "power.txt"

@@ -174,6 +174,17 @@ class TestFitIntensity:
         with pytest.raises(ValueError, match=rf"repeated fit parameters: \['{free[0]}'\]"):
             fit_intensity(binned, DecayModel.HYBRID, params, free=free)
 
+    @pytest.mark.parametrize("free", [(), ("epsilon_abs",), ("delta_m",),
+                                      ("epsilon_abs", "epsilon_arg"),
+                                      ("epsilon_abs", "epsilon_arg", "delta_m")],
+                             ids=lambda free: ",".join(free) or "none")
+    def test_free_set_without_i0_rejected(self, params, free):
+        # a fit that held i0 fixed would scale the unnormalised template,
+        # whose mass is about tau_S, by the total count: every mean ~1e10 low
+        binned = asimov_binned(params, total=1e6)
+        with pytest.raises(ValueError, match="must include i0"):
+            fit_intensity(binned, DecayModel.TIME_OPERATOR, params, free=free)
+
     def test_saturated_term_matches_mpmath(self, params):
         # the nll at mu = counts, summed over bins of 0 to ~1e9 counts
         mpmath = pytest.importorskip("mpmath")

@@ -319,6 +319,24 @@ class TestSampleJoint:
         cond = np.real(((1.0 - np.exp(-np.multiply.outer(tr, joint.w))) * a).sum(axis=1))
         assert np.all(np.abs(cond - u_right * full) <= rounding_floor(a))
 
+    def test_pair_solver_residuals_within_rounding_floor_at_every_seed(self, params):
+        # the solver's own conditional, checked at each of several seeds
+        state = BipartiteState.alpha(0.0, params)
+        joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR, state,
+                                           normalized=True))
+        left = joint.marginal()
+        t_max = Dist1D(left.d, left.z).t_max
+        n = 10_000
+        for seed in map(RunSeed, range(10)):
+            pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, seed)
+            tl, tr = pairs.time[0::2], pairs.time[1::2]
+            rng = seed.generator()
+            rng.random(n)
+            u_right = rng.random(n)
+            cond = joint.conditional(tl)
+            residual = np.abs(cond.cdf(tr) - u_right * cond.cdf(t_max))
+            assert np.all(residual <= cond.rounding_floor()), seed
+
     @pytest.mark.parametrize("n", CHUNK_SIZES[1:])
     def test_pairs_independent_of_cpu_count_and_chunking(self, params, monkeypatch, n):
         state = BipartiteState.beta(0.3, params)
@@ -403,6 +421,33 @@ class TestDetect:
         moved = np.abs(b0.pair_counts - b1.pair_counts).sum()
         # only events within window/2 of a bin edge can migrate
         assert moved < 4 * math.sqrt(len(events)) + len(events) / 50
+
+    def test_detect_under_the_seed_of_simulate_matches_the_smeared_law(self, tmp_path):
+        # one seed for both commands, as with the default seed or a shared
+        # --config seed: the smear must not reuse the uniforms that drew
+        # the decay times, which would bend the histogram
+        from kaonlab.cli import main
+
+        events, binned = tmp_path / "events.csv", tmp_path / "binned.csv"
+        n, window = 200_000, 1e-11
+        assert main(["simulate", "--model", "twfo", "--n", str(n), "--seed", "7",
+                     "--out", str(events)]) == 0
+        assert main(["detect", "--events", str(events), "--window-tau", str(window),
+                     "--t-max", "1e-8", "--bins", "100", "--efficiency", "1",
+                     "--branching-charged", "1", "--seed", "7", "--out", str(binned)]) == 0
+        counts = read_binned(binned).pair_counts
+        # the cdf at each edge averaged over the window, by the trapezoid rule
+        edges = DetectorConfig(t_max=1e-8, n_bins=100).edges()
+        shift = np.linspace(-0.5 * window, 0.5 * window, 4001)
+        at = np.maximum(np.subtract.outer(edges, shift), 0.0)
+        state = cronin_fitch_state(KaonParams(), +1)
+        smeared = np.trapezoid(cdf(DecayModel.TIME_OPERATOR, state, at), shift,
+                               axis=1) / window
+        mu = n * np.diff(smeared)
+        big = mu > 5
+        assert np.count_nonzero(big) == 10
+        chi2 = float(np.sum((counts[big] - mu[big]) ** 2 / mu[big]))
+        assert chi2 < 40.0
 
     def test_window_smearing_is_centred(self, params):
         rng_events = EventTable(np.arange(50000), np.zeros(50000, dtype=int),
