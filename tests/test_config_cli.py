@@ -534,6 +534,12 @@ class TestCliContract:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_cli_import_builds_no_power_table(self):
+        script = ("import sys, kaonlab.cli, kaonlab.textfmt as t; "
+                  "print('fractions' in sys.modules, t._power.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False 0\n", "")
+
     def test_small_simulate_starts_no_worker_pool(self, tmp_path):
         script = textwrap.dedent(f"""
             import sys

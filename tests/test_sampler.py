@@ -502,6 +502,17 @@ class TestEventFiles:
             assert path.read_text() == expected, workers
             assert stream.getvalue() == expected, workers
 
+    def test_event_ids_written_as_percent_d(self, tmp_path):
+        big = np.iinfo(np.int64)
+        # the id width changes inside the chunk, at 10, 100 and 1000
+        ids = np.concatenate([np.arange(1200), [big.max, -1, -10, big.min, 0, 9, 10, 99, 100]])
+        events = EventTable(ids, np.zeros(ids.size, dtype=int), np.zeros(ids.size, dtype=int),
+                            np.full(ids.size, 1.5e-10))
+        path = tmp_path / "e.csv"
+        write_events(path, events)
+        assert path.read_text().split("\n") == ["event_id,side,channel,time_s", *(
+            f"{i},single,pair,{1.5e-10:.17e}" for i in ids.tolist()), ""]
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_pieces_cut_next_to_blank_lines_round_trip(self, tmp_path, monkeypatch,
                                                         newline):
