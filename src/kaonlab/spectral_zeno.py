@@ -38,6 +38,9 @@ from .errors import UnsupportedRegimeError
 from .sampler import RunSeed
 
 _TRAPZ_TOL = 1e-8
+_SMALL_THETA = 1e-3     # below it the panel moments use their Taylor series
+_CHUNK_ROWS = 16        # times per block
+_CHUNK_PANELS = 4096    # panels per block
 
 
 @dataclass(frozen=True)
@@ -121,67 +124,80 @@ def lorentzian_spectrum(energy: ComplexEnergy, e_min: float, e_max: float,
     return EnergySpectrum(grid, density, float(e_min), float(e_max), amplitude)
 
 
-def _filon_segments(theta):
-    """Panel moments A = int_0^1 e^{-i theta x} dx and
-    B = int_0^1 x e^{-i theta x} dx, stable for small theta."""
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-3
-    th = np.where(small, 1.0, theta)
-    phase = np.exp(-1j * theta)
-    a = (1.0 - phase) / (1j * th)
-    b = (a - phase) / (1j * th)
-    t2 = theta * theta
-    a_series = 1.0 - 0.5j * theta - t2 / 6.0 + 1j * theta * t2 / 24.0 + t2 * t2 / 120.0
-    b_series = 0.5 - 1j * theta / 3.0 - t2 / 8.0 + 1j * theta * t2 / 30.0 + t2 * t2 / 144.0
-    return np.where(small, a_series, a), np.where(small, b_series, b)
-
-
 def fourier_transform_sampled(energies, values, times) -> np.ndarray:
-    """integral dE e^{-iEt} f(E) for f sampled on a grid, panel-exact in the
-    oscillatory factor (linear interpolation of f per panel)."""
+    """integral dE e^{-iEt} f(E) for real f sampled on a grid, panel-exact in
+    the oscillatory factor (linear interpolation of f per panel).
+
+    Panel k of width h contributes h e^{-i t e_k} (f_k A + (f_{k+1} - f_k) B)
+    with the moments A = int_0^1 e^{-i theta x} dx, B = int_0^1 x e^{-i theta x} dx
+    at theta = t h, in real arithmetic (1 - cos theta = 2 sin^2(theta/2)).
+    Blocks of fixed size keep memory bounded and make each time's value
+    independent of the other times requested.
+    """
     energies = np.asarray(energies, dtype=float)
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    e0 = energies[:-1]
     h = np.diff(energies)
-    f0 = values[:-1]
-    df = values[1:] - values[:-1]
-    out = np.zeros(times.shape, dtype=complex)
-    chunk = max(1, int(4e6 / max(times.size, 1)))
-    for start in range(0, h.size, chunk):
-        sl = slice(start, start + chunk)
-        theta = np.multiply.outer(times, h[sl])
-        a, b = _filon_segments(theta)
-        panel = h[None, sl] * np.exp(-1j * np.multiply.outer(times, e0[sl])) \
-            * (f0[None, sl] * a + df[None, sl] * b)
-        out += panel.sum(axis=1)
+    e0 = energies[:-1]
+    f0 = h * values[:-1]
+    df = h * np.diff(values)
+    out = np.empty(times.size, dtype=complex)
+    for r in range(0, times.size, _CHUNK_ROWS):
+        t = times[r:r + _CHUNK_ROWS, None]
+        re = im = 0.0
+        for c in range(0, h.size, _CHUNK_PANELS):
+            sl = slice(c, c + _CHUNK_PANELS)
+            theta = t * h[sl]
+            small = np.abs(theta) < _SMALL_THETA
+            inv = 1.0 / np.where(small, 1.0, theta)
+            sin = np.sin(theta)
+            omc = 2.0 * np.sin(0.5 * theta) ** 2
+            # g = f0 A + df B, A = (sin - i omc) / theta, B = (A - e^{-i theta}) / (i theta)
+            g_re = inv * (f0[sl] * sin + df[sl] * (sin - omc * inv))
+            g_im = inv * (df[sl] * (1.0 - omc - sin * inv) - f0[sl] * omc)
+            if small.any():
+                th = theta[small]
+                t2 = th * th
+                f0s = np.broadcast_to(f0[sl], theta.shape)[small]
+                dfs = np.broadcast_to(df[sl], theta.shape)[small]
+                g_re[small] = (f0s * (1.0 - t2 / 6.0 + t2 * t2 / 120.0)
+                               + dfs * (0.5 - t2 / 8.0 + t2 * t2 / 144.0))
+                g_im[small] = (th * (t2 / 24.0 - 0.5) * f0s
+                               + th * (t2 / 30.0 - 1.0 / 3.0) * dfs)
+            phi = t * e0[sl]
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            re += np.sum(cos_phi * g_re + sin_phi * g_im, axis=1)
+            im += np.sum(cos_phi * g_im - sin_phi * g_re, axis=1)
+        out.real[r:r + _CHUNK_ROWS] = re
+        out.imag[r:r + _CHUNK_ROWS] = im
     return out
 
 
-def _time_operator_survival_table(spec: EnergySpectrum,
+def _time_operator_survival_table(spec: EnergySpectrum, t_max: float,
                                   n_window: int = 1 << 19,
                                   n_fft: int = 1 << 22):
     """Survival of the time-operator pdf |Psi(t)|^2 on a dense t >= 0 grid.
 
     Psi is generated by an oversampled zero-padded FFT of the amplitude;
     the pdf is integrated backwards (trapezoid) and normalised over t >= 0.
+    Psi(t_k) = de e^{-i e_0 t_k} FFT(padded)[k]; the phase has unit modulus,
+    so the pdf is de^2 |FFT|^2 and the phase is never formed.  ``t_max``
+    beyond the grid's last time is refused before any transform.
     """
     if spec.amplitude is None:
         raise ValueError("time-operator convention needs the spectrum amplitude")
     e = np.linspace(spec.energies[0], spec.energies[-1], n_window)
-    amp_re = np.interp(e, spec.energies, spec.amplitude.real)
-    amp_im = np.interp(e, spec.energies, spec.amplitude.imag)
-    amp = amp_re + 1j * amp_im
-    amp[0] *= 0.5
-    amp[-1] *= 0.5
     de = e[1] - e[0]
+    if t_max > 2.0 * math.pi * (n_fft // 2 - 1) / (n_fft * de):
+        raise ValueError("requested time beyond the transform range")
     padded = np.zeros(n_fft, dtype=complex)
-    padded[:n_window] = amp
-    # Psi(t_k) = de * e^{-i e0 t_k} * FFT(padded)[k],  t_k = 2 pi k / (n_fft de)
-    spectrum_fft = np.fft.fft(padded)
+    padded.real[:n_window] = np.interp(e, spec.energies, spec.amplitude.real)
+    padded.imag[:n_window] = np.interp(e, spec.energies, spec.amplitude.imag)
+    padded[0] *= 0.5
+    padded[n_window - 1] *= 0.5
+    half = np.fft.fft(padded)[: n_fft // 2]
     t = 2.0 * math.pi * np.arange(n_fft // 2) / (n_fft * de)
-    psi = de * np.exp(-1j * e[0] * t) * spectrum_fft[: n_fft // 2]
-    pdf = np.abs(psi) ** 2
+    pdf = de * de * (half.real ** 2 + half.imag ** 2)
     # reverse trapezoid: mass beyond each grid point
     dt = t[1] - t[0]
     seg = 0.5 * (pdf[:-1] + pdf[1:]) * dt
@@ -215,9 +231,7 @@ def survival_from_spectrum(spec: EnergySpectrum, t,
         amp0 = fourier_transform_sampled(spec.energies, spec.density, np.array([0.0]))
         out = np.abs(amp) ** 2 / abs(amp0[0]) ** 2
     elif convention == "time_operator":
-        grid, tail = _time_operator_survival_table(spec)
-        if np.any(t_arr > grid[-1]):
-            raise ValueError("requested time beyond the transform range")
+        grid, tail = _time_operator_survival_table(spec, t_arr.max(initial=0.0))
         out = np.interp(t_arr, grid, tail)
     else:
         raise ValueError(f"unknown convention {convention!r}")

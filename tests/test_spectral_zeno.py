@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from kaonlab.cli import main
 from kaonlab.core import ComplexEnergy, KaonParams, QuasiSpinor
 from kaonlab.errors import UnsupportedRegimeError
 from kaonlab.sampler import RunSeed
 from kaonlab.spectral_zeno import (EnergySpectrum, MeasurementSchedule,
-                                   lorentzian_spectrum, survival_from_spectrum,
-                                   zeno_outcome_analytic, zeno_sequence)
+                                   fourier_transform_sampled, lorentzian_spectrum,
+                                   survival_from_spectrum, zeno_outcome_analytic,
+                                   zeno_sequence)
 
 GAMMA = 2.0
 
@@ -127,6 +131,89 @@ class TestSurvival:
     def test_unknown_convention_rejected(self, wide_spectrum):
         with pytest.raises(ValueError):
             survival_from_spectrum(wide_spectrum, 0.5, "wrong")
+
+
+def _mp_panel_transform(energies, values, t):
+    """The exact transform of the piecewise-linear interpolant, at 40 digits:
+    sum over panels of h e^{-i t e0} (f0 A + df B), with the moments
+    A = int_0^1 e^{-i theta x} dx and B = int_0^1 x e^{-i theta x} dx summed
+    as their power series below theta = 1 (to terms of 1e-45) and in closed
+    form above."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(t))
+        total = mpmath.mpc(0)
+        for a, b, fa, fb in zip(energies[:-1], energies[1:], values[:-1], values[1:]):
+            a, b, fa, fb = (mpmath.mpf(float(x)) for x in (a, b, fa, fb))
+            h = b - a
+            theta = t * h
+            if theta < 1:
+                moments_a = moments_b = mpmath.mpc(0)
+                term = mpmath.mpc(1)  # (-i theta)^n / n!
+                n = 0
+                while abs(term) > 1e-45:
+                    moments_a += term / (n + 1)
+                    moments_b += term / (n + 2)
+                    n += 1
+                    term *= -1j * theta / n
+            else:
+                phase = mpmath.expj(-theta)
+                moments_a = (1 - phase) / (1j * theta)
+                moments_b = (moments_a - phase) / (1j * theta)
+            total += h * mpmath.expj(-t * a) * (fa * moments_a + (fb - fa) * moments_b)
+        return complex(total)
+
+
+class TestFourierKernel:
+    def test_matches_mpmath_oracle(self):
+        spec = lorentzian_spectrum(ComplexEnergy(0.0, GAMMA), -50 * GAMMA,
+                                   50 * GAMMA, 101)
+        ts = np.array([0.0, 0.01, 0.05, 0.5, 3.0, 20.0, 100.0])
+        theta = np.multiply.outer(ts, np.diff(spec.energies))
+        # the panels straddle the series switch at 1e-3 and reach far past 1
+        assert np.any((theta > 0) & (theta < 1e-3)) and np.any(theta > 100)
+        assert np.any(theta[4] < 1e-3) and np.any(theta[4] > 1)
+        got = fourier_transform_sampled(spec.energies, spec.density, ts)
+        want = np.array([_mp_panel_transform(spec.energies, spec.density, t) for t in ts])
+        assert np.max(np.abs(got - want)) < 1e-15
+
+    def test_time_alone_equals_its_batch_rows(self, wide_spectrum):
+        e, rho = wide_spectrum.energies, wide_spectrum.density
+        t400 = np.linspace(0.0, 8.0 / GAMMA, 400)
+        batch400 = fourier_transform_sampled(e, rho, t400)
+        batch200 = fourier_transform_sampled(e, rho, t400[::2])
+        assert np.array_equal(batch400[::2], batch200)
+        for i in range(0, 400, 23):
+            alone = fourier_transform_sampled(e, rho, t400[i])
+            assert alone.shape == (1,)
+            assert alone[0] == batch400[i], i
+            if i % 2 == 0:
+                assert alone[0] == batch200[i // 2], i
+
+    def test_autocorrelation_memory_bounded(self):
+        # the README command: spectrum --width 1.12e10 --survival
+        width = 1.12e10
+        spec = lorentzian_spectrum(ComplexEnergy(0.0, width), -50 * width,
+                                   50 * width, 8001)
+        grid = np.linspace(0.0, 5.0 / width, 200)
+        tracemalloc.start()
+        try:
+            survival_from_spectrum(spec, grid, "autocorrelation")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_time_operator_range_refused_before_transform(self, monkeypatch, capsys):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("transform built for an out-of-range request")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        assert main(["spectrum", "--survival", "--convention", "time_operator",
+                     "--t-max", "1e-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid-argument: requested time beyond "
+                                "the transform range\n")
 
 
 class TestSchedule:
