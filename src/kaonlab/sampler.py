@@ -60,8 +60,8 @@ class RunSeed:
     (e.g. left/right detectors, power-scan trials).  Substreams are derived
     by mixing a substream index into the Philox key, so parallel workers
     can draw without coordination.  Substreams in use: 0 the sampled decay
-    times, Zeno's outcomes and the power scan's null trials; 1 the power
-    scan's alternative trials; 2 every draw of ``detect``.
+    times and the power scan's null trials; 1 the power scan's alternative
+    trials; 2 every draw of ``detect``; 3 Zeno's outcomes.
     """
 
     seed: int

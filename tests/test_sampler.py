@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
+from _util import assert_same_lines
 from kaonlab import sampler
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import ModelPathologyError
@@ -499,9 +500,8 @@ class TestEventFiles:
             path, stream = tmp_path / f"e{workers}.csv", io.StringIO()
             write_events(path, events)
             write_events(stream, events)
-            # line lists: a mismatch names its line instead of diffing two texts
-            assert path.read_text().split("\n") == expected.split("\n"), workers
-            assert stream.getvalue().split("\n") == expected.split("\n"), workers
+            assert_same_lines(path.read_text(), expected)
+            assert_same_lines(stream.getvalue(), expected)
 
     def test_event_ids_written_as_percent_d(self, tmp_path):
         big = np.iinfo(np.int64)
@@ -511,8 +511,8 @@ class TestEventFiles:
                             np.full(ids.size, 1.5e-10))
         path = tmp_path / "e.csv"
         write_events(path, events)
-        assert path.read_text().split("\n") == ["event_id,side,channel,time_s", *(
-            f"{i},single,pair,{1.5e-10:.17e}" for i in ids.tolist()), ""]
+        assert_same_lines(path.read_text(), "event_id,side,channel,time_s\n" + "".join(
+            f"{i},single,pair,{1.5e-10:.17e}\n" for i in ids.tolist()))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_pieces_cut_next_to_blank_lines_round_trip(self, tmp_path, monkeypatch,

@@ -163,6 +163,69 @@ def _mp_panel_transform(energies, values, t):
         return complex(total)
 
 
+def _exact_sum_time_operator(spec, times, n_window=1 << 19, n_fft=1 << 22):
+    """The time-operator survival from the zero-padded n_fft-point FFT, with
+    the mass beyond each interpolation node summed exactly.  The trapezoid
+    segments are positive, so correctly rounded sums (math.fsum) of disjoint
+    pieces, themselves summed by math.fsum, are within about 2 ulp."""
+    e = np.linspace(spec.energies[0], spec.energies[-1], n_window)
+    de = e[1] - e[0]
+    padded = np.zeros(n_fft, dtype=complex)
+    padded.real[:n_window] = np.interp(e, spec.energies, spec.amplitude.real)
+    padded.imag[:n_window] = np.interp(e, spec.energies, spec.amplitude.imag)
+    padded[[0, n_window - 1]] *= 0.5
+    half = np.fft.fft(padded)[: n_fft // 2]
+    del padded
+    t = 2.0 * math.pi * np.arange(n_fft // 2) / (n_fft * de)
+    pdf = de * de * (half.real ** 2 + half.imag ** 2)
+    seg = 0.5 * (pdf[:-1] + pdf[1:]) * (t[1] - t[0])
+    left = np.searchsorted(t, times, side="right") - 1
+    nodes = np.unique(np.concatenate([[0], left, left + 1]))
+    bounds = np.unique(np.concatenate([nodes, np.arange(0, seg.size, 1 << 16), [seg.size]]))
+    pieces = [math.fsum(seg[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
+    tails = np.array([math.fsum(pieces[j:]) for j in np.searchsorted(bounds, nodes)])
+    return np.interp(times, t[nodes], tails / tails[0])
+
+
+class TestTimeOperatorTable:
+    # the bench's command: spectrum --width 1.12e10 --e-min=-1.12e13
+    # --e-max=1.12e13 --survival --convention time_operator
+    WIDTH = 1.12e10
+
+    def bench_spectrum(self):
+        return lorentzian_spectrum(ComplexEnergy(0.0, self.WIDTH), -1000 * self.WIDTH,
+                                   1000 * self.WIDTH, 8001)
+
+    def test_matches_exact_tail_sums(self):
+        spec = self.bench_spectrum()
+        grid = np.linspace(0.0, 5.0 / self.WIDTH, 200)
+        got = survival_from_spectrum(spec, grid, "time_operator")
+        want = _exact_sum_time_operator(spec, grid)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-14
+
+    def test_time_alone_equals_its_batch_row(self):
+        spec = self.bench_spectrum()
+        grid = np.linspace(0.0, 5.0 / self.WIDTH, 200)
+        batch = survival_from_spectrum(spec, grid, "time_operator")
+        # the table ends just past the largest time asked for
+        for i in (0, 1, 57, 123, 198, 199):
+            alone = survival_from_spectrum(spec, grid[i], "time_operator")
+            assert alone == batch[i], i
+
+    def test_memory_bounded(self):
+        # the README command: spectrum --width 1.12e10 --survival
+        spec = lorentzian_spectrum(ComplexEnergy(0.0, self.WIDTH), -50 * self.WIDTH,
+                                   50 * self.WIDTH, 8001)
+        grid = np.linspace(0.0, 5.0 / self.WIDTH, 200)
+        tracemalloc.start()
+        try:
+            survival_from_spectrum(spec, grid, "time_operator")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
 class TestFourierKernel:
     def test_matches_mpmath_oracle(self):
         spec = lorentzian_spectrum(ComplexEnergy(0.0, GAMMA), -50 * GAMMA,
@@ -281,6 +344,20 @@ class TestZeno:
             a = getattr(analytic, name)
             sigma = math.sqrt(a * (1 - a) / n)
             assert abs(getattr(mc, name) - a) < 3 * sigma
+
+    def test_monte_carlo_draws_from_its_own_substream(self, monkeypatch):
+        # 0 is the sampled decay times', 1 the power scan's, 2 detect's
+        used = []
+        generator = RunSeed.generator
+
+        def spy(seed, substream=0):
+            used.append(substream)
+            return generator(seed, substream)
+
+        monkeypatch.setattr(RunSeed, "generator", spy)
+        schedule = MeasurementSchedule((0.4 * self.params.tau_s,), 2.0 * self.params.tau_s)
+        zeno_sequence(self.initial, self.params, schedule, 1000, RunSeed(42))
+        assert used and not set(used) & {0, 1, 2}
 
     def test_cp_violating_regime_rejected(self):
         p = KaonParams()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _util import assert_same_lines
 from kaonlab import textfmt
 from kaonlab.core import DecayModel, KaonParams
 from kaonlab.sampler import RunSeed, sample_decay_times
@@ -19,14 +20,6 @@ def e17_text(x):
 
 def percent_text(x):
     return ("%.17e\n" * x.size % tuple(x.tolist())).encode("ascii")
-
-
-def assert_same_lines(text, expected):
-    """Name the first differing line, not megabytes of diff."""
-    if text != expected:
-        lines = zip(text.split(b"\n"), expected.split(b"\n"))
-        pytest.fail("first differing line (index, got, expected): "
-                    f"{next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None)}")
 
 
 def test_sampled_times_formatted_without_fallback():
