@@ -22,8 +22,8 @@ Draws are inverted, and event files formatted and parsed, in chunks
 across the CPUs in the process's affinity mask, by forked worker
 processes.  Each sample is solved on its own and the chunks are joined in
 order, so the draws, the bytes written and the table read are identical
-for any CPU count.  Event rows are formatted in numpy by
-:mod:`kaonlab.textfmt`, byte for byte as Python's ``%`` formats them.
+for any CPU count.  :mod:`kaonlab.textfmt` formats event rows in numpy,
+byte for byte as ``%`` does, and reads them back exactly as ``float`` does.
 """
 
 from __future__ import annotations
@@ -364,8 +364,8 @@ def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = seed.generator().random(int(n))
-    return Dist1D(coeffs, rates, restrict_to_support).ppf(u)
+    dist = Dist1D(coeffs, rates, restrict_to_support)  # refuses before any draw
+    return dist.ppf(seed.generator().random(int(n)))
 
 
 def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
@@ -585,7 +585,9 @@ def _event_columns(rows: np.ndarray):
 
 def _parse_events(text: bytes, bounds):
     """Event columns of the whole lines ``text[bounds[0]:bounds[1]]``."""
-    return _event_columns(_load_rows(io.BytesIO(text[slice(*bounds)]), _EVENT_ROW))
+    piece = memoryview(text)[slice(*bounds)]
+    return (textfmt.parse_rows(piece, SIDES, CHANNELS)
+            or _event_columns(_load_rows(io.BytesIO(piece), _EVENT_ROW)))
 
 
 def _line_pieces(text: bytes, start: int):
@@ -611,11 +613,12 @@ def read_events(path) -> EventTable:
     """The table of the event file at ``path``.
 
     The file is ASCII with universal newlines, as for a file opened as
-    text.  The body is parsed in pieces of whole lines and the table is
-    built from all of them, so a bad value names its row in the file.  A
-    file that fails to parse is parsed again in one call, on this error
-    path only, so that the message names the failing line as that call
-    counts lines.
+    text.  The body is parsed in pieces of whole lines, by
+    :func:`textfmt.parse_rows` or, for a piece it refuses, ``np.loadtxt``;
+    the table is built from all of them, so a bad value names its row in
+    the file.  A file that fails to parse is parsed again in one call, on
+    this error path only, so that the message names the failing line as
+    that call counts lines.
     """
     with open(path, "rb") as fh:
         text = fh.read()

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from _util import assert_same_lines
-from kaonlab import sampler
+from kaonlab import sampler, textfmt
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import ModelPathologyError
 from kaonlab.expsum import ExpSum, ExpSum2
@@ -252,6 +252,15 @@ class TestSampleDecayTimes:
             sample_decay_times(DecayModel.STANDARD, st, 10, RunSeed(1))
         assert err.value.t_lo is not None and err.value.t_hi is not None
 
+    def test_pathological_model_refused_before_any_draw(self, params, monkeypatch):
+        def draw(*args):
+            raise AssertionError("uniforms drawn for a model that is refused")
+
+        monkeypatch.setattr(RunSeed, "generator", draw)
+        with pytest.raises(ModelPathologyError):
+            sample_decay_times(DecayModel.STANDARD, cronin_fitch_state(params, +1), 10 ** 6,
+                               RunSeed(1))
+
     def test_n_must_be_positive(self, params):
         st = cronin_fitch_state(params, +1)
         with pytest.raises(ValueError):
@@ -314,10 +323,16 @@ class TestSampleJoint:
                                            normalized=True))
         left = joint.marginal()
         t_max = Dist1D(left.d, left.z).t_max
-        # the conditional cdf of tr given tl, up to the mass it has on [0, t_max]
-        a = np.exp(-np.multiply.outer(tl, left.z)) * left.d
-        full = np.real(((1.0 - np.exp(-t_max * joint.w)) * a).sum(axis=1))
-        cond = np.real(((1.0 - np.exp(-np.multiply.outer(tr, joint.w))) * a).sum(axis=1))
+        # the conditional cdf of tr given tl, up to the mass it has on [0, t_max],
+        # rounded in the solver's order: the rows (d e^{-z tl}) / w, and the
+        # real part of each term, summed over k
+        a = (joint.d * np.exp(-np.multiply.outer(tl, joint.z))) / joint.w
+
+        def real_sum(x):
+            return (x.real * a.real - x.imag * a.imag).sum(axis=1)
+
+        full = real_sum(1.0 - np.exp(-t_max * joint.w))
+        cond = real_sum(1.0 - np.exp(-np.multiply.outer(tr, joint.w)))
         assert np.all(np.abs(cond - u_right * full) <= rounding_floor(a))
 
     def test_pair_solver_residuals_within_rounding_floor_at_every_seed(self, params):
@@ -536,6 +551,57 @@ class TestEventFiles:
         back = read_events(path)
         for column in ("event_id", "side", "channel", "time"):
             assert np.array_equal(getattr(back, column), getattr(events, column)), column
+
+    @staticmethod
+    def _assert_same_table(got, expected):
+        for column in ("event_id", "side", "channel", "time"):
+            assert getattr(got, column).tobytes() == getattr(expected, column).tobytes(), column
+
+    def test_canonical_file_read_without_loadtxt(self, tmp_path, monkeypatch, params):
+        events = sample_decay_times(DecayModel.TIME_OPERATOR, cronin_fitch_state(params, +1),
+                                    200_000, RunSeed(7))
+        path = tmp_path / "e.csv"
+        write_events(path, events)
+
+        def load_rows(*args):
+            raise AssertionError("a piece of a canonical file went to np.loadtxt")
+
+        monkeypatch.setattr(sampler, "_load_rows", load_rows)
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+        assert len(sampler._line_pieces(path.read_bytes(), 0)) > 1
+        self._assert_same_table(read_events(path), events)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_mixed_file_read_as_loadtxt_reads_it(self, tmp_path, monkeypatch, newline):
+        n, rng = 3000, np.random.default_rng(3)
+        events = EventTable(np.arange(n) // 2, np.arange(n) % 2 + SIDES.index("left"),
+                            rng.integers(0, 2, n), rng.exponential(1e-10, n))
+        stream = io.StringIO()
+        write_events(stream, events)
+        text = stream.getvalue().encode("ascii")
+        lines = text.splitlines(keepends=True)
+        # rows only np.loadtxt reads: a short time, a zero time, a
+        # three-digit exponent and an id with leading zeros
+        lines[100] = b"50,left,pair,1e-10\n"
+        lines[1500] = b"749,right,triplet,0.00000000000000000e+00\n"
+        lines[2001] = b"1000,right,pair,1.00000000000000000e-100\n"
+        lines[2500] = b"01249,left,pair,1.50000000000000003e-10\n"
+        text = b"".join(lines)
+        monkeypatch.setattr(sampler, "_PIECE_BYTES", 1000)
+        # a blank line right after every third cut between pieces
+        cuts = [start for start, _ in sampler._line_pieces(text, len(lines[0]))[1::3]]
+        text = b"\n".join(text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]))
+        pieces = [text[slice(*b)] for b in sampler._line_pieces(text, len(lines[0]))]
+        assert any(piece.startswith(b"\n") or piece.endswith(b"\n\n") for piece in pieces)
+        refused = [textfmt.parse_rows(piece, SIDES, CHANNELS) is None for piece in pieces]
+        assert any(refused) and not all(refused)
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.replace(b"\n", newline.encode("ascii")))
+        rows = sampler._read_rows(path, sampler._EVENT_ROW)
+        expected = EventTable(*sampler._event_columns(rows))
+        for workers in (1, 3):
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            self._assert_same_table(read_events(path), expected)
 
     @pytest.mark.parametrize("row, message", [
         ("150000,single,pair,1.0e-9x",
