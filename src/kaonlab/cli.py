@@ -329,6 +329,10 @@ def cmd_zeno(args) -> int:
 
 def cmd_spectrum(args) -> int:
     run = _run_config(args)
+    curve_flags = (args.convention, args.grid_t_min, args.grid_t_max, args.grid_bins)
+    if not args.survival and any(v is not None for v in curve_flags):
+        raise ValueError("--convention, --t-min, --t-max and --bins shape the "
+                         "survival curve; they apply with --survival only")
     width = args.width if args.width is not None else run.params.gamma_s
     mass = args.mass
     energy = ComplexEnergy(mass, width)
@@ -338,7 +342,8 @@ def cmd_spectrum(args) -> int:
     if args.survival:
         grid = _time_grid(args, 5.0 / width, 200)
         _emit_table(run.out, "t_s,value", grid,
-                    survival_from_spectrum(spec, grid, convention=args.convention))
+                    survival_from_spectrum(spec, grid, convention=(
+                        args.convention or "autocorrelation")))
     else:
         _emit_table(run.out, "energy_s_inv,density", spec.energies, spec.density)
     return EXIT_OK
@@ -423,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=8001)
     p.add_argument("--survival", action="store_true")
     p.add_argument("--convention", choices=["autocorrelation", "time_operator"],
-                   default="autocorrelation")
+                   help="survival convention (default autocorrelation)")
     _grid_flags(p)
     p.set_defaults(func=cmd_spectrum)
 

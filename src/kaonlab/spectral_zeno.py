@@ -17,7 +17,8 @@ an open interpretive question this package does not take a side on.
 
 Oscillatory Fourier integrals over the sampled spectrum use panel-exact
 (Filon-type) trapezoid rules, so there is no aliasing at large t; the
-time-operator pdf comes from 8 unpadded FFTs, one per output residue.
+time-operator survival comes from 8 unpadded FFTs, one per output residue,
+each summed into fixed blocks of the t grid, so the whole pdf is never held.
 
 The Zeno part simulates instantaneous CP measurements interposed in the
 decoupled-channel evolution.  With exponential channels the interposed
@@ -38,9 +39,13 @@ from .errors import UnsupportedRegimeError
 from .sampler import RunSeed
 
 _TRAPZ_TOL = 1e-8
+_AMPLITUDE_TOL = 1e-12  # relative, |amplitude|^2 against density
 _SMALL_THETA = 1e-3     # below it the panel moments use their Taylor series
 _CHUNK_ROWS = 16        # times per block
 _CHUNK_PANELS = 4096    # panels per block
+_TAIL_BLOCK = 1 << 10   # time-operator grid points per tail-sum block
+_TWIDDLE_LO = 1 << 10   # entries of the twiddle's low-order table
+_TWIDDLE_ROWS = 64      # twiddle rows multiplied per step
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,9 @@ class EnergySpectrum:
             amp = np.asarray(self.amplitude, dtype=complex)
             if amp.shape != e.shape:
                 raise ValueError("amplitude must match the energy grid")
+            # written so that a nan amplitude fails the comparison
+            if not np.all(np.abs(np.abs(amp) ** 2 - rho) <= _AMPLITUDE_TOL * rho):
+                raise ValueError("amplitude's modulus squared must equal the density")
             object.__setattr__(self, "amplitude", amp)
 
 
@@ -181,9 +189,14 @@ def _time_operator_survival_table(spec: EnergySpectrum, t_max: float,
     Psi(t_k) = de e^{-i e_0 t_k} X[k], X the n_fft-point DFT of the amplitude
     x on n_window points, zero-padded, so the pdf is de^2 |X|^2.  Output m of
     the unpadded FFT of x e^{-2 pi i n r / n_fft} is X[stride m + r]: one
-    transform per residue r.  The pdf is integrated backwards (trapezoid),
-    normalised over t >= 0 and returned to just past ``t_max``, which is
-    checked before any transform.
+    transform per residue r, the twiddle advanced in place from two short
+    tables.  Each residue's |X|^2 is added into one sum per (block, residue)
+    over fixed blocks of ``_TAIL_BLOCK`` grid points, and kept only in the
+    blocks up to just past ``t_max`` (checked before any transform).  The
+    trapezoid mass beyond t_k is de^2 dt (S_k - pdf_k / 2 - pdf_last / 2),
+    with S_k = sum_{j >= k} pdf_j the later blocks' sums, summed from the far
+    end, plus k's own block summed back from its end; so t_k's value depends
+    on k alone.  Normalised over t >= 0, the factor de^2 dt cancels.
     """
     if spec.amplitude is None:
         raise ValueError("time-operator convention needs the spectrum amplitude")
@@ -194,33 +207,47 @@ def _time_operator_survival_table(spec: EnergySpectrum, t_max: float,
     x = np.empty(n_window, dtype=complex)
     x.real = np.interp(e, spec.energies, spec.amplitude.real)
     x.imag = np.interp(e, spec.energies, spec.amplitude.imag)
+    del e
     x[[0, -1]] *= 0.5
     stride = n_fft // n_window
-    rot = np.exp(-2j * math.pi * np.arange(n_window) / n_fft)
-    pdf = np.empty(n_fft // 2)
+    n_keep = min(n_fft // 2, int(t_max * n_fft * de / (2.0 * math.pi)) + 2)
+    kept = -(-n_keep // _TAIL_BLOCK)
+    per_block = _TAIL_BLOCK // stride
+    pdf = np.empty(kept * _TAIL_BLOCK)                     # |X|^2 = pdf / de^2
+    sums = np.empty((n_window // 2 // per_block, stride))  # per (block, residue)
+    # e^{-2 pi i n / n_fft} = hi[n // lo.size] lo[n % lo.size]
+    lo = np.exp(-2j * math.pi * np.arange(_TWIDDLE_LO) / n_fft)
+    hi = np.exp(-2j * math.pi * np.arange(0, n_window, _TWIDDLE_LO) / n_fft)
+    rows = x.reshape(hi.size, lo.size)
     out = np.empty_like(x)
     half = out[: n_window // 2]
+    sq = np.empty(half.size)
     for r in range(stride):
         if r:
-            x *= rot
+            for i in range(0, hi.size, _TWIDDLE_ROWS):
+                rows[i:i + _TWIDDLE_ROWS] *= hi[i:i + _TWIDDLE_ROWS, None] * lo
         np.fft.fft(x, out=out)
-        np.square(half.real, out=pdf[r::stride])
-        pdf[r::stride] += half.imag ** 2
-    del x, rot, out, half
-    pdf *= de * de
-    n_keep = min(n_fft // 2, int(t_max * n_fft * de / (2.0 * math.pi)) + 2)
-    t = 2.0 * math.pi * np.arange(n_keep) / (n_fft * de)
-    # reverse trapezoid: mass beyond each grid point, into the pdf's buffer
-    dt = t[1] - t[0]
-    seg = pdf[:-1] + pdf[1:]
-    seg *= 0.5 * dt
-    tail = pdf
-    np.cumsum(seg[::-1], out=tail[-2::-1])
-    tail[-1] = 0.0
+        np.square(half.real, out=sq)
+        sq += half.imag ** 2
+        sums[:, r] = sq.reshape(-1, per_block).sum(axis=1)
+        pdf[r::stride] = sq[: kept * per_block]
+    last = sq[-1]
+    del x, rows, out, half, sq
+    later = np.zeros(len(sums))  # the sum over the blocks after each block
+    np.cumsum(sums[:0:-1].sum(axis=1), out=later[-2::-1])
+    blocks = pdf.reshape(kept, _TAIL_BLOCK)
+    tail = np.empty_like(blocks)  # S_k, the own block's part from its end
+    np.cumsum(blocks[:, ::-1], axis=1, out=tail[:, ::-1])
+    tail += later[:kept, None]
+    blocks *= 0.5
+    tail -= blocks
+    tail -= 0.5 * last
+    tail = tail.ravel()[:n_keep]
     total = tail[0]
     if total <= 0:
         raise ValueError("time-operator pdf has no mass at t >= 0")
-    return t, tail[:n_keep] / total
+    t = 2.0 * math.pi * np.arange(n_keep) / (n_fft * de)
+    return t, tail / total
 
 
 def survival_from_spectrum(spec: EnergySpectrum, t,

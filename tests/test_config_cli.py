@@ -308,6 +308,13 @@ class TestCliGolden:
         data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
         assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_spectrum_survival_defaults_to_autocorrelation(self, tmp_path):
+        outs = [tmp_path / "default.csv", tmp_path / "autocorrelation.csv"]
+        argv = ["spectrum", "--width", "2.0", "--survival", "--bins", "9"]
+        assert main(argv + ["--out", str(outs[0])]) == 0
+        assert main(argv + ["--convention", "autocorrelation", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_spectrum_survival_curve(self, tmp_path):
         out = tmp_path / "surv.csv"
         code = main(["spectrum", "--width", "2.0", "--survival",
@@ -454,9 +461,15 @@ class TestCliContract:
         ["predict", "--quantity", "intensity", "--family", "alpha"],
         ["simulate", "--n", "10", "--model", "twfo", "--family", "beta", "--phase", "2"],
         ["simulate", "--n", "10", "--model", "twfo", "--phase", "0"],
+        ["spectrum", "--convention", "time_operator"],
+        ["spectrum", "--convention", "autocorrelation"],
+        ["spectrum", "--t-min", "1e-11"],
+        ["spectrum", "--t-max", "1e-9"],
+        ["spectrum", "--bins", "7"],
     ], ids=["intensity-cp", "joint-cp", "joint-quantity", "joint-i0", "curves-i0",
             "simulate-joint-cp", "curves-family-phase", "intensity-family",
-            "simulate-family-phase", "simulate-phase"])
+            "simulate-family-phase", "simulate-phase", "density-convention",
+            "density-autocorrelation", "density-t-min", "density-t-max", "density-bins"])
     def test_flags_that_do_not_apply_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2

@@ -43,6 +43,15 @@ class TestEnergySpectrum:
         assert np.abs(wide_spectrum.amplitude) ** 2 == pytest.approx(
             wide_spectrum.density, rel=1e-12)
 
+    @pytest.mark.parametrize("factor", [1.0 + 1e-11, 1j * (1.0 - 1e-11), math.nan],
+                             ids=["modulus", "phase-and-modulus", "nan"])
+    def test_amplitude_of_another_density_rejected(self, wide_spectrum, factor):
+        amp = wide_spectrum.amplitude.copy()
+        amp[4000] *= factor
+        with pytest.raises(ValueError, match="modulus squared"):
+            EnergySpectrum(wide_spectrum.energies, wide_spectrum.density,
+                           wide_spectrum.e_min, wide_spectrum.e_max, amp)
+
 
 class TestLorentzian:
     def test_zero_width_rejected(self):
@@ -196,8 +205,10 @@ class TestTimeOperatorTable:
         return lorentzian_spectrum(ComplexEnergy(0.0, self.WIDTH), -1000 * self.WIDTH,
                                    1000 * self.WIDTH, 8001)
 
-    def test_matches_exact_tail_sums(self):
-        spec = self.bench_spectrum()
+    @pytest.mark.parametrize("cutoff", [50, 1000], ids=["readme", "bench"])
+    def test_matches_exact_tail_sums(self, cutoff):
+        spec = lorentzian_spectrum(ComplexEnergy(0.0, self.WIDTH), -cutoff * self.WIDTH,
+                                   cutoff * self.WIDTH, 8001)
         grid = np.linspace(0.0, 5.0 / self.WIDTH, 200)
         got = survival_from_spectrum(spec, grid, "time_operator")
         want = _exact_sum_time_operator(spec, grid)
@@ -223,7 +234,7 @@ class TestTimeOperatorTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 32 * 2 ** 20
 
 
 class TestFourierKernel:
