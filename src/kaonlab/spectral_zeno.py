@@ -17,8 +17,10 @@ an open interpretive question this package does not take a side on.
 
 Oscillatory Fourier integrals over the sampled spectrum use panel-exact
 (Filon-type) trapezoid rules, so there is no aliasing at large t; the
-time-operator survival comes from 8 unpadded FFTs, one per output residue,
-each summed into fixed blocks of the t grid, so the whole pdf is never held.
+time-operator survival comes from 8 unpadded transforms, one per output
+residue, each taken as a 1024 x 512 four-step FFT (no FFT longer than 1024
+points) and summed into fixed blocks of the t grid, so the whole pdf is
+never held.
 
 The Zeno part simulates instantaneous CP measurements interposed in the
 decoupled-channel evolution.  With exponential channels the interposed
@@ -44,8 +46,11 @@ _SMALL_THETA = 1e-3     # below it the panel moments use their Taylor series
 _CHUNK_ROWS = 16        # times per block
 _CHUNK_PANELS = 4096    # panels per block
 _TAIL_BLOCK = 1 << 10   # time-operator grid points per tail-sum block
-_TWIDDLE_LO = 1 << 10   # entries of the twiddle's low-order table
-_TWIDDLE_ROWS = 64      # twiddle rows multiplied per step
+_INTERP_POINTS = 1 << 16  # time-operator amplitude samples interpolated per step
+_FFT_ROWS = 1 << 10     # four-step rows: the first stage's FFT length
+_STAGE_COLS = 64        # columns per first-stage FFT call
+_TWIDDLE_LO = 1 << 11   # entries of the twiddle's low-order table
+_TWIDDLE_RUN = 1 << 5   # row entries sharing one coarse twiddle factor
 
 
 @dataclass(frozen=True)
@@ -181,73 +186,113 @@ def fourier_transform_sampled(energies, values, times) -> np.ndarray:
     return out
 
 
-def _time_operator_survival_table(spec: EnergySpectrum, t_max: float,
-                                  n_window: int = 1 << 19,
-                                  n_fft: int = 1 << 22):
-    """Survival of the time-operator pdf |Psi(t)|^2 on a dense t >= 0 grid.
+def _time_operator_survival(spec: EnergySpectrum, times: np.ndarray,
+                            n_window: int = 1 << 19,
+                            n_fft: int = 1 << 22) -> np.ndarray:
+    """Survival of the time-operator pdf |Psi(t)|^2 at ``times`` >= 0.
 
     Psi(t_k) = de e^{-i e_0 t_k} X[k], X the n_fft-point DFT of the amplitude
-    x on n_window points, zero-padded, so the pdf is de^2 |X|^2.  Output m of
-    the unpadded FFT of x e^{-2 pi i n r / n_fft} is X[stride m + r]: one
-    transform per residue r, the twiddle advanced in place from two short
-    tables.  Each residue's |X|^2 is added into one sum per (block, residue)
-    over fixed blocks of ``_TAIL_BLOCK`` grid points, and kept only in the
-    blocks up to just past ``t_max`` (checked before any transform).  The
-    trapezoid mass beyond t_k is de^2 dt (S_k - pdf_k / 2 - pdf_last / 2),
-    with S_k = sum_{j >= k} pdf_j the later blocks' sums, summed from the far
-    end, plus k's own block summed back from its end; so t_k's value depends
-    on k alone.  Normalised over t >= 0, the factor de^2 dt cancels.
+    x on n_window points, zero-padded, so the pdf is de^2 |X|^2 on the grid
+    t_k = 2 pi k / (n_fft de).  Output m of the unpadded DFT of
+    x e^{-2 pi i n r / n_fft} is X[stride m + r]: one transform per residue
+    r (output pruning).  Each is taken in four steps (Bailey, J.
+    Supercomputing 4 (1990) 23) on cols[j1, j2] = x[n2 j1 + j2], with
+    m = k1 + n1 k2: length-n1 FFTs down the columns of cols W_{stride n1}^{j1 r},
+    then W_{n_fft}^{j2 (stride k1 + r)}, one twiddle standing for both the
+    four-step and the residue twiddle, then length-n2 FFTs along the rows.
+    x is never modified; every twiddle is a product of two short tables.
+    Rows k1 in [rows c, rows c + rows) at k2 < n2 / 2 are then exactly the
+    residue's share of tail block per_col k2 + c, a block of ``_TAIL_BLOCK``
+    grid points.  Each block's |X|^2 is added into one sum per (block,
+    residue), and kept only in the blocks holding a node np.interp reads:
+    the node at or below each time and the next one.  The trapezoid mass
+    beyond t_k is de^2 dt (S_k - pdf_k / 2 - pdf_last / 2), with
+    S_k = sum_{j >= k} pdf_j the later blocks' sums, summed from the far
+    end, plus k's own block summed back from its end; so t_k's value
+    depends on k alone.  Normalised over t >= 0, the factor de^2 dt cancels.
+    Times are checked against the transform's range, and an empty request
+    answered, before any transform.
     """
     if spec.amplitude is None:
         raise ValueError("time-operator convention needs the spectrum amplitude")
     e = np.linspace(spec.energies[0], spec.energies[-1], n_window)
     de = e[1] - e[0]
-    if t_max > 2.0 * math.pi * (n_fft // 2 - 1) / (n_fft * de):
+    n_half = n_fft // 2
+
+    def grid(k):
+        return 2.0 * math.pi * k / (n_fft * de)
+
+    if times.max(initial=0.0) > grid(n_half - 1):
         raise ValueError("requested time beyond the transform range")
+    if times.size == 0:
+        return np.empty(0)
+    # the node at or below each time, and the next one
+    k = np.minimum((times * (n_fft * de / (2.0 * math.pi))).astype(np.int64), n_half - 1)
+    k -= grid(k) > times
+    k += (k < n_half - 1) & (grid(k + 1) <= times)
+    nodes = np.unique(np.concatenate(([0], k, np.minimum(k + 1, n_half - 1))))
+    blocks, at = np.unique(nodes // _TAIL_BLOCK, return_inverse=True)
     x = np.empty(n_window, dtype=complex)
-    x.real = np.interp(e, spec.energies, spec.amplitude.real)
-    x.imag = np.interp(e, spec.energies, spec.amplitude.imag)
+    for i in range(0, n_window, _INTERP_POINTS):
+        sl = slice(i, i + _INTERP_POINTS)
+        x.real[sl] = np.interp(e[sl], spec.energies, spec.amplitude.real)
+        x.imag[sl] = np.interp(e[sl], spec.energies, spec.amplitude.imag)
     del e
     x[[0, -1]] *= 0.5
     stride = n_fft // n_window
-    n_keep = min(n_fft // 2, int(t_max * n_fft * de / (2.0 * math.pi)) + 2)
-    kept = -(-n_keep // _TAIL_BLOCK)
-    per_block = _TAIL_BLOCK // stride
-    pdf = np.empty(kept * _TAIL_BLOCK)                     # |X|^2 = pdf / de^2
-    sums = np.empty((n_window // 2 // per_block, stride))  # per (block, residue)
-    # e^{-2 pi i n / n_fft} = hi[n // lo.size] lo[n % lo.size]
+    n1 = _FFT_ROWS
+    n2 = n_window // n1
+    rows = _TAIL_BLOCK // stride  # rows k1 of one tail block, per residue
+    per_col = n1 // rows          # tail blocks per output column k2
+    cols = x.reshape(n1, n2)
+    work = np.empty_like(cols)
+    sums = np.empty((n_half // _TAIL_BLOCK, stride))  # per (block, residue)
+    pdf = np.empty((blocks.size, _TAIL_BLOCK))        # |X|^2 = pdf / de^2
+    # W_{n_fft}^n = hi[n >> shift] lo[n & mask] for 0 <= n < n_fft
+    shift = _TWIDDLE_LO.bit_length() - 1
     lo = np.exp(-2j * math.pi * np.arange(_TWIDDLE_LO) / n_fft)
-    hi = np.exp(-2j * math.pi * np.arange(0, n_window, _TWIDDLE_LO) / n_fft)
-    rows = x.reshape(hi.size, lo.size)
-    out = np.empty_like(x)
-    half = out[: n_window // 2]
-    sq = np.empty(half.size)
+    hi = np.exp(-2j * math.pi * np.arange(0, n_fft, _TWIDDLE_LO) / n_fft)
+
+    def twiddle(n):
+        return hi[n >> shift] * lo[n & (_TWIDDLE_LO - 1)]
+
+    j1 = np.arange(n1)
+    j2 = np.arange(n2)
     for r in range(stride):
-        if r:
-            for i in range(0, hi.size, _TWIDDLE_ROWS):
-                rows[i:i + _TWIDDLE_ROWS] *= hi[i:i + _TWIDDLE_ROWS, None] * lo
-        np.fft.fft(x, out=out)
-        np.square(half.real, out=sq)
-        sq += half.imag ** 2
-        sums[:, r] = sq.reshape(-1, per_block).sum(axis=1)
-        pdf[r::stride] = sq[: kept * per_block]
-    last = sq[-1]
-    del x, rows, out, half, sq
+        down = twiddle(n2 * r * j1)[:, None]  # W_{stride n1}^{j1 r}
+        for c in range(0, n2, _STAGE_COLS):
+            chunk = work[:, c:c + _STAGE_COLS]
+            np.multiply(cols[:, c:c + _STAGE_COLS], down, out=chunk)
+            np.fft.fft(chunk, axis=0, out=chunk)
+        for c in range(per_col):
+            block = work[c * rows:(c + 1) * rows]
+            # W^{j2 s}, s = stride k1 + r, as W^{s run a} W^{s b} for j2 = run a + b
+            s = stride * j1[c * rows:(c + 1) * rows, None] + r
+            runs = block.reshape(rows, -1, _TWIDDLE_RUN)
+            runs *= twiddle(s * j2[::_TWIDDLE_RUN])[:, :, None]
+            runs *= twiddle(s * j2[:_TWIDDLE_RUN])[:, None, :]
+            np.fft.fft(block, axis=1, out=block)
+            # rows c * rows + [0, rows) at k2 < n2 / 2 are tail block per_col k2 + c
+            sq = block.real[:, : n2 // 2] ** 2
+            sq += block.imag[:, : n2 // 2] ** 2
+            sums[c::per_col, r] = sq.sum(axis=0)
+            mine = blocks % per_col == c
+            pdf[mine, r::stride] = sq[:, blocks[mine] // per_col].T
+    last = sq[-1, -1]
+    del x, cols, work, block, runs
     later = np.zeros(len(sums))  # the sum over the blocks after each block
     np.cumsum(sums[:0:-1].sum(axis=1), out=later[-2::-1])
-    blocks = pdf.reshape(kept, _TAIL_BLOCK)
-    tail = np.empty_like(blocks)  # S_k, the own block's part from its end
-    np.cumsum(blocks[:, ::-1], axis=1, out=tail[:, ::-1])
-    tail += later[:kept, None]
-    blocks *= 0.5
-    tail -= blocks
+    tail = np.empty_like(pdf)    # S_k, the own block's part from its end
+    np.cumsum(pdf[:, ::-1], axis=1, out=tail[:, ::-1])
+    tail += later[blocks, None]
+    pdf *= 0.5
+    tail -= pdf
     tail -= 0.5 * last
-    tail = tail.ravel()[:n_keep]
+    tail = tail[at, nodes % _TAIL_BLOCK]
     total = tail[0]
     if total <= 0:
         raise ValueError("time-operator pdf has no mass at t >= 0")
-    t = 2.0 * math.pi * np.arange(n_keep) / (n_fft * de)
-    return t, tail / total
+    return np.interp(times, grid(nodes), tail / total)
 
 
 def survival_from_spectrum(spec: EnergySpectrum, t,
@@ -273,8 +318,7 @@ def survival_from_spectrum(spec: EnergySpectrum, t,
         amp0 = fourier_transform_sampled(spec.energies, spec.density, np.array([0.0]))
         out = np.abs(amp) ** 2 / abs(amp0[0]) ** 2
     elif convention == "time_operator":
-        grid, tail = _time_operator_survival_table(spec, t_arr.max(initial=0.0))
-        out = np.interp(t_arr, grid, tail)
+        out = _time_operator_survival(spec, t_arr)
     else:
         raise ValueError(f"unknown convention {convention!r}")
     return out if np.ndim(t) else float(out[0])

@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -235,6 +239,69 @@ class TestTimeOperatorTable:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def far_grid(self, spec):
+        """200 times up to the transform's last time, which is a grid node."""
+        n_window, n_fft = 1 << 19, 1 << 22
+        e = np.linspace(spec.energies[0], spec.energies[-1], n_window)
+        de = e[1] - e[0]
+        t_last = 2.0 * math.pi * (n_fft // 2 - 1) / (n_fft * de)
+        return np.linspace(0.0, t_last, 200)
+
+    def test_memory_bounded_up_to_the_last_time(self):
+        spec = self.bench_spectrum()
+        grid = self.far_grid(spec)
+        tracemalloc.start()
+        try:
+            batch = survival_from_spectrum(spec, grid, "time_operator")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert batch[-1] == 0.0
+        for i in (0, 1, 57, 123, 198, 199):
+            alone = survival_from_spectrum(spec, grid[i], "time_operator")
+            assert alone == batch[i], i
+
+    def test_no_times_build_no_transform(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("transform built for no times")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        spec = self.bench_spectrum()
+        got = survival_from_spectrum(spec, np.array([]), "time_operator")
+        assert got.shape == (0,)
+        bare = EnergySpectrum(spec.energies, spec.density, spec.e_min, spec.e_max)
+        with pytest.raises(ValueError, match="amplitude"):
+            survival_from_spectrum(bare, np.array([]), "time_operator")
+
+    def test_peak_rss_growth_bounded(self):
+        # numpy's FFT plans and scratch buffers live outside tracemalloc's
+        # view, so the process high-water mark is read in a fresh interpreter
+        status = Path("/proc/self/status")
+        if not status.exists() or "VmHWM:" not in status.read_text():
+            pytest.skip("needs VmHWM in /proc/self/status (Linux)")
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from kaonlab.core import ComplexEnergy
+            from kaonlab.spectral_zeno import lorentzian_spectrum, survival_from_spectrum
+
+            def vm_hwm_kib():
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) for line in f
+                                if line.startswith("VmHWM:"))
+
+            width = {self.WIDTH!r}
+            spec = lorentzian_spectrum(ComplexEnergy(0.0, width), -1000 * width,
+                                       1000 * width, 8001)
+            grid = np.linspace(0.0, 5.0 / width, 200)
+            before = vm_hwm_kib()
+            survival_from_spectrum(spec, grid, "time_operator")
+            print(vm_hwm_kib() - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) * 1024 < 20 * 2 ** 20
 
 
 class TestFourierKernel:
