@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 usage or invalid argument, 3 model pathology
 (negative or degenerate density), 4 numerical failure.  Every error path
 prints a single machine-parsable line ``error: <kind>: <detail>``.
 
-Reports end with one machine-readable record line:
+Reports end with one machine-readable record line, built by one function
+for every command: ``RESULT <kind>``, then one `` key=value`` per field in
+a fixed order, floats as ``%.17e`` (power as ``%.6f``), an absent value as
+``none``, flags as ``True``/``False``:
 
   RESULT fit model= epsilon_abs= epsilon_arg_rad= delta_m= i0= nll= converged=
   RESULT discriminate model_a= model_b= alpha= trials= power=   (or, with
@@ -106,9 +109,12 @@ def _run_config(args):
     return build_run_config(args, config)
 
 
-def _emit(out_path, lines):
+def _emit(out_path, lines, kind, **record):
+    """The report ``lines``, then its ``RESULT <kind>`` line of ``record``."""
+    fields = "".join(f" {key}={_fmt(v) if isinstance(v, float) else v}"
+                     for key, v in record.items())
     with output_stream(out_path or sys.stdout) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*lines, f"RESULT {kind}{fields}"]) + "\n")
 
 
 def _emit_table(out_path, header, *columns):
@@ -220,16 +226,9 @@ def cmd_fit(args) -> int:
     for i, name in enumerate(result.free):
         row = ",".join(_fmt(v) for v in result.covariance[i])
         lines.append(f"covariance[{name}]: {row}")
-    lines.append(
-        "RESULT fit"
-        f" model={result.model.value}"
-        f" epsilon_abs={_fmt(result.epsilon_abs)}"
-        f" epsilon_arg_rad={_fmt(result.epsilon_arg)}"
-        f" delta_m={_fmt(result.delta_m)}"
-        f" i0={_fmt(result.i0)}"
-        f" nll={_fmt(result.neg_log_likelihood)}"
-        f" converged={result.converged}")
-    _emit(run.out, lines)
+    _emit(run.out, lines, "fit", model=result.model.value, epsilon_abs=result.epsilon_abs,
+          epsilon_arg_rad=result.epsilon_arg, delta_m=result.delta_m, i0=result.i0,
+          nll=result.neg_log_likelihood, converged=result.converged)
     return EXIT_OK
 
 
@@ -240,6 +239,8 @@ def cmd_discriminate(args) -> int:
     state = _single_state(run, args)
     n_grid = [int(s) for s in args.n_events.split(",")]
     lines = []
+    record = dict(model_a=model_a.value, model_b=model_b.value, alpha=args.alpha,
+                  trials=args.trials)
     if args.find_crossing:
         n_star, reports = find_min_events_for_power(
             model_a, model_b, state, n_grid, args.alpha, args.trials, run.seed,
@@ -247,12 +248,7 @@ def cmd_discriminate(args) -> int:
         for rep in reports:
             lines.append(f"power: n={rep.n_events} power={rep.power:.6f} "
                          f"critical={_fmt(rep.critical_value)}")
-        lines.append(
-            "RESULT discriminate"
-            f" model_a={model_a.value} model_b={model_b.value}"
-            f" alpha={_fmt(args.alpha)} trials={args.trials}"
-            f" target={_fmt(args.target_power)}"
-            f" n_star={n_star if n_star is not None else 'none'}")
+        record.update(target=args.target_power, n_star="none" if n_star is None else n_star)
     else:
         for n in n_grid:
             rep = discrimination_power(model_a, model_b, state, n, args.alpha,
@@ -260,12 +256,8 @@ def cmd_discriminate(args) -> int:
             lines.append(f"power: n={rep.n_events} power={rep.power:.6f} "
                          f"critical={_fmt(rep.critical_value)} "
                          f"dropped_bins={rep.n_dropped_bins}")
-        lines.append(
-            "RESULT discriminate"
-            f" model_a={model_a.value} model_b={model_b.value}"
-            f" alpha={_fmt(args.alpha)} trials={args.trials}"
-            f" power={rep.power:.6f}")
-    _emit(run.out, lines)
+        record.update(power=f"{rep.power:.6f}")
+    _emit(run.out, lines, "discriminate", **record)
     return EXIT_OK
 
 
@@ -280,12 +272,9 @@ def cmd_extract_epsilon(args) -> int:
         f"r_t: {_fmt(result.r_t)}",
         f"tau_factor_applied: {result.apply_tau_factor}",
         f"epsilon_abs: {_fmt(result.epsilon_abs)}",
-        "RESULT extract-epsilon"
-        f" pairs={args.pairs} decays={args.decays}"
-        f" tau_factor={result.apply_tau_factor}"
-        f" epsilon_abs={_fmt(result.epsilon_abs)}",
     ]
-    _emit(run.out, lines)
+    _emit(run.out, lines, "extract-epsilon", pairs=args.pairs, decays=args.decays,
+          tau_factor=result.apply_tau_factor, epsilon_abs=result.epsilon_abs)
     return EXIT_OK
 
 
@@ -318,12 +307,8 @@ def cmd_zeno(args) -> int:
             f"mc_p_minus: {_fmt(mc.p_minus)}",
             f"mc_p_survival: {_fmt(mc.p_survival)}",
         ]
-    lines.append(
-        "RESULT zeno"
-        f" measurements={len(times)} readout={_fmt(schedule.readout)}"
-        f" p_plus={_fmt(analytic.p_plus)} p_minus={_fmt(analytic.p_minus)}"
-        f" p_survival={_fmt(analytic.p_survival)}")
-    _emit(run.out, lines)
+    _emit(run.out, lines, "zeno", measurements=len(times), readout=schedule.readout,
+          p_plus=analytic.p_plus, p_minus=analytic.p_minus, p_survival=analytic.p_survival)
     return EXIT_OK
 
 

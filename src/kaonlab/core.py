@@ -250,7 +250,6 @@ def interference_weights(e1: ComplexEnergy, e2: ComplexEnergy) -> InterferenceWe
     a = 0.5 * (e1.width + e2.width)
     b = e2.mass - e1.mass
     r = math.hypot(a, b)
+    # a >= 0, so psi lies in [-pi/2, pi/2]
     psi = math.atan2(-b, a) if r > 0 else 0.0
-    if psi <= -math.pi:
-        psi += 2.0 * math.pi
     return InterferenceWeights(r, psi)

@@ -564,18 +564,18 @@ def _row_chunks(n: int) -> list:
 def _format_events(events: EventTable, bounds) -> str:
     """The lines of event rows ``bounds[0]`` to ``bounds[1]``.
 
-    Every column is formatted in numpy; a row whose time :func:`textfmt.e17`
-    cannot prove, or whose event id is negative, is formatted by ``%``."""
+    Every column is formatted in numpy when :func:`textfmt.e17` proves every
+    time and every event id is nonnegative; otherwise ``%`` formats the
+    whole piece."""
     rows = slice(*bounds)
     ids, side, channel, time = (events.event_id[rows], events.side[rows],
                                 events.channel[rows], events.time[rows])
     time_chars, exact = textfmt.e17(time)
-    exact &= ids >= 0
-    literal = {i: b"%d,%s,%s,%.17e\n" % (ids[i], _SIDE_TOKENS[side[i]],
-                                          _CHANNEL_TOKENS[channel[i]], time[i])
-               for i in np.flatnonzero(~exact).tolist()}
-    return textfmt.join_rows([textfmt.integers(np.maximum(ids, 0)), _SIDE_CHARS[:, side],
-                              _CHANNEL_CHARS[:, channel], time_chars], literal).decode("ascii")
+    if exact.all() and (ids >= 0).all():
+        return textfmt.join_rows([textfmt.integers(ids), _SIDE_CHARS[:, side],
+                                  _CHANNEL_CHARS[:, channel], time_chars]).decode("ascii")
+    return "".join("%d,%s,%s,%.17e\n" % (i, SIDES[s], CHANNELS[c], t) for i, s, c, t in zip(
+        ids.tolist(), side.tolist(), channel.tolist(), time.tolist()))
 
 
 def _event_columns(rows: np.ndarray):

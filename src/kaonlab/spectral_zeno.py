@@ -45,10 +45,12 @@ _AMPLITUDE_TOL = 1e-12  # relative, |amplitude|^2 against density
 _SMALL_THETA = 1e-3     # below it the panel moments use their Taylor series
 _CHUNK_ROWS = 16        # times per block
 _CHUNK_PANELS = 4096    # panels per block
+_N_WINDOW = 1 << 19     # time-operator amplitude samples
+_N_FFT = 1 << 22        # their zero-padded transform length, 8 points per sample
 _TAIL_BLOCK = 1 << 10   # time-operator grid points per tail-sum block
-_INTERP_POINTS = 1 << 16  # time-operator amplitude samples interpolated per step
+_INTERP_POINTS = 1 << 16  # amplitude samples interpolated per step; all at
+                          # once would raise the call's peak RSS by 3.8 MiB
 _FFT_ROWS = 1 << 10     # four-step rows: the first stage's FFT length
-_STAGE_COLS = 64        # columns per first-stage FFT call
 _TWIDDLE_LO = 1 << 11   # entries of the twiddle's low-order table
 _TWIDDLE_RUN = 1 << 5   # row entries sharing one coarse twiddle factor
 
@@ -186,19 +188,17 @@ def fourier_transform_sampled(energies, values, times) -> np.ndarray:
     return out
 
 
-def _time_operator_survival(spec: EnergySpectrum, times: np.ndarray,
-                            n_window: int = 1 << 19,
-                            n_fft: int = 1 << 22) -> np.ndarray:
+def _time_operator_survival(spec: EnergySpectrum, times: np.ndarray) -> np.ndarray:
     """Survival of the time-operator pdf |Psi(t)|^2 at ``times`` >= 0.
 
-    Psi(t_k) = de e^{-i e_0 t_k} X[k], X the n_fft-point DFT of the amplitude
-    x on n_window points, zero-padded, so the pdf is de^2 |X|^2 on the grid
-    t_k = 2 pi k / (n_fft de).  Output m of the unpadded DFT of
-    x e^{-2 pi i n r / n_fft} is X[stride m + r]: one transform per residue
+    Psi(t_k) = de e^{-i e_0 t_k} X[k], X the N-point DFT of the amplitude x
+    on M points, zero-padded (N = _N_FFT, M = _N_WINDOW), so the pdf is
+    de^2 |X|^2 on the grid t_k = 2 pi k / (N de).  Output m of the unpadded
+    DFT of x e^{-2 pi i n r / N} is X[stride m + r]: one transform per residue
     r (output pruning).  Each is taken in four steps (Bailey, J.
     Supercomputing 4 (1990) 23) on cols[j1, j2] = x[n2 j1 + j2], with
     m = k1 + n1 k2: length-n1 FFTs down the columns of cols W_{stride n1}^{j1 r},
-    then W_{n_fft}^{j2 (stride k1 + r)}, one twiddle standing for both the
+    then W_N^{j2 (stride k1 + r)}, one twiddle standing for both the
     four-step and the residue twiddle, then length-n2 FFTs along the rows.
     x is never modified; every twiddle is a product of two short tables.
     Rows k1 in [rows c, rows c + rows) at k2 < n2 / 2 are then exactly the
@@ -215,43 +215,43 @@ def _time_operator_survival(spec: EnergySpectrum, times: np.ndarray,
     """
     if spec.amplitude is None:
         raise ValueError("time-operator convention needs the spectrum amplitude")
-    e = np.linspace(spec.energies[0], spec.energies[-1], n_window)
+    e = np.linspace(spec.energies[0], spec.energies[-1], _N_WINDOW)
     de = e[1] - e[0]
-    n_half = n_fft // 2
+    n_half = _N_FFT // 2
 
     def grid(k):
-        return 2.0 * math.pi * k / (n_fft * de)
+        return 2.0 * math.pi * k / (_N_FFT * de)
 
     if times.max(initial=0.0) > grid(n_half - 1):
         raise ValueError("requested time beyond the transform range")
     if times.size == 0:
         return np.empty(0)
     # the node at or below each time, and the next one
-    k = np.minimum((times * (n_fft * de / (2.0 * math.pi))).astype(np.int64), n_half - 1)
+    k = np.minimum((times * (_N_FFT * de / (2.0 * math.pi))).astype(np.int64), n_half - 1)
     k -= grid(k) > times
     k += (k < n_half - 1) & (grid(k + 1) <= times)
     nodes = np.unique(np.concatenate(([0], k, np.minimum(k + 1, n_half - 1))))
     blocks, at = np.unique(nodes // _TAIL_BLOCK, return_inverse=True)
-    x = np.empty(n_window, dtype=complex)
-    for i in range(0, n_window, _INTERP_POINTS):
+    x = np.empty(_N_WINDOW, dtype=complex)
+    for i in range(0, _N_WINDOW, _INTERP_POINTS):
         sl = slice(i, i + _INTERP_POINTS)
         x.real[sl] = np.interp(e[sl], spec.energies, spec.amplitude.real)
         x.imag[sl] = np.interp(e[sl], spec.energies, spec.amplitude.imag)
     del e
     x[[0, -1]] *= 0.5
-    stride = n_fft // n_window
+    stride = _N_FFT // _N_WINDOW
     n1 = _FFT_ROWS
-    n2 = n_window // n1
+    n2 = _N_WINDOW // n1
     rows = _TAIL_BLOCK // stride  # rows k1 of one tail block, per residue
     per_col = n1 // rows          # tail blocks per output column k2
     cols = x.reshape(n1, n2)
     work = np.empty_like(cols)
     sums = np.empty((n_half // _TAIL_BLOCK, stride))  # per (block, residue)
     pdf = np.empty((blocks.size, _TAIL_BLOCK))        # |X|^2 = pdf / de^2
-    # W_{n_fft}^n = hi[n >> shift] lo[n & mask] for 0 <= n < n_fft
+    # W_N^n = hi[n >> shift] lo[n & mask] for 0 <= n < N
     shift = _TWIDDLE_LO.bit_length() - 1
-    lo = np.exp(-2j * math.pi * np.arange(_TWIDDLE_LO) / n_fft)
-    hi = np.exp(-2j * math.pi * np.arange(0, n_fft, _TWIDDLE_LO) / n_fft)
+    lo = np.exp(-2j * math.pi * np.arange(_TWIDDLE_LO) / _N_FFT)
+    hi = np.exp(-2j * math.pi * np.arange(0, _N_FFT, _TWIDDLE_LO) / _N_FFT)
 
     def twiddle(n):
         return hi[n >> shift] * lo[n & (_TWIDDLE_LO - 1)]
@@ -259,11 +259,8 @@ def _time_operator_survival(spec: EnergySpectrum, times: np.ndarray,
     j1 = np.arange(n1)
     j2 = np.arange(n2)
     for r in range(stride):
-        down = twiddle(n2 * r * j1)[:, None]  # W_{stride n1}^{j1 r}
-        for c in range(0, n2, _STAGE_COLS):
-            chunk = work[:, c:c + _STAGE_COLS]
-            np.multiply(cols[:, c:c + _STAGE_COLS], down, out=chunk)
-            np.fft.fft(chunk, axis=0, out=chunk)
+        np.multiply(cols, twiddle(n2 * r * j1)[:, None], out=work)  # W_{stride n1}^{j1 r}
+        np.fft.fft(work, axis=0, out=work)
         for c in range(per_col):
             block = work[c * rows:(c + 1) * rows]
             # W^{j2 s}, s = stride k1 + r, as W^{s run a} W^{s b} for j2 = run a + b

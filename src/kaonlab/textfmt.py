@@ -155,10 +155,11 @@ def tokens(names) -> np.ndarray:
         len(names), -1).T
 
 
-def join_rows(fields, literal=None) -> bytes:
+def join_rows(fields) -> bytes:
     """The rows whose fields are the planes ``fields``, separated by commas
-    and each ended by a newline, NUL dropped.  Row i of ``literal``, a dict
-    of row index to bytes, is replaced by that text."""
+    and each ended by a newline, NUL dropped.  Every column of every plane
+    is written: a caller holding a value the planes cannot prove formats
+    those rows some other way."""
     n = fields[0].shape[1]
     buf = np.empty((sum(f.shape[0] + 1 for f in fields), n), np.uint8)
     at = 0
@@ -167,18 +168,7 @@ def join_rows(fields, literal=None) -> bytes:
         buf[at + field.shape[0]] = ord(",")
         at += field.shape[0] + 1
     buf[-1] = ord("\n")
-    swapped = sorted(literal or ())
-    buf[:, swapped] = 0
-    text = buf.T.tobytes().replace(b"\0", b"")
-    if not swapped:
-        return text
-    ends = np.cumsum(np.count_nonzero(buf, axis=0))[swapped].tolist()
-    pieces, start = [], 0
-    for i, end in zip(swapped, ends):
-        pieces += [text[start:end], literal[i]]
-        start = end
-    pieces.append(text[start:])
-    return b"".join(pieces)
+    return buf.T.tobytes().replace(b"\0", b"")
 
 
 # byte ranges of the columns of d.ddddddddddddddddde+dd; the sign's holds ',', a separator

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 import subprocess
 import sys
 import textwrap
@@ -50,6 +51,13 @@ KNOBS = [
     ("model", "model", "hybrid", "twfo", None, lambda rc: rc.model_name),
     ("out", "out", "cfg.csv", "flag.csv", None, lambda rc: rc.out),
 ]
+
+
+def result_fields(line, kind):
+    """The ``key=value`` fields of a ``RESULT <kind>`` line, in order."""
+    head, name, *fields = line.split(" ")
+    assert (head, name) == ("RESULT", kind), line
+    return dict(field.split("=", 1) for field in fields)
 
 
 def empty_args(**overrides):
@@ -252,6 +260,34 @@ class TestCliGolden:
         assert lines[0].startswith("power: n=1000 ")
         assert lines[-1].startswith("RESULT discriminate ")
 
+    @pytest.mark.parametrize("n_events, crosses", [("1000,1000000", True),
+                                                   ("1000,3000", False)],
+                             ids=["crossing", "none"])
+    def test_discriminate_find_crossing_report(self, capsys, n_events, crosses):
+        assert main(["discriminate", "--model-a", "twfo", "--model-b", "standard",
+                     "--n-events", n_events, "--trials", "150", "--seed", "4",
+                     "--find-crossing"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        powers = {}
+        for line in lines:
+            match = re.fullmatch(r"power: n=(\d+) power=(\d\.\d{6}) critical=\S+", line)
+            assert match, line
+            powers[int(match[1])] = float(match[2])
+        record = result_fields(last, "discriminate")
+        assert list(record) == ["model_a", "model_b", "alpha", "trials", "target",
+                                "n_star"]
+        assert record["alpha"] == "5.00000000000000028e-02"
+        assert record["target"] == "9.49999999999999956e-01"
+        assert record["trials"] == "150"
+        if crosses:
+            n_star = int(record["n_star"])
+            assert powers[n_star] >= 0.95
+            assert all(p < 0.95 for n, p in powers.items() if n < n_star)
+        else:
+            assert record["n_star"] == "none"
+            assert list(powers) == [1000, 3000]
+            assert all(p < 0.95 for p in powers.values())
+
     @pytest.mark.parametrize("target", ["-1", "0", "1", "1.5", "nan"])
     def test_discriminate_rejects_target_power_outside_unit_interval(self, capsys,
                                                                     target):
@@ -297,6 +333,24 @@ class TestCliGolden:
         assert main(argv + ["--trials", "0"]) == 0
         out = capsys.readouterr().out
         assert "analytic_p_plus:" in out and "mc_trials" not in out
+
+    def test_zeno_monte_carlo_report(self, capsys):
+        assert main(["zeno", "--measurements", "3e-11,8e-11", "--readout", "2e-10",
+                     "--trials", "2000", "--seed", "5"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        report = dict(line.split(": ") for line in lines)
+        assert list(report) == ["measurements", "readout_s", "analytic_p_plus",
+                                "analytic_p_minus", "analytic_p_survival", "mc_trials",
+                                "mc_p_plus", "mc_p_minus", "mc_p_survival"]
+        assert report["mc_trials"] == "2000"
+        record = result_fields(last, "zeno")
+        assert list(record) == ["measurements", "readout", "p_plus", "p_minus",
+                                "p_survival"]
+        assert record == {"measurements": report["measurements"],
+                          "readout": report["readout_s"],
+                          "p_plus": report["analytic_p_plus"],
+                          "p_minus": report["analytic_p_minus"],
+                          "p_survival": report["analytic_p_survival"]}
 
     def test_spectrum_density_curve_normalised(self, tmp_path):
         out = tmp_path / "spec.csv"

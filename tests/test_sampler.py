@@ -518,6 +518,27 @@ class TestEventFiles:
             assert_same_lines(path.read_text(), expected)
             assert_same_lines(stream.getvalue(), expected)
 
+    def test_sampled_pieces_formatted_in_numpy(self, monkeypatch, params):
+        events = sample_decay_times(DecayModel.TIME_OPERATOR, cronin_fitch_state(params, +1),
+                                    200_000, RunSeed(7))
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
+        calls = []
+        join_rows = textfmt.join_rows
+
+        def spy(fields):
+            calls.append(fields[0].shape[1])
+            return join_rows(fields)
+
+        monkeypatch.setattr(textfmt, "join_rows", spy)
+        stream = io.StringIO()
+        write_events(stream, events)
+        # a piece that fell back to % would not reach join_rows
+        assert calls == [min(sampler._CHUNK_ROWS, 200_000 - lo)
+                         for lo, _ in sampler._row_chunks(200_000)]
+        assert_same_lines(stream.getvalue(), "event_id,side,channel,time_s\n" + "".join(
+            "%d,single,pair,%.17e\n" % row for row in zip(events.event_id.tolist(),
+                                                          events.time.tolist())))
+
     def test_event_ids_written_as_percent_d(self, tmp_path):
         big = np.iinfo(np.int64)
         # the id width changes inside the chunk, at 10, 100 and 1000

@@ -17,8 +17,11 @@ def e17_text(x):
     """``%.17e`` lines of ``x`` through :func:`textfmt.e17`, the values it
     does not prove through ``%``; and how many those were."""
     chars, exact = textfmt.e17(x)
-    literal = {i: b"%.17e\n" % x[i] for i in np.flatnonzero(~exact).tolist()}
-    return textfmt.join_rows([chars], literal), len(literal)
+    lines = textfmt.join_rows([chars]).split(b"\n")[:-1]
+    unproven = np.flatnonzero(~exact).tolist()
+    for i in unproven:
+        lines[i] = b"%.17e" % x[i]
+    return b"".join(line + b"\n" for line in lines), len(unproven)
 
 
 def percent_text(x):
