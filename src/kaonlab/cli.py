@@ -16,8 +16,8 @@ a fixed order, floats as ``%.17e`` (power as ``%.6f``), an absent value as
 ``none``, flags as ``True``/``False``:
 
   RESULT fit model= epsilon_abs= epsilon_arg_rad= delta_m= i0= nll= converged=
-  RESULT discriminate model_a= model_b= alpha= trials= power=   (or, with
-      --find-crossing: target= n_star=)
+  RESULT discriminate model_a= model_b= alpha= trials= n= power=   (the
+      last n of --n-events as typed; with --find-crossing: target= n_star=)
   RESULT extract-epsilon pairs= decays= tau_factor= epsilon_abs=
   RESULT zeno measurements= readout= p_plus= p_minus= p_survival=
 
@@ -256,7 +256,7 @@ def cmd_discriminate(args) -> int:
             lines.append(f"power: n={rep.n_events} power={rep.power:.6f} "
                          f"critical={_fmt(rep.critical_value)} "
                          f"dropped_bins={rep.n_dropped_bins}")
-        record.update(power=f"{rep.power:.6f}")
+        record.update(n=rep.n_events, power=f"{rep.power:.6f}")
     _emit(run.out, lines, "discriminate", **record)
     return EXIT_OK
 

@@ -32,8 +32,7 @@ def _real(values):
 def _contract(x, a):
     """sum_k x[..., k] a[..., k], the one reduction over k of every ExpSum.
 
-    einsum rather than ``@``: it never calls BLAS, whose helper threads
-    spin in forked workers, and it rounds each row alike however many rows
+    einsum rather than ``@``: it rounds each row alike however many rows
     there are, so a value is bitwise the same in any batch."""
     return np.einsum("...k,...k->...", x, a)
 

@@ -18,12 +18,13 @@ Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id, inputs) triple reproduces the event table bitwise, no
 matter how work is scheduled.
 
-Draws are inverted, and event files formatted and parsed, in chunks
-across the CPUs in the process's affinity mask, by forked worker
-processes.  Each sample is solved on its own and the chunks are joined in
-order, so the draws, the bytes written and the table read are identical
-for any CPU count.  :mod:`kaonlab.textfmt` formats event rows in numpy,
-byte for byte as ``%`` does, and reads them back exactly as ``float`` does.
+Draws are inverted, and event files formatted and parsed, in chunks on a
+pool of threads, one per CPU in the process's affinity mask; the work is
+numpy array loops, which release the GIL.  Each sample is solved on its
+own and the chunks are joined in order, so the draws, the bytes written
+and the table read are identical for any CPU count.  :mod:`kaonlab.textfmt`
+formats event rows in numpy, byte for byte as ``%`` does, and reads them
+back exactly as ``float`` does.
 """
 
 from __future__ import annotations
@@ -484,41 +485,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-_inherited = None  # set in each worker process only, by _inherit
-
-
-def _inherit(fn, data):
-    global _inherited
-    _inherited = functools.partial(fn, data)
-
-
-def _call_inherited(item):
-    return _inherited(item)
-
-
 def _map_chunks(fn, data, items: list):
     """``fn(data, item)`` for each of ``items``, in order, on every CPU.
 
-    The workers are forked, so they inherit ``data`` instead of receiving
-    it pickled: only the small items and the results cross between
-    processes.  With one CPU, one item or no fork, the builtin ``map``
-    runs the same ``fn`` in this process.  The workers have exited once
-    the results are consumed or the consumer stops; a worker that dies
-    raises BrokenProcessPool rather than leaving its item unanswered.
-
-    ``fn`` must not call BLAS (``@``, ``np.dot``, ``np.linalg``): a forked
-    worker that does starts BLAS helper threads, which spin against the
-    other workers for the CPUs.
+    With more than one CPU and item the calls run on a pool of threads,
+    which share ``data`` with this thread: the work is numpy array loops,
+    which release the GIL.  With one CPU or one item the builtin ``map``
+    runs them in this thread and starts none.  The threads have exited once
+    the results are consumed or the consumer stops; an exception from ``fn``
+    is raised here, at its item.
     """
     workers = min(_cpu_count(), len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
+    if workers <= 1:
         yield from map(functools.partial(fn, data), items)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(fn, data)) as pool:
-        yield from pool.map(_call_inherited, items)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(functools.partial(fn, data), items)
 
 
 # The file formats; field names are the header.  The string fields are wider
@@ -539,18 +522,26 @@ def _check_header(header: str, row: np.dtype) -> None:
         raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
 
 
-def _load_rows(lines, row: np.dtype) -> np.ndarray:
-    """The records of ``lines`` (a file or its bytes), parsed in one call."""
-    # a file or a piece of one without records is not worth a warning
+@contextlib.contextmanager
+def _quiet_when_empty():
+    """Drop loadtxt's warning on a file, or a piece of one, without records.
+
+    The warning filters belong to the process, so this is entered in the
+    calling thread around the worker threads, never in one of them."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                          encoding="ascii")
+        yield
+
+
+def _load_rows(lines, row: np.dtype) -> np.ndarray:
+    """The records of ``lines`` (a file or its bytes), parsed in one call."""
+    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                      encoding="ascii")
 
 
 def _read_rows(path, row: np.dtype) -> np.ndarray:
     """The records of a CSV file with ``row``'s header, parsed in one call."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, _quiet_when_empty():
         _check_header(fh.readline().strip(), row)
         return _load_rows(fh, row)
 
@@ -627,9 +618,11 @@ def read_events(path) -> EventTable:
     start = text.find(b"\n") + 1 or len(text)
     try:
         _check_header(text[:start].decode("ascii").strip(), _EVENT_ROW)
-        pieces = list(_map_chunks(_parse_events, text, _line_pieces(text, start)))
+        with _quiet_when_empty():
+            pieces = list(_map_chunks(_parse_events, text, _line_pieces(text, start)))
     except ValueError:
         pieces = [_event_columns(_read_rows(path, _EVENT_ROW))]
+    del text  # the table's columns need not share the peak with the file's bytes
     return EventTable(*map(np.concatenate, zip(*pieces)))
 
 

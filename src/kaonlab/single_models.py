@@ -140,23 +140,16 @@ def negativity_report(model: DecayModel, state: SuperpositionState,
     derivative, not a modulus squared); the violation set is reported so
     callers can refuse to sample from it rather than clip it.
     """
-    t_grid = _check_times(t_grid)
-    values = np.atleast_1d(pdf(model, state, t_grid))
+    t_grid = np.ravel(_check_times(t_grid))
+    values = pdf(model, state, t_grid)
     scale = float(np.max(np.abs(values))) or 1.0
     neg = values < -1e-14 * scale
-    intervals = []
-    if np.any(neg):
-        idx = np.flatnonzero(neg)
-        start = idx[0]
-        prev = idx[0]
-        for i in idx[1:]:
-            if i != prev + 1:
-                intervals.append((float(t_grid[start]), float(t_grid[prev])))
-                start = i
-            prev = i
-        intervals.append((float(t_grid[start]), float(t_grid[prev])))
-    return NegativityReport(float(np.mean(neg)), tuple(intervals),
-                            float(values.min()))
+    # each run of negative points starts where the mask rises and ends
+    # where it falls
+    edges = np.diff(neg.astype(np.int8), prepend=0, append=0)
+    first, last = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    intervals = tuple(zip(t_grid[first].tolist(), t_grid[last].tolist()))
+    return NegativityReport(float(np.mean(neg)), intervals, float(values.min()))
 
 
 def cronin_fitch_state(params: KaonParams, cp: int = +1) -> SuperpositionState:

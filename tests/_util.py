@@ -1,5 +1,7 @@
 """Assertions shared by the test modules."""
 
+import contextlib
+import threading
 from itertools import zip_longest
 
 import pytest
@@ -13,3 +15,11 @@ def assert_same_lines(text, expected):
         lines = enumerate(zip_longest(text.split(sep), expected.split(sep)))
         pytest.fail("first differing line (index, got, expected): "
                     f"{next((i, a, b) for i, (a, b) in lines if a != b)}")
+
+
+@contextlib.contextmanager
+def no_thread_left():
+    """Fail unless the block leaves exactly the threads it found running."""
+    before = threading.enumerate()
+    yield
+    assert threading.enumerate() == before

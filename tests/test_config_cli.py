@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import re
 import subprocess
 import sys
@@ -9,6 +8,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
+from _util import no_thread_left
 from kaonlab import sampler
 from kaonlab.cli import main
 from kaonlab.config import build_run_config, parse_config_file
@@ -259,6 +259,19 @@ class TestCliGolden:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("power: n=1000 ")
         assert lines[-1].startswith("RESULT discriminate ")
+
+    def test_discriminate_record_names_its_grid_point(self, capsys):
+        # an unsorted grid: the record holds the point typed last
+        assert main(["discriminate", "--model-a", "twfo", "--model-b", "standard",
+                     "--n-events", "100000,1000", "--trials", "100", "--seed", "4"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        powers = [re.fullmatch(r"power: n=(\d+) power=(\d\.\d{6}) critical=\S+ "
+                               r"dropped_bins=\d+", line).groups() for line in lines]
+        assert [n for n, _ in powers] == ["100000", "1000"]
+        record = result_fields(last, "discriminate")
+        assert list(record) == ["model_a", "model_b", "alpha", "trials", "n", "power"]
+        assert (record["n"], record["power"]) == powers[-1]
+        assert powers[0][1] != powers[-1][1]
 
     @pytest.mark.parametrize("n_events, crosses", [("1000,1000000", True),
                                                    ("1000,3000", False)],
@@ -625,12 +638,13 @@ class TestCliContract:
         events, binned = tmp_path / "e.csv", tmp_path / "b.csv"
         # three write chunks and two read pieces
         n = 2 * sampler._CHUNK_ROWS + 1
-        assert main(["simulate", "--model", "twfo", "--n", str(n), "--seed", "5",
-                     "--out", str(events)]) == 0
+        with no_thread_left():
+            assert main(["simulate", "--model", "twfo", "--n", str(n), "--seed", "5",
+                         "--out", str(events)]) == 0
         assert len(sampler._line_pieces(events.read_bytes(), 0)) > 1
-        assert main(["detect", "--events", str(events), "--t-max", "1e-8",
-                     "--out", str(binned)]) == 0
-        assert multiprocessing.active_children() == []
+        with no_thread_left():
+            assert main(["detect", "--events", str(events), "--t-max", "1e-8",
+                         "--out", str(binned)]) == 0
         assert capfd.readouterr() == ("", "")
         assert len(read_events(events)) == n
 

@@ -1,13 +1,15 @@
 import io
 import math
-import multiprocessing
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
-from _util import assert_same_lines
+from _util import assert_same_lines, no_thread_left
 from kaonlab import sampler, textfmt
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import ModelPathologyError
@@ -53,8 +55,8 @@ class TestRunSeed:
 
 class _CountingDist(Dist1D):
     """Counts the Newton passes of each chunk ppf solves: one fused cdf/pdf
-    evaluation per pass.  Solve with one CPU, so that the chunks run in
-    this process."""
+    evaluation per pass.  Solve with one CPU, so that the chunks run one
+    after another and each pass counts to its own chunk."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -139,8 +141,8 @@ def test_draws_independent_of_cpu_count_and_chunking(params, monkeypatch, n, res
     draws = []
     for workers in (1, 3):
         monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
-        draws.append(dist.ppf(u))
-        assert multiprocessing.active_children() == []
+        with no_thread_left():
+            draws.append(dist.ppf(u))
     # all of u solved as one chunk
     draws.append(dist._ppf_rows(u, (0, n)))
     assert draws[0].shape == (n,)
@@ -360,8 +362,8 @@ class TestSampleJoint:
         for workers, rows in ((1, sampler._CHUNK_ROWS), (3, sampler._CHUNK_ROWS), (1, n)):
             monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
             monkeypatch.setattr(sampler, "_CHUNK_ROWS", rows)
-            tables.append(sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(19)))
-            assert multiprocessing.active_children() == []
+            with no_thread_left():
+                tables.append(sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(19)))
         assert len(tables[0]) == 2 * n
         for other in tables[1:]:
             assert np.array_equal(tables[0].time, other.time)
@@ -639,9 +641,60 @@ class TestEventFiles:
         path.write_text("event_id,side,channel,time_s\n" + "\n".join(rows) + "\n")
         monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
         assert len(sampler._line_pieces(path.read_bytes(), 0)) > 1
-        with pytest.raises(ValueError) as info:
+        with no_thread_left(), pytest.raises(ValueError) as info:
             read_events(path)
         assert str(info.value) == message
+
+    def test_failing_stream_leaves_no_worker_thread(self, monkeypatch):
+        class FailingStream(io.StringIO):
+            """Takes the header and the first chunk, then fails."""
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("no space left on the stream")
+                return super().write(text)
+
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+        events = self._table(5 * sampler._CHUNK_ROWS, joint=False)
+        stream = FailingStream()
+        with no_thread_left(), pytest.raises(OSError, match="no space left"):
+            write_events(stream, events)
+        assert stream.getvalue().count("\n") == 1 + sampler._CHUNK_ROWS
+
+    def test_one_chunk_starts_no_thread(self, tmp_path, monkeypatch, params):
+        def start(thread):
+            raise AssertionError("a one-chunk call started a thread")
+
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        events = sample_decay_times(DecayModel.TIME_OPERATOR, cronin_fitch_state(params, +1),
+                                    1000, RunSeed(7))
+        path = tmp_path / "e.csv"
+        write_events(path, events)
+        self._assert_same_table(read_events(path), events)
+
+    def test_refused_pieces_leave_the_warning_filters_alone(self, tmp_path, monkeypatch):
+        # every piece goes to np.loadtxt, on worker threads
+        rows = [f"{i},single,pair,{i + 1}e-9\n" for i in range(2000)]
+        path = tmp_path / "e.csv"
+        path.write_text("event_id,side,channel,time_s\n" + "".join(rows))
+        monkeypatch.setattr(sampler, "_PIECE_BYTES", 100)
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 4)
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        # switch threads often, so that the pieces' loads interleave
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(20):
+                    assert len(read_events(path)) == 2000
+                    assert warnings.filters[1:] == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == before
 
     def test_whitespace_line_named_by_its_row_in_the_file(self, tmp_path):
         path = tmp_path / "e.csv"

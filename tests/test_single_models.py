@@ -128,6 +128,19 @@ class TestPdf:
         assert np.min(pdf(DecayModel.STANDARD, st,
                           np.linspace(lo, hi, 20))) < 0
 
+    def test_negative_runs_reported_as_intervals(self):
+        st = cronin_fitch_state(KaonParams(), +1)
+        # the standard pdf is negative near 1.7e-9 to 2.1e-9 s; the points
+        # are out of order so that the negative ones form several runs: a
+        # one-point run, a two-point run and a run on the last point
+        ts = np.array([0.0, 1.8e-9, 1e-10, 1.75e-9, 2.0e-9, 3e-9, 1.9e-9])
+        values = pdf(DecayModel.STANDARD, st, ts)
+        assert np.array_equal(values < 0, [False, True, False, True, True, False, True])
+        report = negativity_report(DecayModel.STANDARD, st, ts)
+        assert report.intervals == ((1.8e-9, 1.8e-9), (1.75e-9, 2.0e-9), (1.9e-9, 1.9e-9))
+        assert report.fraction == 4 / 7
+        assert report.min_value == values.min()
+
     def test_time_operator_total_destruction_rejected(self):
         st = two_mode(1.0, -1.0, 2.0, 2.0, 0.0)
         with pytest.raises((DegenerateStateError, ValueError)):
