@@ -5,23 +5,47 @@ decaying two-mode wave function means (standard survival probability,
 hybrid intensity, temporal-wave-function pdf), the joint distributions of
 entangled kaon pairs where the readings agree and where they split, and
 the Monte Carlo / inference machinery to tell them apart at desk scale.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first use (PEP 562), so a command pays only
+for the modules it runs.
 """
 
-from .core import (ComplexEnergy, DecayModel, InterferenceWeights, KaonParams,
-                   QuasiSpinor, SuperpositionState, interference_weights)
-from .single_models import (cdf, cronin_fitch_intensity, cronin_fitch_state,
-                            negativity_report, pdf, survival_standard,
-                            weight_ratio_signature)
-from .entangled import (BipartiteState, Family, family_discriminator,
-                        joint_pdf_11, joint_survival_11)
-from .sampler import (BinnedCounts, DetectorConfig, EventTable, RunSeed,
-                      detect, sample_decay_times, sample_joint)
-from .inference import (EpsilonExtraction, FitResult, PowerReport,
-                        WeightRatioEstimate, discrimination_power,
-                        extract_epsilon, find_min_events_for_power,
-                        fit_intensity, weight_ratio_estimate)
-from .spectral_zeno import (EnergySpectrum, MeasurementSchedule, ZenoOutcome,
-                            lorentzian_spectrum, survival_from_spectrum,
-                            zeno_outcome_analytic, zeno_sequence)
+import importlib
 
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(("ComplexEnergy", "DecayModel", "InterferenceWeights", "KaonParams",
+                     "QuasiSpinor", "SuperpositionState", "interference_weights",
+                     "EpsilonExtraction", "extract_epsilon"), "core"),
+    **dict.fromkeys(("cdf", "cronin_fitch_intensity", "cronin_fitch_state",
+                     "negativity_report", "pdf", "survival_standard",
+                     "weight_ratio_signature"), "single_models"),
+    **dict.fromkeys(("BipartiteState", "Family", "family_discriminator", "joint_pdf_11",
+                     "joint_survival_11"), "entangled"),
+    **dict.fromkeys(("DetectorConfig", "RunSeed"), "config"),
+    **dict.fromkeys(("BinnedCounts", "EventTable", "detect", "sample_decay_times",
+                     "sample_joint"), "sampler"),
+    **dict.fromkeys(("FitResult", "PowerReport", "WeightRatioEstimate",
+                     "discrimination_power", "find_min_events_for_power", "fit_intensity",
+                     "weight_ratio_estimate"), "inference"),
+    **dict.fromkeys(("EnergySpectrum", "MeasurementSchedule", "ZenoOutcome",
+                     "lorentzian_spectrum", "survival_from_spectrum",
+                     "zeno_outcome_analytic", "zeno_sequence"), "spectral_zeno"),
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,6 +21,12 @@ a fixed order, floats as ``%.17e`` (power as ``%.6f``), an absent value as
   RESULT extract-epsilon pairs= decays= tau_factor= epsilon_abs=
   RESULT zeno measurements= readout= p_plus= p_minus= p_survival=
 
+Start-up: each command loads only the modules it runs, when it starts
+(``_load``).  ``extract-epsilon`` loads no numpy at all; ``zeno`` and
+``spectrum`` add only ``spectral_zeno``; ``predict`` skips the sampler and
+the inference layer.  Every start compiles or reads what it imports, so
+this is most of the wall time of a short command.
+
 Curve files: ``t_s,survival,pdf`` (predict), ``t_s,value`` (intensity and
 spectrum survival), ``tl_s,tr_s,survival,pdf`` (joint),
 ``energy_s_inv,density`` (spectrum); event and binned files as described
@@ -30,28 +36,49 @@ in the sampler module.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from dataclasses import fields
 
-import numpy as np
+from .config import DetectorConfig, build_run_config, output_stream, parse_config_file
+from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor, extract_epsilon
+from .errors import (CoverageError, DegenerateComparisonError, DegenerateStateError,
+                     FitFailureError, ModelPathologyError, UndefinedSignatureError,
+                     UnsupportedRegimeError)
 
-from .config import build_run_config, parse_config_file
-from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
-from .entangled import BipartiteState, Family, joint_pdf_11, joint_survival_11
-from .errors import (CoverageError, DegenerateComparisonError,
-                     DegenerateStateError, FitFailureError, ModelPathologyError,
-                     UndefinedSignatureError, UnsupportedRegimeError)
-from .inference import (discrimination_power, extract_epsilon,
-                        find_min_events_for_power, fit_intensity)
-from .sampler import (DetectorConfig, detect, output_stream, read_binned,
-                      read_events, sample_decay_times, sample_joint,
-                      write_binned, write_events)
-from .single_models import (cronin_fitch_intensity, cronin_fitch_state,
-                            negativity_report, pdf, survival_standard)
-from .spectral_zeno import (MeasurementSchedule, lorentzian_spectrum,
-                            survival_from_spectrum, zeno_outcome_analytic,
-                            zeno_sequence)
+# The names each command calls in the layers, by module.  A command binds
+# its layers' names here when it starts (_load), so a start loads only the
+# modules that command runs; reading one of these names from outside
+# (``kaonlab.cli.fit_intensity``) loads its module too.
+_LAYERS = {
+    "sampler": ("detect", "read_binned", "read_events", "sample_decay_times",
+                "sample_joint", "write_binned", "write_events"),
+    "inference": ("discrimination_power", "find_min_events_for_power", "fit_intensity"),
+    "single_models": ("cronin_fitch_intensity", "cronin_fitch_state", "negativity_report",
+                      "pdf", "survival_standard"),
+    "entangled": ("BipartiteState", "Family", "joint_pdf_11", "joint_survival_11"),
+    "spectral_zeno": ("MeasurementSchedule", "lorentzian_spectrum", "survival_from_spectrum",
+                      "zeno_outcome_analytic", "zeno_sequence"),
+}
+
+
+def _load(*modules):
+    """Bind the layer names of ``modules`` in this module.  A name already
+    bound, say a wrapper set from outside, is kept."""
+    for module in modules:
+        layer = importlib.import_module(f".{module}", __package__)
+        for name in _LAYERS[module]:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name):
+    for module, names in _LAYERS.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,6 +120,8 @@ def _grid_flags(parser):
 
 def _time_grid(args, t_max, bins) -> np.ndarray:
     """The grid of the grid flags; ``t_max`` and ``bins`` are the defaults."""
+    import numpy as np
+
     t_min = args.grid_t_min or 0.0
     t_max = t_max if args.grid_t_max is None else args.grid_t_max
     bins = bins if args.grid_bins is None else args.grid_bins
@@ -119,6 +148,8 @@ def _emit(out_path, lines, kind, **record):
 
 def _emit_table(out_path, header, *columns):
     """A CSV file: the header row, then one row of equal-length columns per line."""
+    import numpy as np
+
     with output_stream(out_path or sys.stdout) as fh:
         np.savetxt(fh, np.column_stack(columns), fmt="%.17e", delimiter=",",
                    header=header, comments="")
@@ -146,12 +177,15 @@ def _reject_pair_flags(args):
 
 
 def cmd_predict(args) -> int:
+    _load("single_models", "entangled")
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
         if args.cp != 1 or args.quantity != "curves" or args.i0 is not None:
             raise ValueError("--joint writes the pair's joint curves; "
                              "--cp -1, --quantity intensity and --i0 do not apply")
+        import numpy as np
+
         grid = _time_grid(args, 5.0 * run.params.tau_s, 50)
         state = _bipartite_state(run, args)
         tl, tr = np.meshgrid(grid, grid, indexing="ij")
@@ -185,6 +219,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _load("sampler", "single_models", "entangled")
     run = _run_config(args)
     model = _model_of(run, args)
     if args.joint:
@@ -201,6 +236,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _load("sampler")
     run = _run_config(args)
     binned = detect(read_events(args.events), run.detector, run.seed)
     write_binned(run.out or sys.stdout, binned)
@@ -208,6 +244,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _load("sampler", "inference")
     run = _run_config(args)
     model = _model_of(run, args)
     binned = read_binned(args.data)
@@ -233,6 +270,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
+    _load("single_models", "inference")
     run = _run_config(args)
     model_a = DecayModel.parse(args.model_a)
     model_b = DecayModel.parse(args.model_b)
@@ -279,6 +317,7 @@ def cmd_extract_epsilon(args) -> int:
 
 
 def cmd_zeno(args) -> int:
+    _load("spectral_zeno")
     run = _run_config(args)
     params = KaonParams(gamma_s=run.params.gamma_s, gamma_l=run.params.gamma_l,
                         delta_m=run.params.delta_m, epsilon=0.0)
@@ -313,6 +352,7 @@ def cmd_zeno(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _load("spectral_zeno")
     run = _run_config(args)
     curve_flags = (args.convention, args.grid_t_min, args.grid_t_max, args.grid_bins)
     if not args.survival and any(v is not None for v in curve_flags):
@@ -420,6 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_error() -> tuple:
+    """numpy's LinAlgError once numpy is loaded; before that nothing can
+    have raised it.  It is a ValueError, so it is matched before those."""
+    numpy = sys.modules.get("numpy")
+    return (numpy.linalg.LinAlgError,) if numpy else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -431,13 +478,13 @@ def main(argv=None) -> int:
     except (ModelPathologyError, DegenerateStateError) as exc:
         sys.stderr.write(f"error: model-pathology: {exc}\n")
         return EXIT_PATHOLOGY
+    except (FitFailureError, DegenerateComparisonError, UndefinedSignatureError,
+            UnsupportedRegimeError, *_linalg_error()) as exc:
+        sys.stderr.write(f"error: numerical-failure: {exc}\n")
+        return EXIT_NUMERICAL
     except (ValueError, CoverageError, OSError) as exc:
         sys.stderr.write(f"error: invalid-argument: {exc}\n")
         return EXIT_USAGE
-    except (FitFailureError, DegenerateComparisonError, UndefinedSignatureError,
-            UnsupportedRegimeError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"error: numerical-failure: {exc}\n")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,4 +1,10 @@
-"""Flat key = value run configuration.
+"""Run configuration: the seed, the detector and the flat key = value file.
+
+:class:`RunSeed`, :class:`DetectorConfig` and :func:`output_stream` live
+here, not in the sampler, and numpy is imported only inside the two methods
+that build arrays, so a command that draws nothing and bins nothing (such
+as ``extract-epsilon``) starts without loading numpy.  The sampler imports
+all three back, so ``kaonlab.sampler.RunSeed`` is the same class.
 
 The file format is deliberately primitive: one ``key = value`` per line,
 ``#`` comments, no sections (keys carry their namespace, e.g.
@@ -9,11 +15,92 @@ before any computation starts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 
 from .core import EPSILON_ABS, EPSILON_ARG_DEG, TAU_L, TAU_S, KaonParams
-from .sampler import DetectorConfig, RunSeed
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+@dataclass(frozen=True)
+class RunSeed:
+    """Root of a reproducible random stream.
+
+    ``stream_id`` separates logically independent streams under one seed
+    (e.g. left/right detectors, power-scan trials).  Substreams are derived
+    by mixing a substream index into the Philox key, so parallel workers
+    can draw without coordination.  Substreams in use: 0 the sampled decay
+    times and the power scan's null trials; 1 the power scan's alternative
+    trials; 2 every draw of ``detect``; 3 Zeno's outcomes.
+    """
+
+    seed: int
+    stream_id: int = 0
+
+    def __post_init__(self):
+        if not (0 <= int(self.seed) < 2 ** 64):
+            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not (0 <= int(self.stream_id) < 2 ** 64):
+            raise ValueError("stream_id must be a 64-bit unsigned integer")
+
+    def generator(self, substream: int = 0) -> np.random.Generator:
+        import numpy as np
+
+        key_hi = (int(self.stream_id) * _GOLDEN + int(substream)) & _MASK64
+        bitgen = np.random.Philox(key=np.array([int(self.seed), key_hi],
+                                               dtype=np.uint64))
+        return np.random.Generator(bitgen)
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Detector time window, binning, efficiency and noise knobs.
+
+    ``window_tau`` is the integration time over which each true decay time
+    is uniformly smeared (centred).  CP=+1 decays register as charged pion
+    pairs with probability ``branching_charged`` (the neutral remainder is
+    undetected); CP=-1 decays register as triplets.  Background is additive
+    Poisson noise per bin and per channel at ``background_rate``.
+    """
+
+    window_tau: float = 0.0
+    t_min: float = 0.0
+    t_max: float = 1e-6
+    n_bins: int = 100
+    background_rate: float = 0.0
+    efficiency: float = 1.0
+    branching_charged: float = 2.0 / 3.0
+
+    def __post_init__(self):
+        # written so that nan fails every comparison
+        if not (0 <= self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 <= t_min < t_max < inf")
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
+        if not (0 <= self.window_tau < math.inf):
+            raise ValueError("window_tau must be finite and >= 0")
+        if not (0 <= self.background_rate < math.inf):
+            raise ValueError("background_rate must be finite and >= 0")
+        if not (0 <= self.efficiency <= 1):
+            raise ValueError("efficiency must lie in [0, 1]")
+        if not (0 <= self.branching_charged <= 1):
+            raise ValueError("branching_charged must lie in [0, 1]")
+
+    def edges(self) -> np.ndarray:
+        import numpy as np
+
+        return np.linspace(self.t_min, self.t_max, self.n_bins + 1)
+
+
+def output_stream(out):
+    """Context manager: the text stream ``out``, or the file it names."""
+    if hasattr(out, "write"):
+        return contextlib.nullcontext(out)
+    return open(out, "w", encoding="ascii")
+
 
 KAON_KEYS = ("kaon.gamma_s", "kaon.gamma_l", "kaon.delta_m",
              "kaon.epsilon_abs", "kaon.epsilon_arg_deg")

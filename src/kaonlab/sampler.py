@@ -16,7 +16,9 @@ giving the negative panels zero mass.
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
 (seed, stream_id, inputs) triple reproduces the event table bitwise, no
-matter how work is scheduled.
+matter how work is scheduled.  :class:`RunSeed`, :class:`DetectorConfig`
+and :func:`output_stream` are defined in :mod:`kaonlab.config`, which
+loads without numpy, and imported here under the same names.
 
 Draws are inverted, and event files formatted and parsed, in chunks on a
 pool of threads, one per CPU in the process's affinity mask; the work is
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textfmt
+from .config import DetectorConfig, RunSeed, output_stream
 from .core import DecayModel, SuperpositionState
 from .entangled import BipartiteState, joint_model_terms
 from .errors import ModelPathologyError
@@ -48,38 +51,6 @@ from .single_models import model_terms
 
 SIDES = ("single", "left", "right")
 CHANNELS = ("pair", "triplet")
-
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RunSeed:
-    """Root of a reproducible random stream.
-
-    ``stream_id`` separates logically independent streams under one seed
-    (e.g. left/right detectors, power-scan trials).  Substreams are derived
-    by mixing a substream index into the Philox key, so parallel workers
-    can draw without coordination.  Substreams in use: 0 the sampled decay
-    times and the power scan's null trials; 1 the power scan's alternative
-    trials; 2 every draw of ``detect``; 3 Zeno's outcomes.
-    """
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not (0 <= int(self.stream_id) < 2 ** 64):
-            raise ValueError("stream_id must be a 64-bit unsigned integer")
-
-    def generator(self, substream: int = 0) -> np.random.Generator:
-        key_hi = (int(self.stream_id) * _GOLDEN + int(substream)) & _MASK64
-        bitgen = np.random.Philox(key=np.array([int(self.seed), key_hi],
-                                               dtype=np.uint64))
-        return np.random.Generator(bitgen)
-
 
 @dataclass(frozen=True)
 class EventTable:
@@ -116,44 +87,6 @@ class EventTable:
 def _encode(tokens, names) -> np.ndarray:
     """Codes into ``names`` of an array of tokens, -1 for a token not in it."""
     return np.select([tokens == name for name in names], range(len(names)), -1)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Detector time window, binning, efficiency and noise knobs.
-
-    ``window_tau`` is the integration time over which each true decay time
-    is uniformly smeared (centred).  CP=+1 decays register as charged pion
-    pairs with probability ``branching_charged`` (the neutral remainder is
-    undetected); CP=-1 decays register as triplets.  Background is additive
-    Poisson noise per bin and per channel at ``background_rate``.
-    """
-
-    window_tau: float = 0.0
-    t_min: float = 0.0
-    t_max: float = 1e-6
-    n_bins: int = 100
-    background_rate: float = 0.0
-    efficiency: float = 1.0
-    branching_charged: float = 2.0 / 3.0
-
-    def __post_init__(self):
-        # written so that nan fails every comparison
-        if not (0 <= self.t_min < self.t_max < math.inf):
-            raise ValueError("need 0 <= t_min < t_max < inf")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        if not (0 <= self.window_tau < math.inf):
-            raise ValueError("window_tau must be finite and >= 0")
-        if not (0 <= self.background_rate < math.inf):
-            raise ValueError("background_rate must be finite and >= 0")
-        if not (0 <= self.efficiency <= 1):
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not (0 <= self.branching_charged <= 1):
-            raise ValueError("branching_charged must lie in [0, 1]")
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_bins + 1)
 
 
 @dataclass(frozen=True)
@@ -468,13 +401,6 @@ def detect(events: EventTable, det: DetectorConfig, seed: RunSeed) -> BinnedCoun
         trip_counts = trip_counts + rng.poisson(det.background_rate * widths)
     return BinnedCounts(edges, pair_counts.astype(np.int64),
                         trip_counts.astype(np.int64))
-
-
-def output_stream(out):
-    """Context manager: the text stream ``out``, or the file it names."""
-    if hasattr(out, "write"):
-        return contextlib.nullcontext(out)
-    return open(out, "w", encoding="ascii")
 
 
 def _cpu_count() -> int:

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunSeed
 from .core import ComplexEnergy, KaonParams, QuasiSpinor
 from .errors import UnsupportedRegimeError
-from .sampler import RunSeed
 
 _TRAPZ_TOL = 1e-8
 _AMPLITUDE_TOL = 1e-12  # relative, |amplitude|^2 against density

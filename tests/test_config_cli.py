@@ -614,6 +614,51 @@ class TestCliContract:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    @staticmethod
+    def loaded_modules(*argv):
+        """Exit code of ``python -m kaonlab *argv`` and the modules loaded at its exit."""
+        script = textwrap.dedent("""
+            import runpy, sys
+            try:
+                runpy.run_module("kaonlab", run_name="__main__")
+            finally:
+                print(*sys.modules, file=sys.stderr)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        base = {"kaonlab", "kaonlab.cli", "kaonlab.config", "kaonlab.core", "kaonlab.errors"}
+        package = lambda mods: {m for m in mods if m.startswith("kaonlab")}
+
+        code, mods = self.loaded_modules("extract-epsilon", "--pairs", "45", "--decays", "22700")
+        assert (code, package(mods), "numpy" in mods) == (0, base, False)
+        code, mods = self.loaded_modules("extract-epsilon", "--pairs", "x", "--decays", "1")
+        assert (code, package(mods), "numpy" in mods) == (2, base, False)
+        for argv in (["zeno", "--measurements", "3e-11,8e-11", "--readout", "2e-10",
+                      "--trials", "100"],
+                     ["spectrum", "--width", "1.12e10", "--survival", "--convention",
+                      "time_operator", "--out", str(tmp_path / "s.csv")]):
+            code, mods = self.loaded_modules(*argv)
+            assert (code, package(mods)) == (0, base | {"kaonlab.spectral_zeno"}), argv
+        code, mods = self.loaded_modules("predict", "--bins", "20",
+                                         "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert not package(mods) & {"kaonlab.sampler", "kaonlab.inference"}
+
+        script = "import sys, kaonlab; print(sorted(m for m in sys.modules if 'kaonlab' in m))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['kaonlab']\n", "")
+
+    def test_linalg_error_exits_four(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("kaonlab.cli.zeno_outcome_analytic", singular)
+        assert main(["zeno", "--readout", "2e-10"]) == 4
+        assert capsys.readouterr() == ("", "error: numerical-failure: Singular matrix\n")
+
     def test_cli_import_builds_no_power_table(self):
         script = ("import sys, kaonlab.cli, kaonlab.textfmt as t; "
                   "print('fractions' in sys.modules, t._power.cache_info().currsize)")
