@@ -6,18 +6,18 @@ hybrid intensity, temporal-wave-function pdf), the joint distributions of
 entangled kaon pairs where the readings agree and where they split, and
 the Monte Carlo / inference machinery to tell them apart at desk scale.
 
-Importing the package loads none of its modules: each name below is
-imported from its module on first use (PEP 562), so a command pays only
-for the modules it runs.
+Importing the package loads none of its modules: each name below, and
+each module read as an attribute (``kaonlab.sampler``), is imported on
+first use (PEP 562), so a command pays only for the modules it runs.
 """
 
 import importlib
+import importlib.util
 
 # public name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(("ComplexEnergy", "DecayModel", "InterferenceWeights", "KaonParams",
-                     "QuasiSpinor", "SuperpositionState", "interference_weights",
-                     "EpsilonExtraction", "extract_epsilon"), "core"),
+                     "QuasiSpinor", "SuperpositionState", "interference_weights"), "core"),
     **dict.fromkeys(("cdf", "cronin_fitch_intensity", "cronin_fitch_state",
                      "negativity_report", "pdf", "survival_standard",
                      "weight_ratio_signature"), "single_models"),
@@ -26,9 +26,9 @@ _EXPORTS = {
     **dict.fromkeys(("DetectorConfig", "RunSeed"), "config"),
     **dict.fromkeys(("BinnedCounts", "EventTable", "detect", "sample_decay_times",
                      "sample_joint"), "sampler"),
-    **dict.fromkeys(("FitResult", "PowerReport", "WeightRatioEstimate",
-                     "discrimination_power", "find_min_events_for_power", "fit_intensity",
-                     "weight_ratio_estimate"), "inference"),
+    **dict.fromkeys(("EpsilonExtraction", "FitResult", "PowerReport", "WeightRatioEstimate",
+                     "discrimination_power", "extract_epsilon", "find_min_events_for_power",
+                     "fit_intensity", "weight_ratio_estimate"), "inference"),
     **dict.fromkeys(("EnergySpectrum", "MeasurementSchedule", "ZenoOutcome",
                      "lorentzian_spectrum", "survival_from_spectrum",
                      "zeno_outcome_analytic", "zeno_sequence"), "spectral_zeno"),
@@ -40,11 +40,14 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    # a submodule; importing it binds it here.  Not __main__, which runs the CLI.
+    if not name.startswith("_") and importlib.util.find_spec(f"{__name__}.{name}"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -21,12 +21,6 @@ a fixed order, floats as ``%.17e`` (power as ``%.6f``), an absent value as
   RESULT extract-epsilon pairs= decays= tau_factor= epsilon_abs=
   RESULT zeno measurements= readout= p_plus= p_minus= p_survival=
 
-Start-up: each command loads only the modules it runs, when it starts
-(``_load``).  ``extract-epsilon`` loads no numpy at all; ``zeno`` and
-``spectrum`` add only ``spectral_zeno``; ``predict`` skips the sampler and
-the inference layer.  Every start compiles or reads what it imports, so
-this is most of the wall time of a short command.
-
 Curve files: ``t_s,survival,pdf`` (predict), ``t_s,value`` (intensity and
 spectrum survival), ``tl_s,tr_s,survival,pdf`` (joint),
 ``energy_s_inv,density`` (spectrum); event and binned files as described
@@ -41,20 +35,22 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .config import DetectorConfig, build_run_config, output_stream, parse_config_file
-from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor, extract_epsilon
+from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
 from .errors import (CoverageError, DegenerateComparisonError, DegenerateStateError,
                      FitFailureError, ModelPathologyError, UndefinedSignatureError,
                      UnsupportedRegimeError)
 
-# The names each command calls in the layers, by module.  A command binds
-# its layers' names here when it starts (_load), so a start loads only the
-# modules that command runs; reading one of these names from outside
-# (``kaonlab.cli.fit_intensity``) loads its module too.
+# The names the commands call in each layer.  A command binds its layers'
+# names when it starts (_load), so each start compiles only the modules
+# that command runs; reading a name from outside loads its layer too.
 _LAYERS = {
     "sampler": ("detect", "read_binned", "read_events", "sample_decay_times",
                 "sample_joint", "write_binned", "write_events"),
-    "inference": ("discrimination_power", "find_min_events_for_power", "fit_intensity"),
+    "inference": ("discrimination_power", "extract_epsilon", "find_min_events_for_power",
+                  "fit_intensity"),
     "single_models": ("cronin_fitch_intensity", "cronin_fitch_state", "negativity_report",
                       "pdf", "survival_standard"),
     "entangled": ("BipartiteState", "Family", "joint_pdf_11", "joint_survival_11"),
@@ -120,8 +116,6 @@ def _grid_flags(parser):
 
 def _time_grid(args, t_max, bins) -> np.ndarray:
     """The grid of the grid flags; ``t_max`` and ``bins`` are the defaults."""
-    import numpy as np
-
     t_min = args.grid_t_min or 0.0
     t_max = t_max if args.grid_t_max is None else args.grid_t_max
     bins = bins if args.grid_bins is None else args.grid_bins
@@ -148,8 +142,6 @@ def _emit(out_path, lines, kind, **record):
 
 def _emit_table(out_path, header, *columns):
     """A CSV file: the header row, then one row of equal-length columns per line."""
-    import numpy as np
-
     with output_stream(out_path or sys.stdout) as fh:
         np.savetxt(fh, np.column_stack(columns), fmt="%.17e", delimiter=",",
                    header=header, comments="")
@@ -184,8 +176,6 @@ def cmd_predict(args) -> int:
         if args.cp != 1 or args.quantity != "curves" or args.i0 is not None:
             raise ValueError("--joint writes the pair's joint curves; "
                              "--cp -1, --quantity intensity and --i0 do not apply")
-        import numpy as np
-
         grid = _time_grid(args, 5.0 * run.params.tau_s, 50)
         state = _bipartite_state(run, args)
         tl, tr = np.meshgrid(grid, grid, indexing="ij")
@@ -300,6 +290,7 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_extract_epsilon(args) -> int:
+    _load("inference")
     run = _run_config(args)
     result = extract_epsilon(args.pairs, args.decays, run.params,
                              apply_tau_factor=not args.no_tau_factor)
@@ -460,13 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _linalg_error() -> tuple:
-    """numpy's LinAlgError once numpy is loaded; before that nothing can
-    have raised it.  It is a ValueError, so it is matched before those."""
-    numpy = sys.modules.get("numpy")
-    return (numpy.linalg.LinAlgError,) if numpy else ()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -478,8 +462,9 @@ def main(argv=None) -> int:
     except (ModelPathologyError, DegenerateStateError) as exc:
         sys.stderr.write(f"error: model-pathology: {exc}\n")
         return EXIT_PATHOLOGY
+    # before the ValueError clause: LinAlgError is a ValueError
     except (FitFailureError, DegenerateComparisonError, UndefinedSignatureError,
-            UnsupportedRegimeError, *_linalg_error()) as exc:
+            UnsupportedRegimeError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: numerical-failure: {exc}\n")
         return EXIT_NUMERICAL
     except (ValueError, CoverageError, OSError) as exc:

@@ -1,10 +1,8 @@
 """Run configuration: the seed, the detector and the flat key = value file.
 
-:class:`RunSeed`, :class:`DetectorConfig` and :func:`output_stream` live
-here, not in the sampler, and numpy is imported only inside the two methods
-that build arrays, so a command that draws nothing and bins nothing (such
-as ``extract-epsilon``) starts without loading numpy.  The sampler imports
-all three back, so ``kaonlab.sampler.RunSeed`` is the same class.
+Every command builds its configuration here, so the module imports
+nothing of the package beyond ``core``: a command loads only the layers
+it runs.
 
 The file format is deliberately primitive: one ``key = value`` per line,
 ``#`` comments, no sections (keys carry their namespace, e.g.
@@ -18,6 +16,8 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .core import EPSILON_ABS, EPSILON_ARG_DEG, TAU_L, TAU_S, KaonParams
 
@@ -47,8 +47,6 @@ class RunSeed:
             raise ValueError("stream_id must be a 64-bit unsigned integer")
 
     def generator(self, substream: int = 0) -> np.random.Generator:
-        import numpy as np
-
         key_hi = (int(self.stream_id) * _GOLDEN + int(substream)) & _MASK64
         bitgen = np.random.Philox(key=np.array([int(self.seed), key_hi],
                                                dtype=np.uint64))
@@ -90,8 +88,6 @@ class DetectorConfig:
             raise ValueError("branching_charged must lie in [0, 1]")
 
     def edges(self) -> np.ndarray:
-        import numpy as np
-
         return np.linspace(self.t_min, self.t_max, self.n_bins + 1)
 
 

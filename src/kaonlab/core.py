@@ -1,5 +1,4 @@
-"""Physical constants, complex energies, kaon parameters, the state classes
-and the |epsilon| extraction from pair and decay counts.
+"""Physical constants, complex energies, kaon parameters and the state classes.
 
 A state is either a two-component CP-basis amplitude (:class:`QuasiSpinor`)
 or a coherent superposition of exponential modes
@@ -12,9 +11,6 @@ seconds, masses and widths in s^-1, so a metastable mode is the pair
 Only the mass difference between the short and long modes is observable in
 any quantity computed here, so the short mass is pinned to 0 and the long
 mass to ``delta_m`` throughout the package.
-
-The module loads no numpy: only the array accessors of
-:class:`SuperpositionState` import it, when called.
 """
 
 from __future__ import annotations
@@ -23,6 +19,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Kaon lifetimes and CP-violation parameter (PDG-era textbook values).
 TAU_S = 8.92e-11
@@ -217,18 +215,12 @@ class SuperpositionState:
         return cls(tuple((a / total, e) for a, e in zip(amps, energies, strict=True)))
 
     def amplitudes(self) -> np.ndarray:
-        import numpy as np
-
         return np.array([a for a, _ in self.modes], dtype=complex)
 
     def masses(self) -> np.ndarray:
-        import numpy as np
-
         return np.array([e.mass for _, e in self.modes], dtype=float)
 
     def widths(self) -> np.ndarray:
-        import numpy as np
-
         return np.array([e.width for _, e in self.modes], dtype=float)
 
 
@@ -261,43 +253,3 @@ def interference_weights(e1: ComplexEnergy, e2: ComplexEnergy) -> InterferenceWe
     # a >= 0, so psi lies in [-pi/2, pi/2]
     psi = math.atan2(-b, a) if r > 0 else 0.0
     return InterferenceWeights(r, psi)
-
-
-@dataclass(frozen=True)
-class EpsilonExtraction:
-    """Result of the pair/decay counting identity.
-
-    r_ratio is the raw pairs/decays ratio, r_t its charged-branching
-    correction (3/2 of r_ratio), and epsilon_abs the extracted |epsilon|.
-    ``apply_tau_factor`` records whether the historical tau_S/tau_L factor
-    entered the square root.
-    """
-
-    r_ratio: float
-    r_t: float
-    apply_tau_factor: bool
-    epsilon_abs: float
-
-
-def extract_epsilon(pairs: int, decays: int, params: KaonParams,
-                    apply_tau_factor: bool = True) -> EpsilonExtraction:
-    """|epsilon| from late-time pair and total decay counts.
-
-    R = pairs/decays, R_T = (3/2) R (undoing the 2/3 branching of the
-    CP=+1 sector into charged pion pairs), and
-
-        |epsilon| = sqrt(R_T * tau_S/tau_L)   if apply_tau_factor
-        |epsilon| = sqrt(R_T)                 otherwise.
-
-    The tau factor is the historical convention; it reproduces the
-    textbook |epsilon| = 2.27e-3 from 45 pairs in 22700 decays.  Dropping
-    it enlarges |epsilon| by sqrt(tau_L/tau_S), about a factor 24 for
-    kaons, and both readings are exposed because the factor's origin is a
-    live question the package is meant to probe.
-    """
-    if not (0 < pairs < decays):
-        raise ValueError(f"need 0 < pairs < decays, got {pairs}, {decays}")
-    r = pairs / decays
-    r_t = 1.5 * r
-    value = r_t * (params.tau_s / params.tau_l) if apply_tau_factor else r_t
-    return EpsilonExtraction(r, r_t, apply_tau_factor, math.sqrt(value))

@@ -16,9 +16,7 @@ giving the negative panels zero mass.
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
 (seed, stream_id, inputs) triple reproduces the event table bitwise, no
-matter how work is scheduled.  :class:`RunSeed`, :class:`DetectorConfig`
-and :func:`output_stream` are defined in :mod:`kaonlab.config`, which
-loads without numpy, and imported here under the same names.
+matter how work is scheduled.
 
 Draws are inverted, and event files formatted and parsed, in chunks on a
 pool of threads, one per CPU in the process's affinity mask; the work is

@@ -629,23 +629,35 @@ class TestCliContract:
         return proc.returncode, set(proc.stderr.splitlines()[-1].split())
 
     def test_each_command_loads_only_its_layers(self, tmp_path):
+        """The README's start-up table, row by row."""
+        events, binned = str(tmp_path / "e.csv"), str(tmp_path / "b.csv")
+        sampler_layer = {"sampler", "textfmt", "single_models", "entangled", "expsum"}
+        runs = [  # in order: detect reads simulate's file, fit reads detect's
+            (["extract-epsilon", "--pairs", "x", "--decays", "1"], 2, set()),
+            (["zeno", "--measurements", "3e-11,8e-11", "--readout", "2e-10",
+              "--trials", "100"], 0, {"spectral_zeno"}),
+            (["spectrum", "--width", "1.12e10", "--survival", "--convention", "time_operator",
+              "--out", str(tmp_path / "s.csv")], 0, {"spectral_zeno"}),
+            (["extract-epsilon", "--pairs", "45", "--decays", "22700"], 0,
+             {"inference", "single_models", "expsum"}),
+            (["discriminate", "--model-a", "twfo", "--model-b", "standard",
+              "--n-events", "1000", "--trials", "100"], 0,
+             {"inference", "single_models", "expsum"}),
+            (["predict", "--bins", "20", "--out", str(tmp_path / "p.csv")], 0,
+             {"single_models", "entangled", "expsum"}),
+            (["predict", "--joint", "--family", "beta", "--bins", "5",
+              "--out", str(tmp_path / "j.csv")], 0, {"single_models", "entangled", "expsum"}),
+            (["simulate", "--model", "twfo", "--n", "2000", "--out", events], 0, sampler_layer),
+            (["detect", "--events", events, "--t-max", "1e-9", "--bins", "10",
+              "--out", binned], 0, sampler_layer),
+            (["fit", "--data", binned, "--model", "twfo", "--out", str(tmp_path / "f.txt")], 0,
+             sampler_layer | {"inference"}),
+        ]
         base = {"kaonlab", "kaonlab.cli", "kaonlab.config", "kaonlab.core", "kaonlab.errors"}
-        package = lambda mods: {m for m in mods if m.startswith("kaonlab")}
-
-        code, mods = self.loaded_modules("extract-epsilon", "--pairs", "45", "--decays", "22700")
-        assert (code, package(mods), "numpy" in mods) == (0, base, False)
-        code, mods = self.loaded_modules("extract-epsilon", "--pairs", "x", "--decays", "1")
-        assert (code, package(mods), "numpy" in mods) == (2, base, False)
-        for argv in (["zeno", "--measurements", "3e-11,8e-11", "--readout", "2e-10",
-                      "--trials", "100"],
-                     ["spectrum", "--width", "1.12e10", "--survival", "--convention",
-                      "time_operator", "--out", str(tmp_path / "s.csv")]):
+        for argv, want_code, layers in runs:
             code, mods = self.loaded_modules(*argv)
-            assert (code, package(mods)) == (0, base | {"kaonlab.spectral_zeno"}), argv
-        code, mods = self.loaded_modules("predict", "--bins", "20",
-                                         "--out", str(tmp_path / "p.csv"))
-        assert code == 0
-        assert not package(mods) & {"kaonlab.sampler", "kaonlab.inference"}
+            package = {m for m in mods if m.startswith("kaonlab")}
+            assert (code, package) == (want_code, base | {f"kaonlab.{m}" for m in layers}), argv
 
         script = "import sys, kaonlab; print(sorted(m for m in sys.modules if 'kaonlab' in m))"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

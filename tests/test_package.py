@@ -51,14 +51,28 @@ def test_star_import_and_unknown_names():
 
 
 def test_run_configuration_moved_to_config():
-    from kaonlab import config, core, inference, sampler
+    from kaonlab import config, sampler
 
     for name in ("RunSeed", "DetectorConfig", "output_stream"):
         assert getattr(sampler, name) is getattr(config, name)
-    for name in ("EpsilonExtraction", "extract_epsilon"):
-        assert getattr(inference, name) is getattr(core, name)
     assert kaonlab.RunSeed.__module__ == "kaonlab.config"
-    assert kaonlab.extract_epsilon.__module__ == "kaonlab.core"
+
+
+def test_modules_read_as_package_attributes():
+    """``kaonlab.sampler`` and the rest work after a bare ``import kaonlab``,
+    as they did when the package imported its modules eagerly."""
+    script = textwrap.dedent("""
+        import importlib, kaonlab
+        assert kaonlab.sampler is importlib.import_module("kaonlab.sampler")
+        assert kaonlab.inference.extract_epsilon is kaonlab.extract_epsilon
+        assert kaonlab.spectral_zeno.zeno_sequence is kaonlab.zeno_sequence
+        assert kaonlab.textfmt is importlib.import_module("kaonlab.textfmt")
+        assert not hasattr(kaonlab, "no_such_module")
+        assert not hasattr(kaonlab, "__main__")  # reading it must not run the CLI
+        print("ok")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_replaced_cli_layer_functions_are_the_ones_called(tmp_path):
