@@ -9,8 +9,10 @@ and the entangled joint densities are its separable two-time form
 Re sum_k d_k exp(-z_k tl) exp(-w_k tr).  Everything else is closed form:
 the cumulative distribution is Re sum_k (d_k/z_k)(1 - exp(-z_k t)), the
 tail mass Re sum_k (d_k/z_k) exp(-z_k t), and the total mass
-Re sum_k d_k/z_k.  Given tl, tr has such a density, one coefficient row per
-tl.  This module is the only place that arithmetic lives.
+Re sum_k d_k/z_k.  The sum tl + tr of a pair whose joint density depends
+on tl + tr alone has the degree-one form Re sum_k d_k t exp(-z_k t), with
+tail mass Re sum_k (d_k/z_k^2)(1 + z_k t) exp(-z_k t).  This module is the
+only place that arithmetic lives.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _contract(x, a):
 
 @dataclass(frozen=True, eq=False)
 class ExpSum:
-    """f(t) = Re sum_k d_k exp(-z_k t) on t >= 0.
+    """f(t) = Re sum_k d_k t^degree exp(-z_k t) on t >= 0, degree 0 or 1.
 
     Scalar times give floats, arrays give arrays of the same shape.
     ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.  With one row of
@@ -49,46 +51,68 @@ class ExpSum:
 
     d: np.ndarray
     z: np.ndarray
+    degree: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
         object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
+        if self.degree not in (0, 1):
+            raise ValueError(f"degree must be 0 or 1, got {self.degree!r}")
+
+    def _coeffs(self):
+        """(density, mass) coefficients: (d, d/z), or (d/z, d/z^2) at degree one."""
+        mass = self.d / self.z
+        return (mass, mass / self.z) if self.degree else (self.d, mass)
+
+    def _terms(self, t):
+        """(tail, density) terms per time and k from one exp(-t z) each."""
+        if not self.degree:  # t z is not kept: one array fewer at the peak
+            tails = np.exp(-np.multiply.outer(t, self.z))
+            return tails, tails
+        tz = np.multiply.outer(t, self.z)
+        tails = np.exp(-tz)
+        return (1.0 + tz) * tails, tz * tails
 
     def pdf(self, t):
-        return _real(_contract(np.exp(-np.multiply.outer(t, self.z)), self.d))
+        return _real(_contract(self._terms(t)[1], self._coeffs()[0]))
 
     def cdf(self, t):
         """Mass on [0, t]."""
-        return _real(_contract(1.0 - np.exp(-np.multiply.outer(t, self.z)),
-                               self.d / self.z))
+        return _real(_contract(1.0 - self._terms(t)[0], self._coeffs()[1]))
 
     def cdf_pdf(self, t):
         """``(cdf(t), pdf(t))``, bitwise, from one evaluation of exp(-t z)."""
-        tails = np.exp(-np.multiply.outer(t, self.z))
-        return (_real(_contract(1.0 - tails, self.d / self.z)),
-                _real(_contract(tails, self.d)))
+        tails, dens = self._terms(t)
+        d, mass = self._coeffs()
+        return _real(_contract(1.0 - tails, mass)), _real(_contract(dens, d))
 
     def sf(self, t):
         """Mass on (t, inf), summed directly so it keeps its digits where
         the cdf has rounded to the total."""
-        return _real(_contract(np.exp(-np.multiply.outer(t, self.z)), self.d / self.z))
+        return _real(_contract(self._terms(t)[0], self._coeffs()[1]))
 
     def bin_mass(self, edges) -> np.ndarray:
         """Mass in each bin [edges[i], edges[i+1]], as a difference of tails."""
-        tails = np.exp(-np.multiply.outer(edges, self.z))
-        return np.real(_contract(tails[:-1] - tails[1:], self.d / self.z))
+        tails = self._terms(edges)[0]
+        return np.real(_contract(tails[:-1] - tails[1:], self._coeffs()[1]))
 
     def rounding_floor(self):
-        """4 eps sum_k |d_k/z_k|: Re sum_k x_k a_k with |x_k| <= 2 rounds by at
-        most 4 eps sum_k |a_k|, so no solver can ask ``cdf`` or ``sf`` for more."""
-        return _real(4.0 * np.finfo(float).eps * np.sum(np.abs(self.d / self.z), axis=-1))
+        """No solver can ask ``cdf`` or ``sf`` for less: Re sum_k x_k a_k, a_k
+        the mass coefficients, rounds by at most 2 eps sum_k |x_k| |a_k|.
+        Degree 0 has |x_k| <= 2.  Degree one has x_k = 1 - (1 + z t) e^{-z t},
+        and over t >= 0 |(1 + z t) e^{-z t}| <= (1 + |z| t) e^{-t Re z} <= M,
+        M = max(1, |z|/Re z); one unit more covers the rounding of that
+        product, so the floor is 2 eps sum_k (2 + M_k) |d_k/z_k^2|."""
+        bound = 2.0 + (np.maximum(1.0, np.abs(self.z) / self.z.real) if self.degree else 0.0)
+        return _real(2.0 * np.finfo(float).eps
+                     * np.sum(bound * np.abs(self._coeffs()[1]), axis=-1))
 
     def normalised(self) -> "ExpSum":
         """The same sum rescaled to unit mass on [0, inf)."""
-        total = float(np.real(np.sum(self.d / self.z)))
+        total = float(np.real(np.sum(self._coeffs()[1])))
         if total <= _TINY:
             raise DegenerateStateError("exponential sum has no positive mass")
-        return ExpSum(self.d / total, self.z)
+        return ExpSum(self.d / total, self.z, self.degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +143,3 @@ class ExpSum2:
     def marginal(self) -> ExpSum:
         """The density of tl alone: tr integrated over [0, inf)."""
         return ExpSum(self.d / self.w, self.z)
-
-    def conditional(self, tl) -> ExpSum:
-        """The density in tr at each left time ``tl``, rows d_k exp(-z_k tl),
-        rates w; unnormalised, its mass is the marginal's density at tl."""
-        return ExpSum(self.d * np.exp(-np.multiply.outer(tl, self.z)), self.w)

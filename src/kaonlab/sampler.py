@@ -3,15 +3,14 @@
 Sampling is inverse-CDF throughout.  Every model pdf in this package is a
 short sum of complex exponentials, evaluated and integrated in closed form
 by :class:`kaonlab.expsum.ExpSum`.  One table, :class:`Dist1D`, serves
-every single-time draw: the exact cdf and pdf at refined knots give each
-sample a cubic Hermite starting point, and a bracketed Newton iteration
-stops once the cdf residual reaches the cdf's own rounding floor.  The
-right time of a pair is found by the same Newton, on its conditional
-given the left: an ExpSum with one coefficient row per pair.  Nothing is
-ever clipped: a model whose density goes negative anywhere on the scan
-grid is rejected with ModelPathologyError, unless the caller asks for the
-law conditioned on its nonnegative support, which the same table draws by
-giving the negative panels zero mass.
+every draw, of a single time or of the sum or difference of a pair's two
+times (:func:`sample_joint`): the exact cdf and pdf at refined knots give
+each sample a cubic Hermite starting point, and a bracketed Newton
+iteration stops once the cdf residual reaches the cdf's own rounding
+floor.  Nothing is ever clipped: a model whose density goes negative
+anywhere on the scan grid is rejected with ModelPathologyError, unless the
+caller asks for the law conditioned on its nonnegative support, which the
+same table draws by giving the negative panels zero mass.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream_id), so independent substreams are cheap and a given
@@ -42,9 +41,9 @@ import numpy as np
 from . import textfmt
 from .config import DetectorConfig, RunSeed, output_stream
 from .core import DecayModel, SuperpositionState
-from .entangled import BipartiteState, joint_model_terms
+from .entangled import BipartiteState, Family, joint_model_terms
 from .errors import ModelPathologyError
-from .expsum import ExpSum, ExpSum2
+from .expsum import ExpSum
 from .single_models import model_terms
 
 SIDES = ("single", "left", "right")
@@ -108,27 +107,23 @@ class BinnedCounts:
         object.__setattr__(self, "triplet_counts", trip)
 
 
-def _invert_monotone(cdf_pdf, target, t, lo, hi, tol, max_iter: int = 60):
+def _invert_monotone(cdf_pdf, target, t, lo, hi, tol):
     """Solve cdf(t) = target per element with bracketed Newton.
 
-    ``cdf_pdf(ta, active)`` gives the cdf and the pdf at the times ``ta`` of
-    the elements ``active`` from one evaluation of the terms.  An element
-    is done once |cdf(t) - target| <= tol (a scalar or one value per
-    element: the rounding floor of the cdf) or its bracket has collapsed.
-    Done elements leave the active set, so the term evaluations shrink with
-    each pass; the result is deterministic regardless of how many passes
-    any element needs.
+    ``cdf_pdf(ta)`` gives the cdf and the pdf at the times ``ta`` from one
+    evaluation of the terms.  An element is done once |cdf(t) - target| <=
+    tol, the rounding floor of the cdf, or its bracket has collapsed.  Done
+    elements leave the active set, so the term evaluations shrink with each
+    pass; the result is deterministic regardless of how many passes any
+    element needs.  The float arrays ``t``, ``lo`` and ``hi`` are updated
+    in place; ``t`` is returned.
     """
-    t = np.array(t, dtype=float)
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    tol = np.broadcast_to(tol, t.shape)
     active = np.arange(t.size)
-    for _ in range(max_iter):
+    for _ in range(60):
         ta = t[active]
-        cdf, p = cdf_pdf(ta, active)
+        cdf, p = cdf_pdf(ta)
         f = cdf - target[active]
-        open_ = np.abs(f) > tol[active]
+        open_ = np.abs(f) > tol
         active, ta, f, p = active[open_], ta[open_], f[open_], p[open_]
         if active.size == 0:
             break
@@ -181,7 +176,7 @@ def _scan_knots(terms: ExpSum):
 
 
 class Dist1D:
-    """Inverse-CDF sampler for a density Re sum_k d_k exp(-z_k t) on [0, inf).
+    """Inverse-CDF sampler for a density Re sum_k d_k t^degree exp(-z_k t) on [0, inf).
 
     The cdf and pdf are evaluated exactly at the knots of
     :func:`_scan_knots`, the density also at their midpoints.  Density
@@ -192,8 +187,8 @@ class Dist1D:
     the table and the draws are the same either way.
     """
 
-    def __init__(self, coeffs, rates, restrict_to_support: bool = False):
-        self._terms = ExpSum(coeffs, rates)
+    def __init__(self, coeffs, rates, restrict_to_support: bool = False, degree: int = 0):
+        self._terms = ExpSum(coeffs, rates, degree)
         self.t_max, knots = _scan_knots(self._terms)
         cdf = self.cdf(knots)
         scan = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
@@ -281,8 +276,7 @@ class Dist1D:
                 + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
         t = np.clip(seed, lo, hi)
         target = u * self._total + self._removed[idx - 1]
-        return _invert_monotone(lambda ta, _: self.cdf_pdf(ta), target, t, lo, hi,
-                                self._tol)
+        return _invert_monotone(self.cdf_pdf, target, t, lo, hi, self._tol)
 
 
 def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
@@ -314,59 +308,44 @@ def sample_decay_times(model: DecayModel, state: SuperpositionState, n: int,
                       np.full(times.size, _encode(np.array(channel), CHANNELS)), times)
 
 
-def _joint_rows(draws, bounds):
-    """Times of pairs ``bounds[0]`` to ``bounds[1]`` of ``draws`` =
-    (u_left, u_right, marginal, joint), left then right per pair: the left
-    time from the marginal table, the right by inverting its conditional
-    cdf on [0, t_max], from 0.5 t_max, to that cdf's rounding floor."""
-    u_left, u_right, marginal, joint = draws
-    tl = marginal._ppf_rows(u_left, bounds)
-    cond = joint.conditional(tl)
-    t_max = marginal.t_max
-    tr = _invert_monotone(lambda t, rows: ExpSum(cond.d[rows], cond.z).cdf_pdf(t),
-                          u_right[slice(*bounds)] * cond.cdf(t_max),
-                          np.full(tl.shape, 0.5 * t_max), np.zeros_like(tl),
-                          np.full_like(tl, t_max), cond.rounding_floor(), max_iter=90)
-    return np.column_stack((tl, tr)).ravel()
-
-
-def _check_joint_positive(joint: ExpSum2, t_max):
-    grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, 160)])
-    vals = joint.pdf(*np.meshgrid(grid, grid, indexing="ij"))
-    scale = float(np.max(np.abs(vals))) or 1.0
-    if np.min(vals) < -1e-10 * scale:
-        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        raise ModelPathologyError(
-            "joint density is negative near "
-            f"(tl, tr) = ({grid[i]:.6e}, {grid[j]:.6e}); refusing to sample",
-            t_lo=float(grid[i]), t_hi=float(grid[j]))
-
-
 def sample_joint(model: DecayModel, state: BipartiteState, n: int,
                  seed: RunSeed) -> EventTable:
     """Draw n correlated (left, right) decay-time pairs from a joint pdf.
 
-    Conditional decomposition: the left time is drawn from the closed-form
-    marginal, the right from the conditional given the left.  Each pair
-    gives two rows, left then right.  Both sides are tagged as pion-pair
-    (CP=+1) events, which is the channel the joint distributions describe.
-    Chunks of pairs are drawn on every CPU, both times of a pair in one
-    task.
+    Each pair takes three uniforms u0, u1, u2 and is drawn from 1-D laws
+    by :class:`Dist1D`.  Alpha family: every term has z + w = 2a
+    (a = gamma_mean), so min(tl, tr) = -log1p(-u0)/(2a) is exponential, tl
+    is the later time where u1 < Re sum d/(2a z), and u2 draws |tl - tr|
+    from the density (d/(2a), z) if it is, (d/(2a), w) if not.  Beta
+    family: w = z, so u0 draws s = tl + tr from the degree-one density
+    (d, z), and tl = u1 s.  A density that dips negative is refused by its
+    table's own scan.  Each pair gives two rows, left then right, both
+    tagged as pion-pair (CP=+1) events, the channel the joint
+    distributions describe.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    joint = ExpSum2(*joint_model_terms(model, state, normalized=True))
-    left = joint.marginal()
-    marginal = Dist1D(left.d, left.z)
-    _check_joint_positive(joint, marginal.t_max)
-    rng = seed.generator()
-    u_left = rng.random(int(n))
-    u_right = rng.random(int(n))
-    times = np.concatenate(list(_map_chunks(_joint_rows, (u_left, u_right, marginal, joint),
-                                            _row_chunks(u_left.size))))
-    return EventTable(np.repeat(np.arange(u_left.size), 2),
-                      np.tile([SIDES.index("left"), SIDES.index("right")], u_left.size),
-                      np.full(2 * u_left.size, CHANNELS.index("pair")), times)
+    d, z, w = joint_model_terms(model, state, normalized=True)
+    u0, u1, u2 = seed.generator().random((3, int(n)))
+    if state.family is Family.BETA:
+        try:
+            sums = Dist1D(d, z, degree=1)
+        except ModelPathologyError as exc:
+            raise ModelPathologyError(f"s = tl + tr: {exc}", exc.t_lo, exc.t_hi) from None
+        s = sums.ppf(u0)
+        tl, tr = u1 * s, (1.0 - u1) * s
+    else:
+        rate = 2.0 * state.params.gamma_mean
+        later = u1 < np.real(np.sum(d / (rate * z)))
+        gap = np.empty_like(u2)
+        for rows, rates in ((later, z), (~later, w)):
+            gap[rows] = Dist1D(d / rate, rates).ppf(u2[rows])
+        first = -np.log1p(-u0) / rate
+        tl, tr = first + np.where(later, gap, 0.0), first + np.where(later, 0.0, gap)
+    return EventTable(np.repeat(np.arange(u0.size), 2),
+                      np.tile([SIDES.index("left"), SIDES.index("right")], u0.size),
+                      np.full(2 * u0.size, CHANNELS.index("pair")),
+                      np.column_stack((tl, tr)).ravel())
 
 
 def detect(events: EventTable, det: DetectorConfig, seed: RunSeed) -> BinnedCounts:

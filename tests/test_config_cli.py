@@ -195,6 +195,16 @@ class TestCliGolden:
         err = capsys.readouterr().err
         assert err.startswith("error: model-pathology:")
 
+    def test_simulate_joint_standard_beta_pathology_exits_three(self, tmp_path, capsys):
+        # the standard beta law dips negative near tl + tr = 0
+        out = tmp_path / "pairs.csv"
+        code = main(["simulate", "--joint", "--family", "beta", "--model", "standard",
+                     "--n", "10", "--seed", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: model-pathology:")
+        assert not out.exists()
+
     def test_detect_pipeline(self, tmp_path):
         events = tmp_path / "events.csv"
         binned = tmp_path / "binned.csv"

@@ -187,6 +187,19 @@ class TestJointPdf:
         assert np.any(neg_b)
         assert min_b < 0.0
 
+    @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi])
+    @pytest.mark.parametrize("model", list(DecayModel), ids=lambda m: m.value)
+    def test_pair_laws_are_one_dimensional(self, params, model, phase):
+        # alpha: every term has z + w = 2a, so the density is exp(-2a min(tl, tr))
+        # times a function of tl - tr; beta: w = z, so it is a function of
+        # tl + tr.  The sampler draws pairs from these 1-D laws.
+        _, z, w = joint_model_terms(model, BipartiteState.alpha(phase, params),
+                                    normalized=True)
+        assert np.array_equal(z + w, np.full(z.shape, 2.0 * params.gamma_mean))
+        _, z, w = joint_model_terms(model, BipartiteState.beta(phase, params),
+                                    normalized=True)
+        assert np.array_equal(z, w)
+
     def test_factorisation_limit(self):
         # degenerate widths and no mass splitting: the joint law becomes a
         # product of single-particle exponentials

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -75,6 +76,64 @@ class TestExpSum:
             ExpSum([1.0, -1.0], [2.0, 2.0]).normalised()
 
 
+class TestDegreeOne:
+    """Terms d t exp(-z t), against mpmath at 20 digits or more."""
+
+    D, Z = [2.0, 1.0 + 1.0j, -0.5j], [1.0, 3.0 - 2.0j, 0.5 + 7.0j]
+    TIMES = np.array([0.0, 0.7, 9.0, 40.0])
+
+    def _pdf(self, x):
+        return mpmath.re(mpmath.fsum(mpmath.mpc(d) * x * mpmath.exp(-mpmath.mpc(z) * x)
+                                     for d, z in zip(self.D, self.Z)))
+
+    def _quad(self, lo, hi):
+        # Gauss-Legendre on panels of about two periods of the fastest
+        # oscillation, out to where the slowest term has decayed by e^-45
+        points = [lo, *np.arange(lo, min(hi, lo + 90.0), 2.0)[1:], hi]
+        return mpmath.quad(self._pdf, points, method="gauss-legendre")
+
+    def test_pdf_cdf_sf_match_quadrature(self):
+        terms = ExpSum(self.D, self.Z, 1)
+        cdf, pdf = terms.cdf_pdf(self.TIMES)
+        assert np.array_equal(cdf, terms.cdf(self.TIMES))
+        assert np.array_equal(pdf, terms.pdf(self.TIMES))
+        with mpmath.workdps(20):
+            for i, t in enumerate(self.TIMES):
+                assert pdf[i] == pytest.approx(float(self._pdf(mpmath.mpf(t))), abs=1e-14)
+                assert cdf[i] == pytest.approx(float(self._quad(0.0, t)), abs=1e-14)
+                assert terms.sf(t) == pytest.approx(float(self._quad(t, mpmath.inf)),
+                                                    abs=1e-14)
+
+    def test_cdf_and_sf_sum_to_the_mass(self):
+        terms = ExpSum(self.D, self.Z, 1)
+        with mpmath.workdps(20):
+            mass = float(self._quad(0.0, mpmath.inf))
+        t = np.linspace(0.0, 40.0, 4001)
+        assert np.all(np.abs(terms.cdf(t) + terms.sf(t) - mass)
+                      <= 2 * terms.rounding_floor())
+        assert terms.normalised().cdf(1e3) == pytest.approx(1.0, rel=1e-14)
+        assert terms.bin_mass(t).sum() == pytest.approx(terms.cdf(t[-1]), rel=1e-13)
+
+    def test_rounding_floor_bounds_the_rounding_of_cdf_and_sf(self):
+        terms = ExpSum(self.D, self.Z, 1)
+        t = np.union1d(np.geomspace(1e-6, 60.0, 2000), np.linspace(0.0, 60.0, 2001))
+        with mpmath.workdps(40):
+            exact_sf = np.array([float(mpmath.re(mpmath.fsum(
+                mpmath.mpc(d) / mpmath.mpc(z) ** 2 * (1 + mpmath.mpc(z) * ti)
+                * mpmath.exp(-mpmath.mpc(z) * ti) for d, z in zip(self.D, self.Z))))
+                for ti in map(mpmath.mpf, t)])
+            mass = float(mpmath.re(mpmath.fsum(mpmath.mpc(d) / mpmath.mpc(z) ** 2
+                                               for d, z in zip(self.D, self.Z))))
+        floor = terms.rounding_floor()
+        assert np.max(np.abs(terms.sf(t) - exact_sf)) <= floor
+        # the exact cdf, mass - sf, rounded once
+        assert np.max(np.abs(terms.cdf(t) - (mass - exact_sf))) <= floor + 2 * np.spacing(mass)
+
+    def test_degree_must_be_zero_or_one(self):
+        with pytest.raises(ValueError, match="degree must be 0 or 1"):
+            ExpSum([1.0], [1.0], 2)
+
+
 class TestExpSum2:
     def test_marginal_is_the_tr_quadrature_of_pdf(self, params):
         joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR,
@@ -86,18 +145,6 @@ class TestExpSum2:
                                       epsabs=0.0, epsrel=1e-12, limit=200)[0]
                        for a, b in zip(breaks[:-1], breaks[1:]))
             assert marginal.pdf(tl) == pytest.approx(quad, rel=1e-9)
-
-    @pytest.mark.parametrize("family", ["alpha", "beta"])
-    def test_conditional_mass_is_the_marginal_density(self, params, family):
-        joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR,
-                                           getattr(BipartiteState, family)(0.3, params),
-                                           normalized=True))
-        tl = np.array([0.0, 0.3, 0.7, 4.0, 40.0, 4e3]) * params.tau_s
-        cond = joint.conditional(tl)
-        assert cond.d.shape == (tl.size, joint.d.size)
-        assert np.all(np.abs(cond.sf(0.0) - joint.marginal().pdf(tl))
-                      <= cond.rounding_floor())
-        assert np.array_equal(cond.cdf(0.0), np.zeros(tl.size))
 
     def test_normalised_has_unit_mass(self, params):
         state = BipartiteState.alpha(0.0, params)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.optimize import brentq
 
 from _util import assert_same_lines, no_thread_left
@@ -277,7 +277,90 @@ class TestSampleDecayTimes:
         assert np.all(ExpSum(d, z).pdf(times) >= 0)
 
 
+def pair_cdfs(d, z, w):
+    """Exact cdfs of tl, tr, tl + tr and tl - tr for the joint density
+    Re sum_k d_k exp(-z_k tl - w_k tr), each term integrated over its region
+    in closed form.  Per term, P(tl + tr <= s) is
+    [(1 - e^{-zs})/z - (e^{-ws} - e^{-zs})/(z - w)]/w, whose second
+    fraction is s e^{-zs} when w = z; P(tl - tr > x) is e^{-zx}/(z(z+w))
+    for x >= 0 and P(tl - tr <= x) is e^{wx}/(w(z+w)) for x < 0."""
+    d, z, w = (np.asarray(v, dtype=complex) for v in (d, z, w))
+    same = z == w
+
+    def total(s):
+        s = np.asarray(s, dtype=float)[..., None]
+        ez, ew = np.exp(-z * s), np.exp(-w * s)
+        inner = np.where(same, s * ez, (ew - ez) / np.where(same, 1.0, z - w))
+        return np.real(np.sum(d / w * ((1.0 - ez) / z - inner), axis=-1))
+
+    def difference(x):
+        x = np.asarray(x, dtype=float)
+        above = np.real(np.sum(d * np.exp(-z * np.abs(x)[..., None]) / (z * (z + w)), axis=-1))
+        below = np.real(np.sum(d * np.exp(-w * np.abs(x)[..., None]) / (w * (z + w)), axis=-1))
+        return np.where(x >= 0, 1.0 - above, below)
+
+    return {"tl": ExpSum2(d, z, w).marginal().cdf, "tr": ExpSum2(d, w, z).marginal().cdf,
+            "tl + tr": total, "tl - tr": difference}
+
+
 class TestSampleJoint:
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_pair_cdfs_match_quadrature(self, params, family):
+        # the oracle of the KS test below, against quadrature over tl of the
+        # mass in tr between lo(tl) and hi(tl); times in units of tau_s
+        state = getattr(BipartiteState, family)(0.7, params)
+        d, z, w = joint_model_terms(DecayModel.TIME_OPERATOR, state, normalized=True)
+        cdfs, tau = pair_cdfs(d, z, w), params.tau_s
+        d, z, w = d * tau * tau, z * tau, w * tau
+
+        def mass(lo, hi):
+            return lambda t: np.real(np.sum(d * np.exp(-z * t) / w
+                                            * (np.exp(-w * lo(t)) - np.exp(-w * hi(t)))))
+
+        for s in (0.3, 1.7, 6.0):
+            quad, _ = integrate.quad(mass(lambda t: 0.0, lambda t: s - t), 0.0, s,
+                                     epsabs=1e-15)
+            assert cdfs["tl + tr"](s * tau) == pytest.approx(quad, abs=1e-12)
+        ladder = np.concatenate([[0.0], np.geomspace(1e-3, 6e4, 40)])  # tau_l: 580 tau_s
+        for x in (-1.3, -0.2, 0.4, 2.5):
+            # tl - tr <= x where tr >= tl - x, which has a kink at tl = x
+            f = mass(lambda t: max(t - x, 0.0), lambda t: t + 1e5)
+            edges = np.union1d(ladder, max(x, 0.0))
+            quad = sum(integrate.quad(f, a, b, epsabs=1e-15)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+            assert cdfs["tl - tr"](x * tau) == pytest.approx(quad, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [DecayModel.TIME_OPERATOR, DecayModel.HYBRID],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_ks_of_times_sum_and_difference(self, params, family, model):
+        state = getattr(BipartiteState, family)(0.7, params)
+        n = 100_000
+        pairs = sample_joint(model, state, n, RunSeed(25))
+        tl, tr = pairs.time[0::2], pairs.time[1::2]
+        cdfs = pair_cdfs(*joint_model_terms(model, state, normalized=True))
+        # tl - tr also within 5 tau_s of the diagonal: the interference
+        # lives there, and the long-lived terms that hold most of the mass
+        # hide it from the whole range
+        diff, edge = cdfs["tl - tr"], 5 * params.tau_s
+        lo, hi = diff(-edge), diff(edge)
+        for name, x, cdf in (("tl", tl, cdfs["tl"]), ("tr", tr, cdfs["tr"]),
+                             ("tl + tr", tl + tr, cdfs["tl + tr"]), ("tl - tr", tl - tr, diff),
+                             ("near the diagonal", (tl - tr)[np.abs(tl - tr) < edge],
+                              lambda x: (diff(x) - lo) / (hi - lo))):
+            m = x.size
+            ks = np.max(np.abs(np.sort(cdf(x)) - (np.arange(1, m + 1) - 0.5) / m))
+            assert ks < 1.63 / math.sqrt(m), name
+
+    def test_alpha_pairs_are_one_law_under_every_model(self, params):
+        # each alpha law is proportional to |psi11|^2 (criterion 05)
+        state = BipartiteState.alpha(0.7, params)
+        twfo, *others = (sample_joint(model, state, 20_000, RunSeed(26)).time
+                         for model in (DecayModel.TIME_OPERATOR, DecayModel.HYBRID,
+                                       DecayModel.STANDARD))
+        for other in others:
+            np.testing.assert_allclose(other, twfo, rtol=1e-9, atol=0.0)
+
     def test_reproducible_and_tagged(self, params):
         state = BipartiteState.alpha(0.0, params)
         pairs = sample_joint(DecayModel.TIME_OPERATOR, state, 50, RunSeed(5))
@@ -313,51 +396,49 @@ class TestSampleJoint:
         ks = np.max(np.abs(np.sort(u) - (np.arange(1, n + 1) - 0.5) / n))
         assert ks < 1.63 / math.sqrt(n)
 
-    def test_conditional_residuals_within_rounding_floor(self, params):
-        state = BipartiteState.alpha(0.0, params)
-        n, seed = 10_000, RunSeed(24)
-        pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, seed)
-        tl, tr = pairs.time[0::2], pairs.time[1::2]
-        rng = seed.generator()
-        rng.random(n)
-        u_right = rng.random(n)
-        joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR, state,
-                                           normalized=True))
-        left = joint.marginal()
-        t_max = Dist1D(left.d, left.z).t_max
-        # the conditional cdf of tr given tl, up to the mass it has on [0, t_max],
-        # rounded in the solver's order: the rows (d e^{-z tl}) / w, and the
-        # real part of each term, summed over k
-        a = (joint.d * np.exp(-np.multiply.outer(tl, joint.z))) / joint.w
+    def test_pair_draw_residuals_within_rounding_floor_at_every_seed(self, params,
+                                                                     monkeypatch):
+        # every 1-D draw of a pair (s = tl + tr for beta, |tl - tr| for
+        # alpha) solved to its table's rounding floor, at each of several seeds
+        draws = []
+        ppf = Dist1D.ppf
 
-        def real_sum(x):
-            return (x.real * a.real - x.imag * a.imag).sum(axis=1)
+        def recorded_ppf(dist, u):
+            draws.append((dist, u, ppf(dist, u)))
+            return draws[-1][2]
 
-        full = real_sum(1.0 - np.exp(-t_max * joint.w))
-        cond = real_sum(1.0 - np.exp(-np.multiply.outer(tr, joint.w)))
-        assert np.all(np.abs(cond - u_right * full) <= rounding_floor(a))
-
-    def test_pair_solver_residuals_within_rounding_floor_at_every_seed(self, params):
-        # the solver's own conditional, checked at each of several seeds
-        state = BipartiteState.alpha(0.0, params)
-        joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR, state,
-                                           normalized=True))
-        left = joint.marginal()
-        t_max = Dist1D(left.d, left.z).t_max
+        monkeypatch.setattr(Dist1D, "ppf", recorded_ppf)
         n = 10_000
-        for seed in map(RunSeed, range(10)):
-            pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, seed)
-            tl, tr = pairs.time[0::2], pairs.time[1::2]
-            rng = seed.generator()
-            rng.random(n)
-            u_right = rng.random(n)
-            cond = joint.conditional(tl)
-            residual = np.abs(cond.cdf(tr) - u_right * cond.cdf(t_max))
-            assert np.all(residual <= cond.rounding_floor()), seed
+        for family in ("alpha", "beta"):
+            state = getattr(BipartiteState, family)(0.0, params)
+            for seed in map(RunSeed, range(10)):
+                draws.clear()
+                pairs = sample_joint(DecayModel.TIME_OPERATOR, state, n, seed)
+                tl, tr = pairs.time[0::2], pairs.time[1::2]
+                assert sum(u.size for _, u, _ in draws) == n, (family, seed)
+                for dist, u, t in draws:
+                    residual = np.abs(dist.cdf(t) - u * dist._total)
+                    assert np.all(residual <= dist._terms.rounding_floor()), (family, seed)
+                # and the pairs are made of those draws, to the rounding of
+                # one product or sum
+                eps = np.finfo(float).eps
+                if family == "beta":
+                    ((_, _, s),) = draws
+                    assert np.all(np.abs(tl + tr - s) <= 2 * eps * s)
+                else:
+                    (_, _, later), (_, _, earlier) = draws
+                    gap = np.empty(n)
+                    gap[tl > tr], gap[tl <= tr] = later, earlier
+                    assert np.all(np.abs(np.abs(tl - tr) - gap) <= 2 * eps * np.maximum(tl, tr))
 
-    @pytest.mark.parametrize("n", CHUNK_SIZES[1:])
-    def test_pairs_independent_of_cpu_count_and_chunking(self, params, monkeypatch, n):
-        state = BipartiteState.beta(0.3, params)
+    @pytest.mark.parametrize("family, n",
+                             [pytest.param("beta", n, id=str(n)) for n in CHUNK_SIZES[1:]]
+                             + [pytest.param("alpha", n, id=f"alpha-{n}")
+                                for n in CHUNK_SIZES[1:]])
+    def test_pairs_independent_of_cpu_count_and_chunking(self, params, monkeypatch,
+                                                         family, n):
+        # the alpha family draws its differences from two tables, split by sign
+        state = getattr(BipartiteState, family)(0.3, params)
         tables = []
         for workers, rows in ((1, sampler._CHUNK_ROWS), (3, sampler._CHUNK_ROWS), (1, n)):
             monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
