@@ -23,9 +23,8 @@ _EXPORTS = {
                      "weight_ratio_signature"), "single_models"),
     **dict.fromkeys(("BipartiteState", "Family", "family_discriminator", "joint_pdf_11",
                      "joint_survival_11"), "entangled"),
-    **dict.fromkeys(("DetectorConfig", "RunSeed"), "config"),
-    **dict.fromkeys(("BinnedCounts", "EventTable", "detect", "sample_decay_times",
-                     "sample_joint"), "sampler"),
+    **dict.fromkeys(("BinnedCounts", "DetectorConfig", "RunSeed"), "config"),
+    **dict.fromkeys(("EventTable", "detect", "sample_decay_times", "sample_joint"), "sampler"),
     **dict.fromkeys(("EpsilonExtraction", "FitResult", "PowerReport", "WeightRatioEstimate",
                      "discrimination_power", "extract_epsilon", "find_min_events_for_power",
                      "fit_intensity", "weight_ratio_estimate"), "inference"),

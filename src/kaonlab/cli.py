@@ -3,8 +3,12 @@
 Subcommands: predict, simulate, detect, fit, discriminate, extract-epsilon,
 zeno, spectrum.  All numeric output is full-precision scientific notation,
 CSV files carry a header row, and identical command line + config + seed
-produce byte-identical output.  No environment variables are consulted:
-state flows through flags and the config file only.
+produce byte-identical output.  No environment variable changes what a
+command computes: state flows through flags and the config file only.  The
+one variable this module touches is OPENBLAS_NUM_THREADS, set to 1 unless
+already set, before numpy loads: no command calls BLAS on arrays large
+enough to share out, and numpy's bundled OpenBLAS would otherwise start a
+worker pool at import.
 
 Exit codes: 0 success, 2 usage or invalid argument, 3 model pathology
 (negative or degenerate density), 4 numerical failure.  Every error path
@@ -23,8 +27,8 @@ a fixed order, floats as ``%.17e`` (power as ``%.6f``), an absent value as
 
 Curve files: ``t_s,survival,pdf`` (predict), ``t_s,value`` (intensity and
 spectrum survival), ``tl_s,tr_s,survival,pdf`` (joint),
-``energy_s_inv,density`` (spectrum); event and binned files as described
-in the sampler module.
+``energy_s_inv,density`` (spectrum); event files as described in the
+sampler module, binned files in ``config``.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 from dataclasses import fields
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: no BLAS pool
+
 import numpy as np
 
-from .config import DetectorConfig, build_run_config, output_stream, parse_config_file
+from .config import (DetectorConfig, build_run_config, output_stream, parse_config_file,
+                     read_binned, write_binned)
 from .core import ComplexEnergy, DecayModel, KaonParams, QuasiSpinor
 from .errors import (CoverageError, DegenerateComparisonError, DegenerateStateError,
                      FitFailureError, ModelPathologyError, UndefinedSignatureError,
@@ -47,8 +55,8 @@ from .errors import (CoverageError, DegenerateComparisonError, DegenerateStateEr
 # names when it starts (_load), so each start compiles only the modules
 # that command runs; reading a name from outside loads its layer too.
 _LAYERS = {
-    "sampler": ("detect", "read_binned", "read_events", "sample_decay_times",
-                "sample_joint", "write_binned", "write_events"),
+    "sampler": ("detect", "read_events", "sample_decay_times", "sample_joint",
+                "write_events"),
     "inference": ("discrimination_power", "extract_epsilon", "find_min_events_for_power",
                   "fit_intensity"),
     "single_models": ("cronin_fitch_intensity", "cronin_fitch_state", "negativity_report",
@@ -234,7 +242,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _load("sampler", "inference")
+    _load("inference")
     run = _run_config(args)
     model = _model_of(run, args)
     binned = read_binned(args.data)

@@ -1,8 +1,10 @@
-"""Run configuration: the seed, the detector and the flat key = value file.
+"""Run configuration: the seed, the detector and the flat key = value file,
+and the detector's output, binned counts, with their file.
 
 Every command builds its configuration here, so the module imports
 nothing of the package beyond ``core``: a command loads only the layers
-it runs.
+it runs.  ``fit`` reads its binned file from here, without the sampler;
+the record helpers serve the sampler's event files too.
 
 The file format is deliberately primitive: one ``key = value`` per line,
 ``#`` comments, no sections (keys carry their namespace, e.g.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -96,6 +99,83 @@ def output_stream(out):
     if hasattr(out, "write"):
         return contextlib.nullcontext(out)
     return open(out, "w", encoding="ascii")
+
+
+@dataclass(frozen=True)
+class BinnedCounts:
+    """Per-bin pair/triplet counts on shared edges."""
+
+    edges: np.ndarray
+    pair_counts: np.ndarray
+    triplet_counts: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=float)
+        pair = np.asarray(self.pair_counts, dtype=np.int64)
+        trip = np.asarray(self.triplet_counts, dtype=np.int64)
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("edges must be strictly increasing with >= 2 entries")
+        if pair.shape != (edges.size - 1,) or trip.shape != pair.shape:
+            raise ValueError("counts must have len(edges) - 1 entries")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "pair_counts", pair)
+        object.__setattr__(self, "triplet_counts", trip)
+
+
+# the binned file format; field names are the header
+_BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
+                        ("pair_count", np.int64), ("triplet_count", np.int64)])
+
+
+def _check_header(header: str, row: np.dtype) -> None:
+    if header != ",".join(row.names):
+        raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
+
+
+@contextlib.contextmanager
+def _quiet_when_empty():
+    """Drop loadtxt's warning on a file, or a piece of one, without records.
+
+    The warning filters belong to the process, so this is entered in the
+    calling thread around the worker threads, never in one of them."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        yield
+
+
+def _load_rows(lines, row: np.dtype) -> np.ndarray:
+    """The records of ``lines`` (a file or its bytes), parsed in one call."""
+    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                      encoding="ascii")
+
+
+def _read_rows(path, row: np.dtype) -> np.ndarray:
+    """The records of a CSV file with ``row``'s header, parsed in one call."""
+    with open(path, "r", encoding="ascii") as fh, _quiet_when_empty():
+        _check_header(fh.readline().strip(), row)
+        return _load_rows(fh, row)
+
+
+def write_binned(path, binned: BinnedCounts) -> None:
+    """Binned file (``path`` may be an open text stream): one bin per line."""
+    rows = np.rec.fromarrays((binned.edges[:-1], binned.edges[1:], binned.pair_counts,
+                              binned.triplet_counts), dtype=_BINNED_ROW)
+    with output_stream(path) as fh:
+        np.savetxt(fh, rows, fmt="%.17e,%.17e,%d,%d", header=",".join(_BINNED_ROW.names),
+                   comments="")
+
+
+def read_binned(path) -> BinnedCounts:
+    rows = _read_rows(path, _BINNED_ROW)
+    if not rows.size:
+        raise ValueError("binned file contains no rows")
+    # exact: the writer's 17 digits round-trip every edge
+    gap = np.flatnonzero(rows["bin_hi_s"][:-1] != rows["bin_lo_s"][1:])
+    if gap.size:
+        raise ValueError(f"bin_hi_s of binned row {gap[0]} differs from "
+                         "bin_lo_s of the next row; bins must be contiguous")
+    return BinnedCounts(np.append(rows["bin_lo_s"], rows["bin_hi_s"][-1]),
+                        rows["pair_count"], rows["triplet_count"])
 
 
 KAON_KEYS = ("kaon.gamma_s", "kaon.gamma_l", "kaon.delta_m",

@@ -107,6 +107,26 @@ class ExpSum:
         return _real(2.0 * np.finfo(float).eps
                      * np.sum(bound * np.abs(self._coeffs()[1]), axis=-1))
 
+    def panel_bounds(self, edges):
+        """(low, slope): f >= low and |f'| <= slope on each panel [t0, t1] =
+        [edges[i], edges[i+1]] of increasing ``edges`` >= 0.
+
+        f' = -Re sum_k d_k z_k e^{-z_k t} at degree 0, so |f'| <= sum_k
+        |d_k z_k| e^{-t0 Re z_k}; at degree one f' = Re sum_k d_k (1 - z_k t)
+        e^{-z_k t}, so |f'| <= sum_k |d_k| (1 + |z_k| t1) e^{-t0 Re z_k}.
+        A function with end values f(t0), f(t1) and slope at most ``slope``
+        stays above (f(t0) + f(t1) - slope (t1 - t0)) / 2 in between."""
+        edges = np.asarray(edges, dtype=float)
+        t0, t1 = edges[:-1], edges[1:]
+        decay = np.exp(-np.multiply.outer(t0, self.z.real))
+        if self.degree:
+            slope = _contract(decay * (1.0 + np.multiply.outer(t1, np.abs(self.z))),
+                              np.abs(self.d))
+        else:
+            slope = _contract(decay, np.abs(self.d * self.z))
+        f = self.pdf(edges)
+        return 0.5 * (f[:-1] + f[1:] - slope * (t1 - t0)), slope
+
     def normalised(self) -> "ExpSum":
         """The same sum rescaled to unit mass on [0, inf)."""
         total = float(np.real(np.sum(self._coeffs()[1])))

@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunSeed
+from .config import BinnedCounts, RunSeed
 from .core import DecayModel, KaonParams
 from .errors import (CoverageError, DegenerateComparisonError, FitFailureError)
 from .expsum import ExpSum
 from .single_models import intensity_terms, model_terms
-
-if TYPE_CHECKING:
-    from .sampler import BinnedCounts
 
 _MU_FLOOR = 1e-300
 # central-difference step of the bin-mean derivatives, as a fraction of

@@ -7,7 +7,8 @@ every draw, of a single time or of the sum or difference of a pair's two
 times (:func:`sample_joint`): the exact cdf and pdf at refined knots give
 each sample a cubic Hermite starting point, and a bracketed Newton
 iteration stops once the cdf residual reaches the cdf's own rounding
-floor.  Nothing is ever clipped: a model whose density goes negative
+floor, most samples after one evaluation and a certified step.  Nothing
+is ever clipped: a model whose density goes negative
 anywhere on the scan grid is rejected with ModelPathologyError, unless the
 caller asks for the law conditioned on its nonnegative support, which the
 same table draws by giving the negative panels zero mass.
@@ -28,18 +29,18 @@ back exactly as ``float`` does.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import textfmt
-from .config import DetectorConfig, RunSeed, output_stream
+from .config import (BinnedCounts, DetectorConfig, RunSeed, _check_header, _load_rows,
+                     _quiet_when_empty, _read_rows, output_stream, read_binned,
+                     write_binned)
 from .core import DecayModel, SuperpositionState
 from .entangled import BipartiteState, Family, joint_model_terms
 from .errors import ModelPathologyError
@@ -86,38 +87,32 @@ def _encode(tokens, names) -> np.ndarray:
     return np.select([tokens == name for name in names], range(len(names)), -1)
 
 
-@dataclass(frozen=True)
-class BinnedCounts:
-    """Per-bin pair/triplet counts on shared edges."""
-
-    edges: np.ndarray
-    pair_counts: np.ndarray
-    triplet_counts: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        pair = np.asarray(self.pair_counts, dtype=np.int64)
-        trip = np.asarray(self.triplet_counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-            raise ValueError("edges must be strictly increasing with >= 2 entries")
-        if pair.shape != (edges.size - 1,) or trip.shape != pair.shape:
-            raise ValueError("counts must have len(edges) - 1 entries")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "pair_counts", pair)
-        object.__setattr__(self, "triplet_counts", trip)
-
-
-def _invert_monotone(cdf_pdf, target, t, lo, hi, tol):
+def _invert_monotone(cdf_pdf, target, t, lo, hi, tol, slope):
     """Solve cdf(t) = target per element with bracketed Newton.
 
     ``cdf_pdf(ta)`` gives the cdf and the pdf at the times ``ta`` from one
     evaluation of the terms.  An element is done once |cdf(t) - target| <=
-    tol, the rounding floor of the cdf, or its bracket has collapsed.  Done
-    elements leave the active set, so the term evaluations shrink with each
-    pass; the result is deterministic regardless of how many passes any
-    element needs.  The float arrays ``t``, ``lo`` and ``hi`` are updated
-    in place; ``t`` is returned.
+    tol, the rounding floor of the cdf, or its bracket has collapsed, or
+    its last Newton step is certified.  Done elements leave the active set,
+    so the term evaluations shrink with each pass; the result is
+    deterministic regardless of how many passes any element needs.  The
+    float arrays ``t``, ``lo`` and ``hi`` are updated in place; ``t`` is
+    returned.
+
+    The certificate (Kantorovich's estimate in residual form; Ortega and
+    Rheinboldt, *Iterative Solution of Nonlinear Equations in Several
+    Variables*, 1970): with |pdf'| <= ``slope`` on the element's knot
+    panel, which holds its bracket, a Newton step h from t leaves the cdf
+    within slope h^2 / 2 of target, plus the cdf's own rounding at t; the
+    rounding of t - h, at most eps (|t - h| + |h|), moves it by at most the
+    pdf times that.  An element whose two terms stay within a quarter of
+    ``tol`` is not evaluated again: the rest is left to the cdf's rounding
+    at the two points, measured against 40-digit values at up to 3/8 of
+    ``tol`` each, so the evaluation it skips would have stopped it where it
+    stands.  ``slope`` is inf on a panel where the pdf may vanish, which
+    certifies nothing.
     """
+    eps = np.finfo(float).eps
     active = np.arange(t.size)
     for _ in range(60):
         ta = t[active]
@@ -133,19 +128,24 @@ def _invert_monotone(cdf_pdf, target, t, lo, hi, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             step = np.where(p > 0, f / np.where(p > 0, p, 1.0), 0.0)
             t_new = ta - step
+            h = np.abs(step)
+            rounding = eps * (t_new + h)
+            h += rounding
+            certified = 0.5 * slope[active] * h * h + p * rounding <= 0.25 * tol
         outside = ~np.isfinite(t_new) | (t_new <= lo_a) | (t_new >= hi_a) | (p <= 0)
-        t_new = np.where(outside, 0.5 * (lo_a + hi_a), t_new)
-        lo[active] = lo_a
-        hi[active] = hi_a
-        t[active] = t_new
-        active = active[hi_a - lo_a > 1e-14 * np.maximum(hi_a, 1e-300)]
+        t[active] = np.where(outside, 0.5 * (lo_a + hi_a), t_new)
+        stay = (hi_a - lo_a > 1e-14 * np.maximum(hi_a, 1e-300)) & (outside | ~certified)
+        active = active[stay]
         if active.size == 0:
             break
+        lo[active] = lo_a[stay]
+        hi[active] = hi_a[stay]
     return t
 
 
 _N_LOG = 4096
 _N_OSC_MAX = 16384
+_GUIDE_CELLS = 1 << 16
 
 
 def _scan_knots(terms: ExpSum):
@@ -228,6 +228,15 @@ class Dist1D:
         self._pdf_at_knots = self.pdf(knots)
         self._total = total
         self._tol = self._terms.rounding_floor()
+        low, slope = self._terms.panel_bounds(knots)
+        self._slope = np.where(low > 0, slope, np.inf)  # per panel, for the certificate
+        # Chen and Asau's guide table: the bracket index of every u in cell
+        # [c/G, (c+1)/G) is _guide[c] unless a knot's cdf lies in the cell,
+        # then -1; G a power of two, so c = floor(u G) and c/G are exact
+        per_cell = np.bincount((self._cdf_at_knots * _GUIDE_CELLS).astype(np.intp),
+                               minlength=_GUIDE_CELLS + 1)
+        below = np.cumsum(per_cell) - per_cell  # knots whose cdf is below c/G
+        self._guide = np.append(np.where(per_cell[:-1] > 0, -1, below[:-1]), below[-1])
 
     def pdf(self, t):
         return self._terms.pdf(t)
@@ -241,26 +250,35 @@ class Dist1D:
     def ppf(self, u):
         """Vectorised inverse CDF of a 1-D array ``u`` of values in [0, 1].
 
-        Each u is bracketed between two knots.  On that bracket the inverse
-        is seeded by the cubic Hermite in u whose end values are the knots
-        and whose end slopes are the exact dt/du = total/pdf (the chord
-        where the pdf is not positive).  Newton then polishes the seed until
-        the cdf, less the mass removed below the bracket, is within the
-        cdf's rounding floor of u * total.  Chunks of ``u`` are solved on
-        every CPU; each sample is solved on its own, so the draws do not
-        depend on the CPU count.
+        Each u is bracketed between two knots, found through the guide
+        table.  On that bracket the inverse is seeded by the cubic Hermite
+        in u whose end values are the knots and whose end slopes are the
+        exact dt/du = total/pdf (the chord where the pdf is not positive).
+        Newton then polishes the seed until the cdf, less the mass removed
+        below the bracket, is within the cdf's rounding floor of u * total,
+        or a step is certified to put it there (:func:`_invert_monotone`).
+        Chunks of ``u`` are solved on every CPU; each sample is solved on
+        its own, so the draws do not depend on the CPU count.
         """
         u = np.asarray(u, dtype=float)
         # written so that nan fails the comparison
         if u.ndim != 1 or not np.all((u >= 0) & (u <= 1)):
             raise ValueError("u must be a 1-D array of values in [0, 1]")
-        return np.concatenate(list(_map_chunks(self._ppf_rows, u, _row_chunks(u.size))))
+        chunks = _row_chunks(u.size, _DRAW_ROWS)
+        return np.concatenate(list(_map_chunks(self._ppf_rows, u, chunks)))
+
+    def _bracket(self, u):
+        """``np.searchsorted(self._cdf_at_knots, u)``, through the guide table."""
+        idx = self._guide[(u * _GUIDE_CELLS).astype(np.intp)]
+        mixed = idx < 0
+        if mixed.any():
+            idx[mixed] = np.searchsorted(self._cdf_at_knots, u[mixed])
+        return idx
 
     def _ppf_rows(self, u, bounds):
         """The draws of ``u[bounds[0]:bounds[1]]``."""
         u = u[slice(*bounds)]
-        idx = np.clip(np.searchsorted(self._cdf_at_knots, u),
-                      1, self._knots.size - 1)
+        idx = np.clip(self._bracket(u), 1, self._knots.size - 1)
         lo = self._knots[idx - 1]
         hi = self._knots[idx]
         u_lo = self._cdf_at_knots[idx - 1]
@@ -276,7 +294,8 @@ class Dist1D:
                 + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
         t = np.clip(seed, lo, hi)
         target = u * self._total + self._removed[idx - 1]
-        return _invert_monotone(self.cdf_pdf, target, t, lo, hi, self._tol)
+        return _invert_monotone(self.cdf_pdf, target, t, lo, hi, self._tol,
+                                self._slope[idx - 1])
 
 
 def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
@@ -407,52 +426,23 @@ def _map_chunks(fn, data, items: list):
         yield from pool.map(functools.partial(fn, data), items)
 
 
-# The file formats; field names are the header.  The string fields are wider
+# The event file format; field names are the header.  The string fields are wider
 # than "triplet", the longest valid token, so none is truncated into one.
 _EVENT_ROW = np.dtype([("event_id", np.int64), ("side", "S8"), ("channel", "S8"),
                        ("time_s", float)])
-_BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
-                        ("pair_count", np.int64), ("triplet_count", np.int64)])
 _SIDE_TOKENS = tuple(name.encode() for name in SIDES)
 _CHANNEL_TOKENS = tuple(name.encode() for name in CHANNELS)
 _SIDE_CHARS, _CHANNEL_CHARS = textfmt.tokens(SIDES), textfmt.tokens(CHANNELS)
-_CHUNK_ROWS = 1 << 16   # draws solved, or event rows formatted, per task
+_CHUNK_ROWS = 1 << 16   # event rows formatted per task
+_DRAW_ROWS = 1 << 14    # draws solved per task, their temporaries in cache
 _PIECE_BYTES = 1 << 22  # event-file bytes parsed per task, about 1e5 rows
 
 
-def _check_header(header: str, row: np.dtype) -> None:
-    if header != ",".join(row.names):
-        raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
-
-
-@contextlib.contextmanager
-def _quiet_when_empty():
-    """Drop loadtxt's warning on a file, or a piece of one, without records.
-
-    The warning filters belong to the process, so this is entered in the
-    calling thread around the worker threads, never in one of them."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        yield
-
-
-def _load_rows(lines, row: np.dtype) -> np.ndarray:
-    """The records of ``lines`` (a file or its bytes), parsed in one call."""
-    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                      encoding="ascii")
-
-
-def _read_rows(path, row: np.dtype) -> np.ndarray:
-    """The records of a CSV file with ``row``'s header, parsed in one call."""
-    with open(path, "r", encoding="ascii") as fh, _quiet_when_empty():
-        _check_header(fh.readline().strip(), row)
-        return _load_rows(fh, row)
-
-
-def _row_chunks(n: int) -> list:
-    """Bounds of rows 0 to n in pieces of ``_CHUNK_ROWS``; one empty piece
-    for n = 0."""
-    return [(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)] or [(0, 0)]
+def _row_chunks(n: int, rows: int | None = None) -> list:
+    """Bounds of rows 0 to n in pieces of ``rows``, by default
+    ``_CHUNK_ROWS``; one empty piece for n = 0."""
+    rows = rows or _CHUNK_ROWS
+    return [(start, start + rows) for start in range(0, n, rows)] or [(0, 0)]
 
 
 def _format_events(events: EventTable, bounds) -> str:
@@ -527,25 +517,3 @@ def read_events(path) -> EventTable:
         pieces = [_event_columns(_read_rows(path, _EVENT_ROW))]
     del text  # the table's columns need not share the peak with the file's bytes
     return EventTable(*map(np.concatenate, zip(*pieces)))
-
-
-def write_binned(path, binned: BinnedCounts) -> None:
-    """Binned file (``path`` may be an open text stream): one bin per line."""
-    rows = np.rec.fromarrays((binned.edges[:-1], binned.edges[1:], binned.pair_counts,
-                              binned.triplet_counts), dtype=_BINNED_ROW)
-    with output_stream(path) as fh:
-        np.savetxt(fh, rows, fmt="%.17e,%.17e,%d,%d", header=",".join(_BINNED_ROW.names),
-                   comments="")
-
-
-def read_binned(path) -> BinnedCounts:
-    rows = _read_rows(path, _BINNED_ROW)
-    if not rows.size:
-        raise ValueError("binned file contains no rows")
-    # exact: the writer's 17 digits round-trip every edge
-    gap = np.flatnonzero(rows["bin_hi_s"][:-1] != rows["bin_lo_s"][1:])
-    if gap.size:
-        raise ValueError(f"bin_hi_s of binned row {gap[0]} differs from "
-                         "bin_lo_s of the next row; bins must be contiguous")
-    return BinnedCounts(np.append(rows["bin_lo_s"], rows["bin_hi_s"][-1]),
-                        rows["pair_count"], rows["triplet_count"])

@@ -161,14 +161,16 @@ def join_rows(fields) -> bytes:
     is written: a caller holding a value the planes cannot prove formats
     those rows some other way."""
     n = fields[0].shape[1]
-    buf = np.empty((sum(f.shape[0] + 1 for f in fields), n), np.uint8)
+    buf = np.empty((n, sum(f.shape[0] + 1 for f in fields)), np.uint8)
     at = 0
     for field in fields:
-        buf[at:at + field.shape[0]] = field
-        buf[at + field.shape[0]] = ord(",")
+        buf[:, at:at + field.shape[0]] = field.T
+        buf[:, at + field.shape[0]] = ord(",")
         at += field.shape[0] + 1
-    buf[-1] = ord("\n")
-    return buf.T.tobytes().replace(b"\0", b"")
+    buf[:, -1] = ord("\n")
+    # numpy loops, which release the GIL, where bytes.replace would hold it
+    buf = buf.ravel()
+    return buf[buf != 0].tobytes()
 
 
 # byte ranges of the columns of d.ddddddddddddddddde+dd; the sign's holds ',', a separator

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -661,7 +662,7 @@ class TestCliContract:
             (["detect", "--events", events, "--t-max", "1e-9", "--bins", "10",
               "--out", binned], 0, sampler_layer),
             (["fit", "--data", binned, "--model", "twfo", "--out", str(tmp_path / "f.txt")], 0,
-             sampler_layer | {"inference"}),
+             {"inference", "single_models", "expsum"}),
         ]
         base = {"kaonlab", "kaonlab.cli", "kaonlab.config", "kaonlab.core", "kaonlab.errors"}
         for argv, want_code, layers in runs:
@@ -686,6 +687,17 @@ class TestCliContract:
                   "print('fractions' in sys.modules, t._power.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False 0\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and two CPUs for a BLAS pool to start")
+    def test_cli_import_starts_no_blas_pool(self):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        script = ("import kaonlab.cli; print(*(line for line in open('/proc/self/status') "
+                  "if line.startswith('Threads:')), end='')")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Threads:\t1\n", "")
 
     def test_small_simulate_starts_no_worker_pool(self, tmp_path):
         script = textwrap.dedent(f"""

@@ -134,6 +134,40 @@ class TestDegreeOne:
             ExpSum([1.0], [1.0], 2)
 
 
+class TestPanelBounds:
+    """``panel_bounds`` against the pdf and its derivative sampled densely
+    inside every panel, both evaluated term by term here."""
+
+    def _laws(self, params):
+        d, z, _ = joint_model_terms(DecayModel.TIME_OPERATOR, BipartiteState.beta(0.7, params),
+                                    normalized=True)
+        return {"twfo": (*model_terms(DecayModel.TIME_OPERATOR,
+                                      cronin_fitch_state(params, +1)), 0),
+                "signed": (TestDegreeOne.D, TestDegreeOne.Z, 0),
+                "beta-sum": (d, z, 1),
+                "signed-degree-one": (TestDegreeOne.D, TestDegreeOne.Z, 1)}
+
+    @pytest.mark.parametrize("law", ["twfo", "signed", "beta-sum", "signed-degree-one"])
+    def test_bounds_hold_inside_every_panel(self, params, law):
+        d, z, degree = self._laws(params)[law]
+        d, z = np.asarray(d, dtype=complex), np.asarray(z, dtype=complex)
+        t_max = 40.0 / float(np.min(z.real))
+        edges = np.union1d(np.geomspace(1e-6 * t_max, t_max, 1000), np.linspace(0, t_max, 1001))
+        low, slope = ExpSum(d, z, degree).panel_bounds(edges)
+        assert low.shape == slope.shape == (edges.size - 1,)
+        t = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 33)
+        tails = np.exp(-t[..., None] * z)
+        pdf = np.real(tails @ d) * t ** degree
+        # d/dt of Re sum d t^degree e^{-z t}
+        slope_at = np.real(tails @ (-d * z)) * t ** degree + degree * np.real(tails @ d)
+        eps = np.finfo(float).eps
+        scale = (np.abs(tails) @ np.abs(d)) * t ** degree  # of the rounding of pdf
+        assert np.all(pdf.min(axis=1) >= low - 8 * eps * scale.max(axis=1))
+        assert np.all(np.abs(slope_at).max(axis=1) <= slope * (1 + 8 * eps))
+        if law in ("twfo", "beta-sum"):  # positive laws: the lower bound is not vacuous
+            assert np.mean(low > 0) > 0.9
+
+
 class TestExpSum2:
     def test_marginal_is_the_tr_quadrature_of_pdf(self, params):
         joint = ExpSum2(*joint_model_terms(DecayModel.TIME_OPERATOR,

@@ -54,13 +54,15 @@ class TestRunSeed:
 
 
 class _CountingDist(Dist1D):
-    """Counts the Newton passes of each chunk ppf solves: one fused cdf/pdf
-    evaluation per pass.  Solve with one CPU, so that the chunks run one
-    after another and each pass counts to its own chunk."""
+    """Counts the Newton passes of each chunk ppf solves, one fused cdf/pdf
+    evaluation per pass, and the times all passes evaluate.  Solve with one
+    CPU, so that the chunks run one after another and each pass counts to
+    its own chunk."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.passes = []
+        self.points = 0
 
     def _ppf_rows(self, u, bounds):
         self.passes.append(0)
@@ -68,6 +70,7 @@ class _CountingDist(Dist1D):
 
     def cdf_pdf(self, t):
         self.passes[-1] += 1
+        self.points += np.size(t)
         return super().cdf_pdf(t)
 
 
@@ -148,6 +151,76 @@ def test_draws_independent_of_cpu_count_and_chunking(params, monkeypatch, n, res
     assert draws[0].shape == (n,)
     for other in draws[1:]:
         assert np.array_equal(draws[0], other)
+
+
+def ppf_laws(params):
+    """The laws whose draws take one cdf evaluation each: twfo and hybrid at
+    CP +1 and -1, and the restricted standard intensity template."""
+    laws = {f"{m.value}{cp:+d}": (model_terms(m, cronin_fitch_state(params, cp)), False)
+            for m in (DecayModel.TIME_OPERATOR, DecayModel.HYBRID) for cp in (+1, -1)}
+    laws["standard-intensity"] = (intensity_terms(DecayModel.STANDARD, params), True)
+    return laws
+
+
+def residuals(dist, u, t):
+    """|cdf(t) - target| of each draw, the target as ppf sets it."""
+    idx = np.clip(np.searchsorted(dist._cdf_at_knots, u), 1, dist._knots.size - 1)
+    return np.abs(dist.cdf(t) - (u * dist._total + dist._removed[idx - 1]))
+
+
+class TestCertifiedStep:
+    """A Newton step whose Kantorovich bound is within a quarter of the
+    rounding floor ends its sample's solve without the verifying evaluation."""
+
+    LAWS = ["twfo+1", "twfo-1", "hybrid+1", "hybrid-1", "standard-intensity"]
+    # e^-t (1 + 2 cos wt), restricted: at w = 30 many steps miss the bound
+    COSINES = {"cosine-3": ([1.0, 2.0], [1.0, 1.0 + 3j]),
+               "cosine-30": ([1.0, 2.0], [1.0, 1.0 + 30j])}
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_one_cdf_evaluation_per_draw(self, params, monkeypatch, law):
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
+        (d, z), restricted = ppf_laws(params)[law]
+        dist = _CountingDist(d, z, restricted)
+        u = RunSeed(7).generator().random(1_000_000)
+        t = dist.ppf(u)
+        assert dist.points <= 1_050_000
+        assert np.all(residuals(dist, u, t) <= dist._tol)
+
+    @pytest.mark.parametrize("law", LAWS + list(COSINES))
+    def test_certificate_changes_no_draw(self, params, law):
+        (d, z), restricted = (self.COSINES[law], True) if law in self.COSINES else (
+            ppf_laws(params)[law])
+        u = RunSeed(11).generator().random(200_000)
+        dist = Dist1D(d, z, restricted)
+        certified = dist.ppf(u)
+        dist._slope = np.full_like(dist._slope, np.inf)  # certifies nothing
+        assert np.array_equal(certified, dist.ppf(u))
+
+    def test_failed_bound_falls_back_to_the_verifying_pass(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
+        dist = _CountingDist(*self.COSINES["cosine-30"], True)
+        u = RunSeed(3).generator().random(100_000)
+        t = dist.ppf(u)
+        assert dist.points > 1.2 * u.size
+        assert np.all(residuals(dist, u, t) <= dist._tol)
+
+
+@pytest.mark.parametrize("law", ["twfo", "standard-intensity", "beta-sum"])
+def test_guide_lookup_is_searchsorted(params, law):
+    if law == "twfo":
+        dist = Dist1D(*model_terms(DecayModel.TIME_OPERATOR, cronin_fitch_state(params)))
+    elif law == "standard-intensity":
+        dist = Dist1D(*intensity_terms(DecayModel.STANDARD, params), True)
+    else:
+        d, z, _ = joint_model_terms(DecayModel.TIME_OPERATOR, BipartiteState.beta(0.7, params),
+                                    normalized=True)
+        dist = Dist1D(d, z, degree=1)
+    c = dist._cdf_at_knots
+    u = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, 1.0],
+                        RunSeed(5).generator().random(1_000_000)])
+    u = u[(u >= 0) & (u <= 1)]
+    assert np.array_equal(dist._bracket(u), np.searchsorted(c, u))
 
 
 def signed_terms(law, params):
@@ -440,9 +513,9 @@ class TestSampleJoint:
         # the alpha family draws its differences from two tables, split by sign
         state = getattr(BipartiteState, family)(0.3, params)
         tables = []
-        for workers, rows in ((1, sampler._CHUNK_ROWS), (3, sampler._CHUNK_ROWS), (1, n)):
+        for workers, rows in ((1, sampler._DRAW_ROWS), (3, sampler._DRAW_ROWS), (1, n)):
             monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
-            monkeypatch.setattr(sampler, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(sampler, "_DRAW_ROWS", rows)
             with no_thread_left():
                 tables.append(sample_joint(DecayModel.TIME_OPERATOR, state, n, RunSeed(19)))
         assert len(tables[0]) == 2 * n
