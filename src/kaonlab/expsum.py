@@ -107,9 +107,11 @@ class ExpSum:
         return _real(2.0 * np.finfo(float).eps
                      * np.sum(bound * np.abs(self._coeffs()[1]), axis=-1))
 
-    def panel_bounds(self, edges):
+    def panel_bounds(self, edges, pdf=None):
         """(low, slope): f >= low and |f'| <= slope on each panel [t0, t1] =
-        [edges[i], edges[i+1]] of increasing ``edges`` >= 0.
+        [edges[i], edges[i+1]] of increasing ``edges`` >= 0; ``pdf``, if
+        given, is ``self.pdf(edges)``, so a caller holding it saves its
+        evaluation.
 
         f' = -Re sum_k d_k z_k e^{-z_k t} at degree 0, so |f'| <= sum_k
         |d_k z_k| e^{-t0 Re z_k}; at degree one f' = Re sum_k d_k (1 - z_k t)
@@ -124,7 +126,7 @@ class ExpSum:
                               np.abs(self.d))
         else:
             slope = _contract(decay, np.abs(self.d * self.z))
-        f = self.pdf(edges)
+        f = self.pdf(edges) if pdf is None else pdf
         return 0.5 * (f[:-1] + f[1:] - slope * (t1 - t0)), slope
 
     def normalised(self) -> "ExpSum":

@@ -24,7 +24,12 @@ numpy array loops, which release the GIL.  Each sample is solved on its
 own and the chunks are joined in order, so the draws, the bytes written
 and the table read are identical for any CPU count.  :mod:`kaonlab.textfmt`
 formats event rows in numpy, byte for byte as ``%`` does, and reads them
-back exactly as ``float`` does.
+back exactly as ``float`` does.  Each chunk of rows is laid out in one
+row-major byte buffer, its fields as wide as their widest value there; a
+chunk whose rows all share one layout (a sampled single-time chunk whose
+ids have one width) is written as the buffer stands, the others after
+their padding is dropped.  An event file is written as bytes, and the
+rows are decoded only for a text stream.
 """
 
 from __future__ import annotations
@@ -228,8 +233,19 @@ class Dist1D:
         self._pdf_at_knots = self.pdf(knots)
         self._total = total
         self._tol = self._terms.rounding_floor()
-        low, slope = self._terms.panel_bounds(knots)
+        low, slope = self._terms.panel_bounds(knots, self._pdf_at_knots)
         self._slope = np.where(low > 0, slope, np.inf)  # per panel, for the certificate
+        # per panel [knots[j], knots[j + 1]], the constants of its draws' seed
+        # and target: its ends, width, cdf at its start and rise over it, each
+        # end's tangent as the rise in t over that du, and the mass removed
+        # below it
+        du = np.diff(self._cdf_at_knots)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rise = du * total / self._pdf_at_knots[:-1], du * total / self._pdf_at_knots[1:]
+        width = knots[1:] - knots[:-1]
+        rise_lo, rise_hi = (np.where(np.isfinite(r) & (r > 0), r, width) for r in rise)
+        self._panels = (knots[:-1], knots[1:], width, self._cdf_at_knots[:-1], du,
+                        rise_lo, rise_hi, removed[:-1])
         # Chen and Asau's guide table: the bracket index of every u in cell
         # [c/G, (c+1)/G) is _guide[c] unless a knot's cdf lies in the cell,
         # then -1; G a power of two, so c = floor(u G) and c/G are exact
@@ -278,24 +294,17 @@ class Dist1D:
     def _ppf_rows(self, u, bounds):
         """The draws of ``u[bounds[0]:bounds[1]]``."""
         u = u[slice(*bounds)]
-        idx = np.clip(self._bracket(u), 1, self._knots.size - 1)
-        lo = self._knots[idx - 1]
-        hi = self._knots[idx]
-        u_lo = self._cdf_at_knots[idx - 1]
-        du = self._cdf_at_knots[idx] - u_lo
+        panel = np.clip(self._bracket(u), 1, self._knots.size - 1) - 1
+        lo, hi, width, u_lo, du, rise_lo, rise_hi, removed = (
+            column[panel] for column in self._panels)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = np.where(du > 0, (u - u_lo) / du, 0.0)
-            # each end's tangent, as the rise in t over the bracket's du
-            rise_lo = du * self._total / self._pdf_at_knots[idx - 1]
-            rise_hi = du * self._total / self._pdf_at_knots[idx]
-        rise_lo = np.where(np.isfinite(rise_lo) & (rise_lo > 0), rise_lo, hi - lo)
-        rise_hi = np.where(np.isfinite(rise_hi) & (rise_hi > 0), rise_hi, hi - lo)
-        seed = (lo + s * s * (3.0 - 2.0 * s) * (hi - lo)
+        seed = (lo + s * s * (3.0 - 2.0 * s) * width
                 + s * (1.0 - s) * ((1.0 - s) * rise_lo - s * rise_hi))
         t = np.clip(seed, lo, hi)
-        target = u * self._total + self._removed[idx - 1]
+        target = u * self._total + removed
         return _invert_monotone(self.cdf_pdf, target, t, lo, hi, self._tol,
-                                self._slope[idx - 1])
+                                self._slope[panel])
 
 
 def sample_times_from_terms(coeffs, rates, n: int, seed: RunSeed,
@@ -432,7 +441,6 @@ _EVENT_ROW = np.dtype([("event_id", np.int64), ("side", "S8"), ("channel", "S8")
                        ("time_s", float)])
 _SIDE_TOKENS = tuple(name.encode() for name in SIDES)
 _CHANNEL_TOKENS = tuple(name.encode() for name in CHANNELS)
-_SIDE_CHARS, _CHANNEL_CHARS = textfmt.tokens(SIDES), textfmt.tokens(CHANNELS)
 _CHUNK_ROWS = 1 << 16   # event rows formatted per task
 _DRAW_ROWS = 1 << 14    # draws solved per task, their temporaries in cache
 _PIECE_BYTES = 1 << 22  # event-file bytes parsed per task, about 1e5 rows
@@ -445,8 +453,8 @@ def _row_chunks(n: int, rows: int | None = None) -> list:
     return [(start, start + rows) for start in range(0, n, rows)] or [(0, 0)]
 
 
-def _format_events(events: EventTable, bounds) -> str:
-    """The lines of event rows ``bounds[0]`` to ``bounds[1]``.
+def _format_events(events: EventTable, bounds):
+    """The bytes of the lines of event rows ``bounds[0]`` to ``bounds[1]``.
 
     Every column is formatted in numpy when :func:`textfmt.e17` proves every
     time and every event id is nonnegative; otherwise ``%`` formats the
@@ -454,12 +462,13 @@ def _format_events(events: EventTable, bounds) -> str:
     rows = slice(*bounds)
     ids, side, channel, time = (events.event_id[rows], events.side[rows],
                                 events.channel[rows], events.time[rows])
-    time_chars, exact = textfmt.e17(time)
+    digits, exponent, exact = textfmt.e17(time)
     if exact.all() and (ids >= 0).all():
-        return textfmt.join_rows([textfmt.integers(ids), _SIDE_CHARS[:, side],
-                                  _CHANNEL_CHARS[:, channel], time_chars]).decode("ascii")
+        return textfmt.rows([textfmt.integers(ids), textfmt.tokens(SIDES, side),
+                             textfmt.tokens(CHANNELS, channel),
+                             textfmt.times(digits, exponent)])
     return "".join("%d,%s,%s,%.17e\n" % (i, SIDES[s], CHANNELS[c], t) for i, s, c, t in zip(
-        ids.tolist(), side.tolist(), channel.tolist(), time.tolist()))
+        ids.tolist(), side.tolist(), channel.tolist(), time.tolist())).encode("ascii")
 
 
 def _event_columns(rows: np.ndarray):
@@ -487,10 +496,18 @@ def write_events(path, events: EventTable) -> None:
     """Event file, one record per line; ``path`` may be an open text stream.
 
     Each row reads as ``"%d,%s,%s,%.17e" % (event_id, side, channel, time)``
-    does; the time's 18 significant digits give back the same double."""
-    with output_stream(path) as fh:
-        fh.write(",".join(_EVENT_ROW.names) + "\n")
-        fh.writelines(_map_chunks(_format_events, events, _row_chunks(len(events))))
+    does; the time's 18 significant digits give back the same double.  A
+    file is written as the rows' bytes; only a text stream gets them
+    decoded."""
+    header = ",".join(_EVENT_ROW.names) + "\n"
+    chunks = _map_chunks(_format_events, events, _row_chunks(len(events)))
+    if hasattr(path, "write"):
+        path.write(header)
+        path.writelines(str(chunk, "ascii") for chunk in chunks)
+        return
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.writelines(chunks)
 
 
 def read_events(path) -> EventTable:

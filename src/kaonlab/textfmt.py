@@ -1,9 +1,16 @@
 """Exact printf-style text for numpy columns, and back, with no Python loop per value.
 
-Text is built as character planes: a uint8 array ``chars`` of shape
-(width, n) whose ``chars[j, i]`` is character j of value i, NUL where a
-value is narrower than the plane.  :func:`join_rows` lays planes side by
-side into rows and drops the NULs.
+Rows of text are built in one row-major uint8 buffer of shape (n, width),
+whose row i holds the bytes of text row i.  Each field of a row
+(:func:`integers`, :func:`tokens`, :func:`times`) is as wide as the
+widest of its values there, and :func:`rows` writes the fields side by
+side, separated by commas and ended by a newline.  Decimal digits go in
+four at a time: little-endian 4-byte words from a table of the 10^4
+four-digit strings, stored through strided ``<u4`` views of the buffer's
+columns.  A value narrower than its field is padded with NUL; the NULs
+are dropped only when some value is, so rows of one layout are the
+buffer's bytes as they stand.  The tables are built in numpy the first
+time a row is formatted, not on import.
 
 ``%.17e`` of a positive double x is its exact value rounded half to even
 to 18 significant digits, D * 10^(e-17) with D in [1e17, 1e18).
@@ -34,6 +41,7 @@ floating point numbers accurately", PLDI 1990.
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,8 +52,7 @@ _ZERO = ord("0")
 
 @functools.lru_cache(maxsize=None)
 def _power(k: int):
-    """(hi, lo, s) with 10^k = (hi + lo) * 2^s to about 2^-107, hi in [0.5, 1),
-    and the ``%+04d`` text of 17 - k as an exponent, its leading zero NUL."""
+    """(hi, lo, s) with 10^k = (hi + lo) * 2^s to about 2^-107, hi in [0.5, 1)."""
     from fractions import Fraction  # only once the first row is formatted
     exact = Fraction(10) ** k
     s = exact.numerator.bit_length() - exact.denominator.bit_length() + 1
@@ -53,49 +60,121 @@ def _power(k: int):
         s -= 1
     mantissa = exact / Fraction(2) ** s
     hi = float(mantissa)
-    exponent = b"%+04d" % (17 - k)
-    if exponent[1] == _ZERO:
-        exponent = exponent[:1] + b"\0" + exponent[2:]
-    return hi, float(mantissa - Fraction(hi)), s, exponent
+    return hi, float(mantissa - Fraction(hi)), s
 
 
 def _table(k):
-    """The columns (hi, lo, s, exponent) of :func:`_power` over the int64
-    exponents ``k``, and each one's row in them; exponent is an S4 array."""
+    """The columns (hi, lo, s) of :func:`_power` over the int64 exponents
+    ``k``, and each one's row in them."""
     low = int(k.min()) if k.size else 0
     row = k - low
     present = np.bincount(row, minlength=1) > 0
     # rows for exponents absent from k are placeholders, never read
-    columns = zip(*(_power(low + i) if seen else (0.5, 0.0, 0, b"+00\0")
+    columns = zip(*(_power(low + i) if seen else (0.5, 0.0, 0)
                     for i, seen in enumerate(present.tolist())))
     return [np.array(column) for column in columns], row
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """Plane of the last ``width`` decimal digits of nonnegative ``values``,
-    zero-filled on the left.  Groups of nine digits are cut off in uint64,
-    then peeled one digit at a time in uint32."""
-    out = np.empty((width, values.size), np.uint8)
-    rest = values.astype(np.uint64)
-    for end in range(width, 0, -9):
-        group = (rest % np.uint64(10 ** 9)).astype(np.uint32)
-        rest //= np.uint64(10 ** 9)
-        for j in range(end - 1, max(end - 9, 0) - 1, -1):
-            quotient = group // np.uint32(10)
-            out[j] = group - quotient * np.uint32(10)
-            group = quotient
-    out += _ZERO
-    return out
+def _as_words(*columns):
+    """The little-endian 4-byte words whose bytes are the four ``columns``."""
+    return np.stack(columns, axis=-1).astype(np.uint8).view("<u4")[:, 0]
 
 
-def integers(values) -> np.ndarray:
-    """Plane of the ``%d`` text of nonnegative int64 ``values``, right-aligned."""
+@functools.lru_cache(maxsize=None)
+def _words():
+    """(digits, point, short, long): as 4-byte words, the text ``%04d`` of
+    0 to 9999; ``d.d`` and a NUL of 10 to 99; and, at e + 324 for the
+    exponents e of doubles, -324 to 308, ``e%+03d`` (for |e| < 100) and
+    ``%+04d`` with its leading zero NUL."""
+    k = np.arange(10 ** 4)
+    digits = _as_words(k // 1000 + _ZERO, k // 100 % 10 + _ZERO, k // 10 % 10 + _ZERO,
+                       k % 10 + _ZERO)
+    k = np.arange(100)
+    point = _as_words(k // 10 + _ZERO, np.full(k.size, ord(".")), k % 10 + _ZERO, 0 * k)
+    e = np.arange(-324, 309)
+    sign, a = np.where(e < 0, ord("-"), ord("+")), np.abs(e)
+    short = _as_words(np.full(e.size, ord("e")), sign, a // 10 % 10 + _ZERO, a % 10 + _ZERO)
+    long = _as_words(sign, np.where(a >= 100, a // 100 + _ZERO, 0), a // 10 % 10 + _ZERO,
+                     a % 10 + _ZERO)
+    return digits, point, short, long
+
+
+def _words_at(buf, at):
+    """The ``<u4`` view of bytes ``at`` to ``at + 3`` of each row of the
+    C-contiguous 2-D uint8 ``buf``."""
+    return np.ndarray(buf.shape[:1], "<u4", buf, at, buf.strides[:1])
+
+
+def _put_digits(buf, at, values, width):
+    """Write the last ``width`` decimal digits of each nonnegative integer
+    of ``values``, zero-filled on the left, to columns ``at`` to ``at +
+    width - 1`` of its row of ``buf``, four at a time: eight digits are
+    split off the right at a time, then four, and fewer than four at the
+    left are written left-aligned in a word, or one by one at the end of
+    a row."""
+    if width > 4:
+        step = 8 if width > 8 else 4
+        high = values // 10 ** step
+        # the left part first: a word of it may run into the last digits
+        _put_digits(buf, at, high, width - step)
+        _put_digits(buf, at + width - step, values - high * 10 ** step, step)
+    elif width == 4:
+        _words_at(buf, at)[...] = _words()[0][values]
+    elif at + 4 <= buf.shape[1]:
+        # left-aligned in a word; the bytes it writes past the field are
+        # written again by what lies to the right
+        _words_at(buf, at)[...] = _words()[0][values * 10 ** (4 - width)]
+    else:
+        for j in range(at + width - 1, at - 1, -1):
+            quotient = values // 10
+            buf[:, j] = values - quotient * 10 + _ZERO
+            values = quotient
+
+
+class Field(NamedTuple):
+    """A column of text as :func:`rows` lays it out: ``width`` bytes per
+    value, NUL-padded where some value is narrower (then ``padded``), and
+    ``write(buf, at)``, which writes value i to row i of the uint8 array
+    ``buf`` from column ``at``.  A write may also write bytes to the right
+    of the field, which the fields and separators there overwrite."""
+
+    size: int
+    width: int
+    padded: bool
+    write: Callable
+
+
+def integers(values) -> Field:
+    """The ``%d`` field of nonnegative int64 ``values``, right-aligned."""
     values = np.asarray(values, dtype=np.int64)
-    width = len(str(int(values.max(initial=0))))
-    out = _digits(values, width)
-    for j in range(width - 1):
-        out[j][values < 10 ** (width - 1 - j)] = 0
-    return out
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    width = len(str(high))
+    padded = width > 1 and low < 10 ** (width - 1)
+
+    def write(buf, at):
+        _put_digits(buf, at, values, width)
+        if padded:
+            for j in range(width - 1):
+                buf[values < 10 ** (width - 1 - j), at + j] = 0
+
+    return Field(values.size, width, padded, write)
+
+
+def tokens(names, codes) -> Field:
+    """The field of ``names[code]`` for each of the int ``codes``, ASCII
+    names left-aligned; as wide as the longest name among the codes."""
+    codes = np.asarray(codes)
+    present = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    lengths = [len(names[code]) for code in present]
+    width = max(lengths, default=0)
+    chars = np.frombuffer(b"".join(name.encode("ascii").ljust(width, b"\0")[:width]
+                                   for name in names), np.uint8).reshape(len(names), width)
+
+    def write(buf, at):
+        # one name is a row broadcast, not a gather
+        buf[:, at:at + width] = chars[present[0]] if len(present) == 1 else chars[codes]
+
+    return Field(codes.size, width, min(lengths, default=0) < width, write)
 
 
 def _two_product(a, b):
@@ -127,50 +206,64 @@ def _scaled(x, hi, lo, s):
 
 
 def e17(x):
-    """(chars, exact): the 24-character plane of ``%.17e`` of each of ``x``,
-    and whether it is proven.  ``chars`` is only meaningful where ``exact``
-    is; zero, negative, non-finite and flagged values are not exact."""
+    """(digits, exponent, exact): ``%.17e`` of each of ``x`` is the int64
+    ``digits`` D in [1e17, 1e18) times 10^(``exponent`` - 17), where
+    ``exact`` holds that it is proven.  Zero, negative, non-finite and
+    flagged values are not exact; their digits are those of 1."""
     x = np.asarray(x, dtype=float)
     exact = np.isfinite(x) & (x > 0)
     x = np.where(exact, x, 1.0)
-    (hi, lo, s, exponents), row = _table(17 - np.floor(np.log10(x)).astype(np.int64))
+    exponent = np.floor(np.log10(x)).astype(np.int64)
+    (hi, lo, s), row = _table(17 - exponent)
     n, f = _scaled(x, hi[row], lo[row], s[row])
     d = n + (f > 0.5)
     # a tie, or log10 rounded across a power of ten
     exact &= (np.abs(f - 0.5) > 1e-12) & (n >= 10 ** 17) & (d < 10 ** 18)
-    digits = _digits(d, 18)
-    chars = np.empty((24, x.size), np.uint8)
-    chars[0] = digits[0]
-    chars[1] = ord(".")
-    chars[2:19] = digits[1:]
-    chars[19] = ord("e")
-    chars[20:] = exponents.view(np.uint8).reshape(-1, 4).T[:, row]
-    return chars, exact
+    return np.where(exact, d, 10 ** 17), exponent, exact
 
 
-def tokens(names) -> np.ndarray:
-    """Plane of each of the ASCII ``names``, NUL-padded on the right;
-    ``tokens(names)[:, codes]`` is the plane of ``names[code]`` per code."""
-    return np.array([name.encode("ascii") for name in names]).view(np.uint8).reshape(
-        len(names), -1).T
+def times(digits, exponent) -> Field:
+    """The ``%.17e`` field of the times :func:`e17` gives as ``digits``
+    and ``exponent``; three exponent digits, NUL-padded, only if some
+    time needs them."""
+    long = bool(exponent.size) and bool(exponent.min() <= -100 or exponent.max() >= 100)
+
+    def write(buf, at):
+        _, point, short, longer = _words()
+        lead = digits // 10 ** 16
+        _words_at(buf, at)[...] = point[lead]  # d.d, its last byte written again
+        _put_digits(buf, at + 3, digits - lead * 10 ** 16, 16)
+        if long:
+            buf[:, at + 19] = ord("e")
+            _words_at(buf, at + 20)[...] = longer[exponent + 324]
+        else:
+            _words_at(buf, at + 19)[...] = short[exponent + 324]
+
+    padded = long and bool((np.abs(exponent) < 100).any())
+    return Field(digits.size, 23 + long, padded, write)
 
 
-def join_rows(fields) -> bytes:
-    """The rows whose fields are the planes ``fields``, separated by commas
-    and each ended by a newline, NUL dropped.  Every column of every plane
-    is written: a caller holding a value the planes cannot prove formats
-    those rows some other way."""
-    n = fields[0].shape[1]
-    buf = np.empty((n, sum(f.shape[0] + 1 for f in fields)), np.uint8)
+def rows(fields) -> np.ndarray:
+    """The bytes, as a 1-D uint8 array, of the rows whose fields are
+    ``fields``, separated by commas and each ended by a newline.  The
+    rows are laid out in one (n, width) buffer, NUL dropped only where a
+    field is padded.  Every value is written: a caller holding a value
+    the fields cannot prove formats those rows some other way."""
+    n = fields[0].size
+    buf = np.empty((n, sum(field.width + 1 for field in fields)), np.uint8)
+    if not n:
+        return buf.ravel()
     at = 0
     for field in fields:
-        buf[:, at:at + field.shape[0]] = field.T
-        buf[:, at + field.shape[0]] = ord(",")
-        at += field.shape[0] + 1
+        field.write(buf, at)
+        at += field.width + 1
+        buf[:, at - 1] = ord(",")
     buf[:, -1] = ord("\n")
-    # numpy loops, which release the GIL, where bytes.replace would hold it
     buf = buf.ravel()
-    return buf[buf != 0].tobytes()
+    if any(field.padded for field in fields):
+        # numpy loops, which release the GIL, where bytes.replace would hold it
+        return buf[buf != 0]
+    return buf
 
 
 # byte ranges of the columns of d.ddddddddddddddddde+dd; the sign's holds ',', a separator
@@ -229,7 +322,7 @@ def parse_rows(piece, sides, channels):
     digits = text - np.uint8(_ZERO)
     d = _decimal(digits[:, 2:19], digits[:, 0])
     exponent = np.where(text[:, 20] == ord("-"), -1, 1) * _decimal(digits[:, 21:])
-    (hi, lo, s, _), row = _table(exponent - 17)
+    (hi, lo, s), row = _table(exponent - 17)
     hi, lo = hi[row], lo[row]
     dh = d.astype(float)
     m, p = np.frexp(dh)

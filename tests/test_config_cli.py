@@ -684,9 +684,10 @@ class TestCliContract:
 
     def test_cli_import_builds_no_power_table(self):
         script = ("import sys, kaonlab.cli, kaonlab.textfmt as t; "
-                  "print('fractions' in sys.modules, t._power.cache_info().currsize)")
+                  "print('fractions' in sys.modules, t._power.cache_info().currsize, "
+                  "t._words.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False 0\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False 0 0\n", "")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status")
                         or len(os.sched_getaffinity(0)) < 2,

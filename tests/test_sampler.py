@@ -674,23 +674,67 @@ class TestEventFiles:
             assert_same_lines(path.read_text(), expected)
             assert_same_lines(stream.getvalue(), expected)
 
+    @staticmethod
+    def _writer_case(case):
+        """An event table of the writer-coverage ``case``: chunks of one row
+        layout and chunks mixing id widths, tokens and exponent lengths."""
+        rows, rng = sampler._CHUNK_ROWS, np.random.default_rng(24)
+        n = 2 * rows + 5
+        ids, sides, channels = np.arange(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        times = rng.exponential(1e-10, n)
+        if case == "ids 9/10":  # the id width changes inside a chunk and at its end
+            ids = np.concatenate([np.full(rows, 9), np.arange(10, 10 + n - rows)])
+        elif case == "ids 99999/100000":
+            ids = np.arange(n) + 100_000 - rows
+        elif case == "joint":
+            ids, sides = np.arange(n) // 2, np.arange(n) % 2 + SIDES.index("left")
+        elif case == "pair/triplet":
+            channels = rng.integers(0, 2, n)
+        elif case == "exponents":
+            times[::5], times[1::5], times[rows - 1], times[rows] = 1e-100, 1e100, 1e-99, 1e99
+        elif case == "fallback":  # a zero time in the first chunk, a negative id in the second
+            times[7], ids[rows + 3] = 0.0, -5
+        elif case == "empty":
+            return EventTable([], [], [], [])
+        return EventTable(ids, sides, channels, times)
+
+    @pytest.mark.parametrize("case", ["ids 65535/65536", "ids 9/10", "ids 99999/100000",
+                                      "joint", "pair/triplet", "exponents", "fallback",
+                                      "empty"])
+    def test_written_bytes_are_percent_rows(self, tmp_path, monkeypatch, case):
+        events = self._writer_case(case)
+        expected = "event_id,side,channel,time_s\n" + "".join(
+            "%d,%s,%s,%.17e\n" % (i, SIDES[s], CHANNELS[c], t) for i, s, c, t in zip(
+                events.event_id.tolist(), events.side.tolist(), events.channel.tolist(),
+                events.time.tolist()))
+        for workers in (1, 3):
+            monkeypatch.setattr(sampler, "_cpu_count", lambda: workers)
+            path, stream = tmp_path / f"e{workers}.csv", io.StringIO()
+            write_events(path, events)
+            write_events(stream, events)
+            assert_same_lines(path.read_bytes(), expected.encode("ascii"))
+            assert_same_lines(stream.getvalue(), expected)
+
     def test_sampled_pieces_formatted_in_numpy(self, monkeypatch, params):
         events = sample_decay_times(DecayModel.TIME_OPERATOR, cronin_fitch_state(params, +1),
                                     200_000, RunSeed(7))
         monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
-        calls = []
-        join_rows = textfmt.join_rows
+        calls, padded = [], []
+        rows = textfmt.rows
 
         def spy(fields):
-            calls.append(fields[0].shape[1])
-            return join_rows(fields)
+            calls.append(fields[0].size)
+            padded.append(any(field.padded for field in fields))
+            return rows(fields)
 
-        monkeypatch.setattr(textfmt, "join_rows", spy)
+        monkeypatch.setattr(textfmt, "rows", spy)
         stream = io.StringIO()
         write_events(stream, events)
-        # a piece that fell back to % would not reach join_rows
+        # a piece that fell back to % would not reach rows
         assert calls == [min(sampler._CHUNK_ROWS, 200_000 - lo)
                          for lo, _ in sampler._row_chunks(200_000)]
+        # only the chunks whose ids change width (at 10, ..., 10^5) drop NULs
+        assert padded == [True, True, False, False]
         assert_same_lines(stream.getvalue(), "event_id,side,channel,time_s\n" + "".join(
             "%d,single,pair,%.17e\n" % row for row in zip(events.event_id.tolist(),
                                                           events.time.tolist())))

@@ -16,8 +16,8 @@ from kaonlab.single_models import cronin_fitch_state
 def e17_text(x):
     """``%.17e`` lines of ``x`` through :func:`textfmt.e17`, the values it
     does not prove through ``%``; and how many those were."""
-    chars, exact = textfmt.e17(x)
-    lines = textfmt.join_rows([chars]).split(b"\n")[:-1]
+    digits, exponent, exact = textfmt.e17(x)
+    lines = bytes(textfmt.rows([textfmt.times(digits, exponent)])).split(b"\n")[:-1]
     unproven = np.flatnonzero(~exact).tolist()
     for i in unproven:
         lines[i] = b"%.17e" % x[i]
@@ -62,20 +62,29 @@ def test_constructed_values_and_their_neighbours():
     x = x[np.isfinite(x)]
     text, _ = e17_text(x)
     assert_same_lines(text, percent_text(x))
-    _, exact = textfmt.e17(np.append(ties, near_tie))
+    *_, exact = textfmt.e17(np.append(ties, near_tie))
     assert exact.tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("x", [-0.0, -1e-9, np.inf, np.nan])
 def test_values_outside_the_domain_are_not_exact(x):
-    _, exact = textfmt.e17(np.array([x]))
+    *_, exact = textfmt.e17(np.array([x]))
     assert not exact.any()
 
 
 def test_integers_match_percent_d():
     values = np.concatenate([np.arange(1200), [10 ** 9 - 1, 10 ** 9, 10 ** 18 - 1, 10 ** 18,
                                                np.iinfo(np.int64).max]])
-    text = textfmt.join_rows([textfmt.integers(values)])
+    text = bytes(textfmt.rows([textfmt.integers(values)]))
+    assert text == "".join(f"{v}\n" for v in values.tolist()).encode("ascii")
+
+
+@pytest.mark.parametrize("high", [0, 9, 99, 999])
+def test_narrow_integers_end_their_rows(high):
+    # a field of one to three bytes, the last of its row: its digits are not
+    # written as a word reaching past the newline
+    values = np.arange(high + 1)
+    text = bytes(textfmt.rows([textfmt.integers(values)]))
     assert text == "".join(f"{v}\n" for v in values.tolist()).encode("ascii")
 
 
