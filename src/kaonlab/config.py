@@ -115,8 +115,12 @@ class BinnedCounts:
         trip = np.asarray(self.triplet_counts, dtype=np.int64)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
+        if not (0 <= edges[0] and edges[-1] < math.inf):
+            raise ValueError("edges must be finite and >= 0")
         if pair.shape != (edges.size - 1,) or trip.shape != pair.shape:
             raise ValueError("counts must have len(edges) - 1 entries")
+        if (pair < 0).any() or (trip < 0).any():
+            raise ValueError("counts must be >= 0")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "pair_counts", pair)
         object.__setattr__(self, "triplet_counts", trip)
@@ -127,33 +131,19 @@ _BINNED_ROW = np.dtype([("bin_lo_s", float), ("bin_hi_s", float),
                         ("pair_count", np.int64), ("triplet_count", np.int64)])
 
 
-def _check_header(header: str, row: np.dtype) -> None:
-    if header != ",".join(row.names):
-        raise ValueError(f"unexpected header {header!r}, expected {','.join(row.names)!r}")
-
-
-@contextlib.contextmanager
-def _quiet_when_empty():
-    """Drop loadtxt's warning on a file, or a piece of one, without records.
-
-    The warning filters belong to the process, so this is entered in the
-    calling thread around the worker threads, never in one of them."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        yield
-
-
-def _load_rows(lines, row: np.dtype) -> np.ndarray:
-    """The records of ``lines`` (a file or its bytes), parsed in one call."""
-    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                      encoding="ascii")
-
-
 def _read_rows(path, row: np.dtype) -> np.ndarray:
-    """The records of a CSV file with ``row``'s header, parsed in one call."""
-    with open(path, "r", encoding="ascii") as fh, _quiet_when_empty():
-        _check_header(fh.readline().strip(), row)
-        return _load_rows(fh, row)
+    """The records of a CSV file with ``row``'s header, parsed in one
+    ``np.loadtxt`` call.  Its warning on a file without records is dropped
+    by a warning filter, which belongs to the whole process, so this is
+    never called from a worker thread."""
+    header = ",".join(row.names)
+    with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        line = fh.readline().strip()
+        if line != header:
+            raise ValueError(f"unexpected header {line!r}, expected {header!r}")
+        return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1,
+                          encoding="ascii")
 
 
 def write_binned(path, binned: BinnedCounts) -> None:

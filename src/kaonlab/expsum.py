@@ -44,9 +44,7 @@ class ExpSum:
     """f(t) = Re sum_k d_k t^degree exp(-z_k t) on t >= 0, degree 0 or 1.
 
     Scalar times give floats, arrays give arrays of the same shape.
-    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.  With one row of
-    ``d`` per sample, shape (n, K), ``pdf``, ``cdf``, ``cdf_pdf``, ``sf`` and
-    ``rounding_floor`` give one value per row, at one time or one per row.
+    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.
     """
 
     d: np.ndarray
@@ -104,8 +102,7 @@ class ExpSum:
         M = max(1, |z|/Re z); one unit more covers the rounding of that
         product, so the floor is 2 eps sum_k (2 + M_k) |d_k/z_k^2|."""
         bound = 2.0 + (np.maximum(1.0, np.abs(self.z) / self.z.real) if self.degree else 0.0)
-        return _real(2.0 * np.finfo(float).eps
-                     * np.sum(bound * np.abs(self._coeffs()[1]), axis=-1))
+        return _real(2.0 * np.finfo(float).eps * np.sum(bound * np.abs(self._coeffs()[1])))
 
     def panel_bounds(self, edges, pdf=None):
         """(low, slope): f >= low and |f'| <= slope on each panel [t0, t1] =

@@ -35,7 +35,6 @@ rows are decoded only for a text stream.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -43,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textfmt
-from .config import (BinnedCounts, DetectorConfig, RunSeed, _check_header, _load_rows,
-                     _quiet_when_empty, _read_rows, output_stream, read_binned,
-                     write_binned)
+from .config import (BinnedCounts, DetectorConfig, RunSeed, _read_rows, output_stream,
+                     read_binned, write_binned)
 from .core import DecayModel, SuperpositionState
 from .entangled import BipartiteState, Family, joint_model_terms
 from .errors import ModelPathologyError
@@ -477,10 +475,9 @@ def _event_columns(rows: np.ndarray):
 
 
 def _parse_events(text: bytes, bounds):
-    """Event columns of the whole lines ``text[bounds[0]:bounds[1]]``."""
-    piece = memoryview(text)[slice(*bounds)]
-    return (textfmt.parse_rows(piece, SIDES, CHANNELS)
-            or _event_columns(_load_rows(io.BytesIO(piece), _EVENT_ROW)))
+    """Event columns of the whole lines ``text[bounds[0]:bounds[1]]``, or
+    None if :func:`textfmt.parse_rows` refuses them."""
+    return textfmt.parse_rows(memoryview(text)[slice(*bounds)], SIDES, CHANNELS)
 
 
 def _line_pieces(text: bytes, start: int):
@@ -514,23 +511,22 @@ def read_events(path) -> EventTable:
     """The table of the event file at ``path``.
 
     The file is ASCII with universal newlines, as for a file opened as
-    text.  The body is parsed in pieces of whole lines, by
-    :func:`textfmt.parse_rows` or, for a piece it refuses, ``np.loadtxt``;
-    the table is built from all of them, so a bad value names its row in
-    the file.  A file that fails to parse is parsed again in one call, on
-    this error path only, so that the message names the failing line as
-    that call counts lines.
+    text.  The body is parsed in pieces of whole lines by
+    :func:`textfmt.parse_rows`, on every CPU.  If the header line is not
+    exactly the event header, or ``parse_rows`` refuses any piece, the whole
+    file is read instead by one ``np.loadtxt`` call on this thread, so the
+    table and the error messages are that call's, and a bad line is named
+    by its row in the file.
     """
     with open(path, "rb") as fh:
         text = fh.read()
     if b"\r" in text:
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     start = text.find(b"\n") + 1 or len(text)
-    try:
-        _check_header(text[:start].decode("ascii").strip(), _EVENT_ROW)
-        with _quiet_when_empty():
-            pieces = list(_map_chunks(_parse_events, text, _line_pieces(text, start)))
-    except ValueError:
-        pieces = [_event_columns(_read_rows(path, _EVENT_ROW))]
+    pieces = [None]
+    if text[:start].rstrip(b"\n") == ",".join(_EVENT_ROW.names).encode("ascii"):
+        pieces = list(_map_chunks(_parse_events, text, _line_pieces(text, start)))
     del text  # the table's columns need not share the peak with the file's bytes
+    if None in pieces:
+        pieces = [_event_columns(_read_rows(path, _EVENT_ROW))]
     return EventTable(*map(np.concatenate, zip(*pieces)))

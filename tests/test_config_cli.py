@@ -589,6 +589,30 @@ class TestCliContract:
         assert err.startswith("error: invalid-argument:")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("row, column, value, message", [
+        (5, 2, "-7", "counts must be >= 0"),
+        (5, 3, "-1", "counts must be >= 0"),
+        (1, 0, "-5e-11", "edges must be finite and >= 0"),
+        (-1, 1, "inf", "edges must be finite and >= 0"),
+    ], ids=["pair", "triplet", "first-edge", "last-edge"])
+    def test_binned_file_outside_the_detector_domain_rejected(self, tmp_path, capsys, row,
+                                                              column, value, message):
+        binned = tmp_path / "b.csv"
+        edges = np.linspace(0.0, 2e-8, 101)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, KaonParams(), edges)
+        counts = np.round(mu * (1e6 / mu.sum())).astype(np.int64)
+        write_binned(binned, BinnedCounts(edges, counts, np.zeros_like(counts)))
+        lines = binned.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+        binned.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(binned), "--model", "twfo",
+                     "--free", "epsilon_abs,epsilon_arg,i0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid-argument: {message}\n"
+
     def test_no_command_imports_scipy(self, tmp_path):
         events, binned = tmp_path / "e.csv", tmp_path / "b.csv"
         out = str(tmp_path / "out")

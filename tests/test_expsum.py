@@ -53,20 +53,6 @@ class TestExpSum:
         assert masses[-1] == pytest.approx(terms.sf(edges[-2]) - terms.sf(edges[-1]),
                                            rel=1e-12)
 
-    @pytest.mark.parametrize("k", [3, 4, 9])
-    def test_rows_are_one_row_sums_bitwise(self, k):
-        rng = np.random.default_rng(k)
-        d = rng.normal(size=(300, k)) + 1j * rng.normal(size=(300, k))
-        z = rng.uniform(0.5, 3.0, k) + 1j * rng.normal(scale=5.0, size=k)
-        rows, ones = ExpSum(d, z), [ExpSum(row, z) for row in d]
-        for t in (rng.uniform(0.0, 4.0, len(ones)), np.full(len(ones), 0.7)):
-            for name in ("pdf", "cdf", "cdf_pdf", "sf"):
-                want = np.transpose([getattr(one, name)(ti) for one, ti in zip(ones, t)])
-                assert np.array_equal(getattr(rows, name)(t), want), name
-        # a scalar time is shared by every row
-        assert np.array_equal(rows.pdf(0.7), [one.pdf(0.7) for one in ones])
-        assert np.array_equal(rows.rounding_floor(), [one.rounding_floor() for one in ones])
-
     def test_normalised_has_unit_mass(self):
         terms = ExpSum([3.0, 1.0 + 2j], [1.0, 2.0 - 5j]).normalised()
         assert terms.cdf(1e3) == pytest.approx(1.0, rel=1e-14)

@@ -764,14 +764,32 @@ class TestEventFiles:
                           + newline).encode("ascii"))
         monkeypatch.setattr(sampler, "_PIECE_BYTES", 1000)
         monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
-
-        def serial_reparse(*args):
-            raise AssertionError("a valid file went down the error path")
-
-        monkeypatch.setattr(sampler, "_read_rows", serial_reparse)
         back = read_events(path)
         for column in ("event_id", "side", "channel", "time"):
             assert np.array_equal(getattr(back, column), getattr(events, column)), column
+
+    def test_refused_pieces_loaded_once_on_the_calling_thread(self, tmp_path, monkeypatch):
+        events = self._table(3000, joint=False)
+        path = tmp_path / "e.csv"
+        write_events(path, events)
+        monkeypatch.setattr(sampler, "_PIECE_BYTES", 1000)
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 3)
+        text = path.read_bytes()
+        pieces = sampler._line_pieces(text, text.find(b"\n") + 1)
+        assert len(pieces) > 3
+        # the zero times are rows only np.loadtxt reads
+        assert any(textfmt.parse_rows(text[slice(*b)], SIDES, CHANNELS) is None
+                   for b in pieces)
+        threads, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        for _ in range(2):
+            self._assert_same_table(read_events(path), events)
+        assert threads == [threading.get_ident()] * 2
 
     @staticmethod
     def _assert_same_table(got, expected):
@@ -784,10 +802,10 @@ class TestEventFiles:
         path = tmp_path / "e.csv"
         write_events(path, events)
 
-        def load_rows(*args):
-            raise AssertionError("a piece of a canonical file went to np.loadtxt")
+        def read_rows(*args):
+            raise AssertionError("a canonical file went to np.loadtxt")
 
-        monkeypatch.setattr(sampler, "_load_rows", load_rows)
+        monkeypatch.setattr(sampler, "_read_rows", read_rows)
         monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
         assert len(sampler._line_pieces(path.read_bytes(), 0)) > 1
         self._assert_same_table(read_events(path), events)
@@ -874,7 +892,8 @@ class TestEventFiles:
         self._assert_same_table(read_events(path), events)
 
     def test_refused_pieces_leave_the_warning_filters_alone(self, tmp_path, monkeypatch):
-        # every piece goes to np.loadtxt, on worker threads
+        # parse_rows refuses every piece on worker threads, then the whole
+        # file goes to np.loadtxt on this one
         rows = [f"{i},single,pair,{i + 1}e-9\n" for i in range(2000)]
         path = tmp_path / "e.csv"
         path.write_text("event_id,side,channel,time_s\n" + "".join(rows))

@@ -109,7 +109,9 @@ def assert_read_as_loadtxt(text: bytes):
     ``np.loadtxt`` reads from it, bit for bit."""
     got = parsed(text)
     assert got is not None
-    expected = sampler._event_columns(sampler._load_rows(io.BytesIO(text), sampler._EVENT_ROW))
+    expected = sampler._event_columns(np.loadtxt(io.BytesIO(text), dtype=sampler._EVENT_ROW,
+                                                 delimiter=",", comments=None, ndmin=1,
+                                                 encoding="ascii"))
     assert [c.dtype for c in got] == [np.int64, np.int8, np.int8, np.float64]
     for column, reference in zip(got, expected):
         assert column.tobytes() == reference.astype(column.dtype).tobytes()
