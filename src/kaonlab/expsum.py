@@ -13,10 +13,20 @@ Re sum_k d_k/z_k.  The sum tl + tr of a pair whose joint density depends
 on tl + tr alone has the degree-one form Re sum_k d_k t exp(-z_k t), with
 tail mass Re sum_k (d_k/z_k^2)(1 + z_k t) exp(-z_k t).  This module is the
 only place that arithmetic lives.
+
+The density and the cdf, which the sampler evaluates at every draw, are
+summed in real arithmetic: Re c e^{-z t} = Re conj(c) e^{-conj(z) t}, so
+every term is taken at the rate with Im z >= 0, and the terms of one rate,
+a conjugate pair among them, make one column.  A real rate a gives the
+column e^{-a t}, a complex one a + ib the two columns e^{-a t} cos(b t)
+and e^{-a t} sin(b t).  The tail mass and the bin masses, which the fits
+evaluate, keep the complex form.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +49,21 @@ def _contract(x, a):
     return np.einsum("...k,...k->...", x, a)
 
 
+# An ExpSum as real columns: the a of every column rate a + ib, real rates
+# first, the b of the complex ones, and the density and mass coefficients of
+# the columns, Re c for each rate, then Im c for each complex one
+_Fold = collections.namedtuple("_Fold", "decays freqs density mass")
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSum:
     """f(t) = Re sum_k d_k t^degree exp(-z_k t) on t >= 0, degree 0 or 1.
 
     Scalar times give floats, arrays give arrays of the same shape.
-    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.
+    ``cdf``, ``sf`` and ``bin_mass`` need every Re z_k > 0.  ``pdf`` and
+    ``cdf`` sum the real columns; ``sf`` and ``bin_mass`` keep the complex
+    sum, bit for bit: the fits call only ``bin_mass``, on about a hundred
+    edges, where the real form is slower, and their optima would move.
     """
 
     d: np.ndarray
@@ -52,8 +71,11 @@ class ExpSum:
     degree: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
+        d, z = np.asarray(self.d, dtype=complex), np.asarray(self.z, dtype=complex)
+        if d.ndim != 1 or d.shape != z.shape:
+            raise ValueError(f"d and z must be 1-D arrays of one length, got {d.shape}, {z.shape}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "z", z)
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree!r}")
 
@@ -62,36 +84,88 @@ class ExpSum:
         mass = self.d / self.z
         return (mass, mass / self.z) if self.degree else (self.d, mass)
 
-    def _terms(self, t):
-        """(tail, density) terms per time and k from one exp(-t z) each."""
-        if not self.degree:  # t z is not kept: one array fewer at the peak
-            tails = np.exp(-np.multiply.outer(t, self.z))
-            return tails, tails
+    def _tails(self, t):
+        """Complex tail terms per time and k: e^{-z t}, or (1 + z t) e^{-z t}
+        at degree one."""
         tz = np.multiply.outer(t, self.z)
         tails = np.exp(-tz)
-        return (1.0 + tz) * tails, tz * tails
+        return (1.0 + tz) * tails if self.degree else tails
+
+    @functools.cached_property
+    def _fold(self) -> _Fold:
+        """The real columns, built on first use: the fits build a sum per
+        likelihood evaluation and call only ``bin_mass``."""
+        columns = {}
+        for z, d, mass in zip(self.z.tolist(), *(c.tolist() for c in self._coeffs())):
+            if z.imag < 0:  # Re c e^{-z t} = Re conj(c) e^{-conj(z) t}
+                z, d, mass = z.conjugate(), d.conjugate(), mass.conjugate()
+            sums = columns.setdefault(z, [0j, 0j])
+            sums[0] += d
+            sums[1] += mass
+        rates = sorted(columns, key=lambda z: z.imag != 0)  # stable: real rates first
+        waves = [z for z in rates if z.imag]
+        return _Fold([z.real for z in rates], [z.imag for z in waves],
+                     *(np.array([columns[z][i].real for z in rates]
+                                + [columns[z][i].imag for z in waves]) for i in (0, 1)))
+
+    def _columns(self, t):
+        """(tail, density) columns per time: Re and -Im of e^{-z t} for both
+        at degree 0, of (1 + z t) e^{-z t} and z t e^{-z t} at degree one,
+        since Re(c y) = Re c Re y + Im c (-Im y).  One real exp(-a t) per
+        column and one cos(b t), sin(b t) per complex rate give them, each
+        an elementwise loop over the times."""
+        decays, freqs = self._fold.decays, self._fold.freqs
+        t = np.asarray(t, dtype=float)
+        n_exp, n_real = len(decays), len(decays) - len(freqs)
+        tails = np.empty(t.shape + (n_exp + len(freqs),))
+        for k, a in enumerate(decays):
+            np.exp(t * -a, out=tails[..., k])
+        for j, b in enumerate(freqs):  # e^{-a t} (cos(b t), sin(b t))
+            cos, sin = tails[..., n_real + j], tails[..., n_exp + j]
+            np.multiply(cos, np.sin(t * b), out=sin)
+            cos *= np.cos(t * b)
+        if not self.degree:
+            return tails, tails
+        dens = np.empty_like(tails)
+        for k, a in enumerate(decays):
+            np.multiply(t * a, tails[..., k], out=dens[..., k])
+        for j, b in enumerate(freqs):  # (a t + i b t)(C - i S)
+            cos, sin = tails[..., n_real + j], tails[..., n_exp + j]
+            dens[..., n_real + j] += (t * b) * sin
+            np.subtract((t * decays[n_real + j]) * sin, (t * b) * cos, out=dens[..., n_exp + j])
+        return tails + dens, dens
+
+    def _complement(self, tails):
+        """The columns of 1 - y from those of y: 1 - x for real parts, -x
+        for the sine columns; a loop per column, as in ``_columns``."""
+        out = np.empty_like(tails)
+        n_exp = len(self._fold.decays)
+        for k in range(n_exp):
+            np.subtract(1.0, tails[..., k], out=out[..., k])
+        np.negative(tails[..., n_exp:], out=out[..., n_exp:])
+        return out
 
     def pdf(self, t):
-        return _real(_contract(self._terms(t)[1], self._coeffs()[0]))
+        return _real(_contract(self._columns(t)[1], self._fold.density))
 
     def cdf(self, t):
         """Mass on [0, t]."""
-        return _real(_contract(1.0 - self._terms(t)[0], self._coeffs()[1]))
+        return _real(_contract(self._complement(self._columns(t)[0]), self._fold.mass))
 
     def cdf_pdf(self, t):
-        """``(cdf(t), pdf(t))``, bitwise, from one evaluation of exp(-t z)."""
-        tails, dens = self._terms(t)
-        d, mass = self._coeffs()
-        return _real(_contract(1.0 - tails, mass)), _real(_contract(dens, d))
+        """``(cdf(t), pdf(t))``, bitwise, from one evaluation of the columns."""
+        tails, dens = self._columns(t)
+        return (_real(_contract(self._complement(tails), self._fold.mass)),
+                _real(_contract(dens, self._fold.density)))
 
     def sf(self, t):
         """Mass on (t, inf), summed directly so it keeps its digits where
         the cdf has rounded to the total."""
-        return _real(_contract(self._terms(t)[0], self._coeffs()[1]))
+        return _real(_contract(self._tails(t), self._coeffs()[1]))
 
     def bin_mass(self, edges) -> np.ndarray:
         """Mass in each bin [edges[i], edges[i+1]], as a difference of tails."""
-        tails = self._terms(edges)[0]
+        tails = self._tails(edges)
         return np.real(_contract(tails[:-1] - tails[1:], self._coeffs()[1]))
 
     def rounding_floor(self):
@@ -100,7 +174,10 @@ class ExpSum:
         Degree 0 has |x_k| <= 2.  Degree one has x_k = 1 - (1 + z t) e^{-z t},
         and over t >= 0 |(1 + z t) e^{-z t}| <= (1 + |z| t) e^{-t Re z} <= M,
         M = max(1, |z|/Re z); one unit more covers the rounding of that
-        product, so the floor is 2 eps sum_k (2 + M_k) |d_k/z_k^2|."""
+        product, so the floor is 2 eps sum_k (2 + M_k) |d_k/z_k^2|.  ``cdf``
+        sums the same products by real columns, whose coefficients are at
+        most the sums of their terms' |a_k|; against 40-digit values its
+        rounding stays within 3/8 of this floor for the kaon laws."""
         bound = 2.0 + (np.maximum(1.0, np.abs(self.z) / self.z.real) if self.degree else 0.0)
         return _real(2.0 * np.finfo(float).eps * np.sum(bound * np.abs(self._coeffs()[1])))
 
@@ -143,9 +220,13 @@ class ExpSum2:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex))
+        d, z, w = (np.asarray(a, dtype=complex) for a in (self.d, self.z, self.w))
+        if d.ndim != 1 or not d.shape == z.shape == w.shape:
+            raise ValueError("d, z and w must be 1-D arrays of one length, got "
+                             f"{d.shape}, {z.shape}, {w.shape}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "w", w)
 
     def pdf(self, tl, tr):
         """Elementwise over broadcast-compatible ``tl`` and ``tr``."""

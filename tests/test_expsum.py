@@ -9,7 +9,8 @@ from kaonlab.core import DecayModel, KaonParams
 from kaonlab.entangled import BipartiteState, joint_model_terms
 from kaonlab.errors import DegenerateStateError
 from kaonlab.expsum import ExpSum, ExpSum2
-from kaonlab.single_models import cronin_fitch_state, model_terms
+from kaonlab.sampler import Dist1D
+from kaonlab.single_models import cronin_fitch_state, intensity_terms, model_terms
 
 
 @pytest.fixture
@@ -60,6 +61,83 @@ class TestExpSum:
     def test_normalised_rejects_a_sum_without_mass(self):
         with pytest.raises(DegenerateStateError):
             ExpSum([1.0, -1.0], [2.0, 2.0]).normalised()
+
+    @pytest.mark.parametrize("d, z", [([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0]),
+                                      (1.0, 2.0), ([[1.0, 2.0]], [[3.0, 4.0]])],
+                             ids=["two-one", "one-two", "scalars", "2-D"])
+    def test_mismatched_terms_rejected(self, d, z):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ExpSum(d, z)
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ExpSum2(d, z, z)
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Dist1D(d, z)
+
+    def test_mismatched_w_rejected(self):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ExpSum2([1.0, 2.0], [3.0, 4.0], [5.0])
+
+    def test_conjugate_rates_make_one_column(self):
+        terms = ExpSum([2.0, 1.0 + 1j, 1.0 - 1j, 0.5j], [1.0, 3.0 - 2j, 3.0 + 2j, 0.5 - 7j])
+        assert terms._fold.decays == [1.0, 3.0, 0.5] and terms._fold.freqs == [2.0, 7.0]
+        t = np.linspace(0.0, 5.0, 101)
+        exact = (2.0 * np.exp(-t) + 2.0 * np.exp(-3.0 * t) * (np.cos(2 * t) - np.sin(2 * t))
+                 - 0.5 * np.exp(-0.5 * t) * np.sin(7.0 * t))
+        assert np.allclose(terms.pdf(t), exact, rtol=0.0, atol=1e-15)
+
+
+class TestRealForm:
+    """pdf, cdf and cdf_pdf sum real columns; sf and bin_mass stay complex."""
+
+    @staticmethod
+    def _laws(params):
+        laws = {f"{m.value}{cp:+d}": (*model_terms(m, cronin_fitch_state(params, cp)), 0)
+                for m in (DecayModel.TIME_OPERATOR, DecayModel.HYBRID) for cp in (+1, -1)}
+        laws["standard-intensity"] = (*intensity_terms(DecayModel.STANDARD, params), 0)
+        return laws
+
+    @pytest.mark.parametrize("law", ["twfo+1", "twfo-1", "hybrid+1", "hybrid-1",
+                                     "standard-intensity"])
+    def test_cdf_rounds_within_three_eighths_of_the_floor(self, params, law):
+        # the measurement the certified Newton step of the sampler rests on
+        d, z, degree = self._laws(params)[law]
+        terms = ExpSum(d, z, degree)
+        t_max = 40.0 / float(np.min(terms.z.real))
+        t = np.union1d(np.geomspace(1e-6, 1.0, 1500), np.linspace(0.0, 1.0, 1500)) * t_max
+        with mpmath.workdps(40):
+            dz = [(mpmath.mpc(dk), mpmath.mpc(zk)) for dk, zk in zip(terms.d, terms.z)]
+            exact = np.array([float(mpmath.re(mpmath.fsum(
+                dk / zk * (1 - mpmath.exp(-zk * ti)) for dk, zk in dz)))
+                for ti in map(mpmath.mpf, t)])
+        assert np.max(np.abs(terms.cdf(t) - exact)) <= 0.375 * terms.rounding_floor()
+
+    @pytest.mark.parametrize("law", ["twfo+1", "standard-intensity", "signed",
+                                     "beta-sum", "signed-degree-one"])
+    def test_value_independent_of_its_batch(self, params, law):
+        d, z, degree = {**self._laws(params), **TestPanelBounds()._laws(params)}[law]
+        terms = ExpSum(d, z, degree)
+        t = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 49) / float(np.min(terms.z.real))])
+        assert all(isinstance(terms.cdf(x), float) for x in t)
+        alone_cdf = np.array([terms.cdf(x) for x in t])
+        alone_pdf = np.array([terms.pdf(x) for x in t])
+        for offset in range(17):
+            for n in range(1, 34):
+                rows = slice(offset, offset + n)
+                cdf, pdf = terms.cdf_pdf(t[rows])
+                assert np.array_equal(cdf, alone_cdf[rows])
+                assert np.array_equal(pdf, alone_pdf[rows])
+                assert np.array_equal(terms.cdf(t[rows]), cdf)
+                assert np.array_equal(terms.pdf(t[rows]), pdf)
+
+    def test_sf_and_bin_mass_keep_the_complex_sum(self, params):
+        d, z, _ = self._laws(params)["twfo+1"]
+        terms = ExpSum(d, z)
+        edges = np.linspace(0.0, 40.0 / float(np.min(terms.z.real)), 101)
+        tails = np.exp(-np.multiply.outer(edges, terms.z))
+        mass = terms.d / terms.z
+        assert np.array_equal(terms.sf(edges), np.real(np.einsum("...k,...k->...", tails, mass)))
+        assert np.array_equal(terms.bin_mass(edges), np.real(
+            np.einsum("...k,...k->...", tails[:-1] - tails[1:], mass)))
 
 
 class TestDegreeOne:

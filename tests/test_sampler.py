@@ -791,6 +791,24 @@ class TestEventFiles:
             self._assert_same_table(read_events(path), events)
         assert threads == [threading.get_ident()] * 2
 
+    def test_no_piece_parsed_after_a_refused_one(self, tmp_path, monkeypatch):
+        events = self._table(3000, joint=False)  # its first piece has a zero time
+        path = tmp_path / "e.csv"
+        write_events(path, events)
+        monkeypatch.setattr(sampler, "_PIECE_BYTES", 1000)
+        monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
+        text = path.read_bytes()
+        assert len(sampler._line_pieces(text, text.find(b"\n") + 1)) > 3
+        calls, parse_rows = [], textfmt.parse_rows
+
+        def spy(*args, **kwargs):
+            calls.append(parse_rows(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(textfmt, "parse_rows", spy)
+        self._assert_same_table(read_events(path), events)
+        assert calls == [None]
+
     @staticmethod
     def _assert_same_table(got, expected):
         for column in ("event_id", "side", "channel", "time"):
