@@ -278,13 +278,16 @@ def cmd_discriminate(args) -> int:
     record = dict(model_a=model_a.value, model_b=model_b.value, alpha=args.alpha,
                   trials=args.trials)
     if args.find_crossing:
+        target = 0.95 if args.target_power is None else args.target_power
         n_star, reports = find_min_events_for_power(
             model_a, model_b, state, n_grid, args.alpha, args.trials, run.seed,
-            target=args.target_power)
+            target=target)
         for rep in reports:
             lines.append(f"power: n={rep.n_events} power={rep.power:.6f} "
                          f"critical={_fmt(rep.critical_value)}")
-        record.update(target=args.target_power, n_star="none" if n_star is None else n_star)
+        record.update(target=target, n_star="none" if n_star is None else n_star)
+    elif args.target_power is not None:
+        raise ValueError("--target-power applies with --find-crossing only")
     else:
         for n in n_grid:
             rep = discrimination_power(model_a, model_b, state, n, args.alpha,
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--find-crossing", action="store_true", dest="find_crossing")
-    p.add_argument("--target-power", type=float, default=0.95, dest="target_power")
+    p.add_argument("--target-power", type=float, dest="target_power")
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("extract-epsilon", help="|epsilon| from pair/decay counts")

@@ -208,7 +208,8 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     value at mu = counts, so its stopping tolerances mean the same for
     every parameter and lie above the rounding of the objective; the
     calibration i0, which ``free`` must list, is profiled out analytically
-    at each step.
+    at each step.  A Fisher-scoring step then follows the score along
+    directions so shallow that the nll's rounding stops the simplex early.
     The covariance is the inverse of the expected information
     J^T diag(1/mu) J at the optimum, with J the derivatives of the bin
     means mu by central differences, inverted after scaling to unit
@@ -290,33 +291,42 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     nll_hat = excess + _poisson_saturated(counts)
     if not math.isfinite(nll_hat):
         raise FitFailureError("likelihood maximisation failed", best=(theta_hat, nll_hat))
+
+    # covariance and score J^T (n - mu)/mu over all free parameters (i0
+    # included); a bin the model gives no rate carries no information
+    def information(values):
+        scale = np.array([bounds[name][1] - bounds[name][0] if name != "i0"
+                          else values["i0"] for name in free])
+        jac = np.empty((counts.size, len(free)))
+        for j, name in enumerate(free):
+            a = max(values[name] - _REL_STEP * scale[j], bounds[name][0])
+            b = min(values[name] + _REL_STEP * scale[j], bounds[name][1])
+            lo, hi = (dict(values, **{name: x}) for x in (a, b))
+            jac[:, j] = (predict(hi, hi["i0"]) - predict(lo, lo["i0"])) / (b - a)
+        mu = predict(values, values["i0"])
+        seen = mu > 0
+        info = (jac[seen].T / mu[seen]) @ jac[seen]
+        # invert at unit diagonal (the parameters span 1e-3 to 1e19); a
+        # parameter the data cannot see keeps unit information at its scale,
+        # so the eigenvalue floor leaves it a variance of 1e12 scale^2
+        root = np.sqrt(np.diag(info))
+        root = np.where(root > 0, root, 1.0 / scale)
+        eigvals, eigvecs = np.linalg.eigh(info / np.outer(root, root))
+        cov = (eigvecs / np.maximum(eigvals, 1e-12)) @ eigvecs.T / np.outer(root, root)
+        return 0.5 * (cov + cov.T), jac[seen].T @ ((counts[seen] - mu[seen]) / mu[seen])
+
     values = dict(unpack(theta_hat), i0=i0_hat)
-
-    # expected information over all free parameters (profiled i0 included);
-    # a bin the model gives no rate carries no information
-    def means(name, value):
-        local = dict(values, **{name: value})
-        return predict(local, local["i0"])
-
-    scale = np.array([bounds[name][1] - bounds[name][0] if name != "i0"
-                      else values["i0"] for name in free])
-    jac = np.empty((counts.size, len(free)))
-    for j, name in enumerate(free):
-        lo_j, hi_j = bounds[name]
-        a = max(values[name] - _REL_STEP * scale[j], lo_j)
-        b = min(values[name] + _REL_STEP * scale[j], hi_j)
-        jac[:, j] = (means(name, b) - means(name, a)) / (b - a)
-    mu = predict(values, values["i0"])
-    seen = mu > 0
-    info = (jac[seen].T / mu[seen]) @ jac[seen]
-    # invert at unit diagonal (the parameters span 1e-3 to 1e19); a
-    # parameter the data cannot see keeps unit information at its scale,
-    # so the eigenvalue floor leaves it a variance of 1e12 scale^2
-    root = np.sqrt(np.diag(info))
-    root = np.where(root > 0, root, 1.0 / scale)
-    eigvals, eigvecs = np.linalg.eigh(info / np.outer(root, root))
-    cov = (eigvecs / np.maximum(eigvals, 1e-12)) @ eigvecs.T / np.outer(root, root)
-    cov = 0.5 * (cov + cov.T)
+    cov, score = information(values)
+    # the Fisher-scoring step, taken if it stays in the box and leaves the
+    # nll within the simplex's fatol
+    theta_new = theta_hat + (cov @ score)[[free.index(name) for name in shape_free]]
+    if shape_free and all(bounds[name][0] <= x <= bounds[name][1]
+                          for name, x in zip(shape_free, theta_new)):
+        excess_new, i0_new = nll_of(theta_new)
+        if excess_new <= excess + 1e-9:
+            nll_hat += excess_new - excess
+            values = dict(unpack(theta_new), i0=i0_new)
+            cov, _ = information(values)
 
     return FitResult(model=model,
                      epsilon_abs=float(values["epsilon_abs"]),

@@ -19,12 +19,13 @@ Re sum D_jk exp(-Z_jk t) for model-specific coefficients D; this module
 only builds the coefficients, and :mod:`kaonlab.expsum` evaluates,
 integrates and normalises the sums in closed form.
 
-Sign conventions: projecting an initial K0 exactly gives an interference
-phase cos(delta_m t - arg eps) in the 2pi channel, while the conventional
-closed forms carry cos(delta_m t + arg eps).  `pdf` and friends use the
-exact sign; the `cronin_fitch_intensity` templates keep the conventional
-one.  Both appear in the literature and only the weights matter for model
-discrimination.
+Sign conventions: the pion-pair state of an initial K0 has amplitudes
+(1, eps) on the (short, long) modes, so arg eps enters every law here as
+-arg eps in the interference phase; the hybrid and time-operator templates
+`fit` uses are that state's laws at I(0) = 1.  The standard law has two named
+forms, the state's decay-time pdf (`pdf`) and the pion-pair template
+(`cronin_fitch_intensity`), with interference weights 2|eps| R/Gamma_S and
+|eps| R/(2a) relative to the short term.
 """
 
 from __future__ import annotations
@@ -41,13 +42,22 @@ from .expsum import ExpSum
 _TINY = 1e-300
 
 
-def _pair_terms(state: SuperpositionState):
-    alpha = state.amplitudes()
-    m = state.masses()
-    g = state.widths()
+def _pair_coefficients(alpha, g, model=DecayModel.HYBRID):
+    """C of |psi(t)|^2 = Re sum C exp(-Z t) (Z from `_pair_rates`) for the
+    modes psi(t) = sum_k alpha_k exp(-i(m_k - i g_k/2) t), over plain arrays;
+    the time-operator law also weights each mode by sqrt(g_k)."""
     c = alpha[:, None] * alpha[None, :].conj()
-    z = 0.5 * (g[:, None] + g[None, :]) + 1j * (m[:, None] - m[None, :])
-    return c.ravel(), z.ravel()
+    if model is DecayModel.TIME_OPERATOR:
+        root_g = np.sqrt(g)
+        c = c * (root_g[:, None] * root_g[None, :])
+    elif not isinstance(model, DecayModel):
+        raise ValueError(f"unknown model {model!r}")
+    return c.ravel()
+
+
+def _pair_rates(state: SuperpositionState):
+    g, m = state.widths(), state.masses()
+    return (0.5 * (g[:, None] + g[None, :]) + 1j * (m[:, None] - m[None, :])).ravel()
 
 
 def _check_times(t):
@@ -74,8 +84,8 @@ def survival_standard(state: SuperpositionState, t):
     interference leaves nothing to normalise).
     """
     t = _check_times(t)
-    c, z = _pair_terms(state)
-    return ExpSum(c / _initial_intensity(c), z).pdf(t)
+    c = _pair_coefficients(state.amplitudes(), state.widths())
+    return ExpSum(c / _initial_intensity(c), _pair_rates(state)).pdf(t)
 
 
 def model_terms(model: DecayModel, state: SuperpositionState):
@@ -86,19 +96,13 @@ def model_terms(model: DecayModel, state: SuperpositionState):
     Raises DegenerateStateError when the model's normalisation vanishes or
     a zero-width mode makes the distribution non-normalisable.
     """
-    c, z = _pair_terms(state)
     g = state.widths()
+    c, z = _pair_coefficients(state.amplitudes(), g, model), _pair_rates(state)
     if model is DecayModel.STANDARD:
         return c * z / _initial_intensity(c), z
     if np.any(g <= 0):
         raise DegenerateStateError("zero-width mode: distribution is not normalisable")
-    if model is DecayModel.HYBRID:
-        terms = ExpSum(c, z).normalised()
-    elif model is DecayModel.TIME_OPERATOR:
-        root_g = np.sqrt(g)
-        terms = ExpSum(c * (root_g[:, None] * root_g[None, :]).ravel(), z).normalised()
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    terms = ExpSum(c, z).normalised()
     return terms.d, terms.z
 
 
@@ -167,51 +171,21 @@ def cronin_fitch_state(params: KaonParams, cp: int = +1) -> SuperpositionState:
         pair, (params.short_energy(), params.long_energy()))
 
 
-def _intensity_weights(model: DecayModel, params: KaonParams):
-    """(w_long, w_int, phase, prefactor) of the conventional intensity
-    templates, with the short-mode weight fixed to 1."""
-    eps = params.epsilon
-    a = params.gamma_mean
-    if model is DecayModel.STANDARD:
-        iw = interference_weights(params.short_energy(), params.long_energy())
-        w_long = abs(eps) ** 2 * params.gamma_l / params.gamma_s
-        # R/(2a) -> 1/sqrt2 and psi -> -pi/4 at the kaon coincidence
-        # delta_m = (Gamma_S+Gamma_L)/2.
-        w_int = abs(eps) * iw.r_mod / (2.0 * a)
-        phase = np.angle(eps) + iw.psi_phase
-        pref = 1.0 / abs(1.0 + eps) ** 2
-    elif model is DecayModel.HYBRID:
-        w_long = abs(eps) ** 2
-        w_int = 2.0 * abs(eps)
-        phase = np.angle(eps)
-        pref = 1.0 / abs(1.0 + eps) ** 2
-    elif model is DecayModel.TIME_OPERATOR:
-        eps_eff = eps * math.sqrt(params.gamma_l / params.gamma_s)
-        w_long = abs(eps_eff) ** 2
-        w_int = 2.0 * abs(eps_eff)
-        phase = np.angle(eps)
-        pref = 1.0 / abs(1.0 + eps_eff) ** 2
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return w_long, w_int, phase, pref
-
-
 def cronin_fitch_intensity(model: DecayModel, params: KaonParams, t, i0: float = 1.0):
     """Pion-pair (CP=+1) detection intensity of an initial K0.
 
-    Conventional closed forms, short-mode weight normalised to one:
+    Closed forms, relative to the short-mode weight:
 
         standard       e^{-Gs t} + |eps|^2 (Gl/Gs) e^{-Gl t}
-                       + (|eps|/sqrt2) e^{-at} cos(dm t + arg eps - pi/4)
+                       + (|eps|/sqrt2) e^{-at} cos(dm t - arg eps - pi/4)
         hybrid         e^{-Gs t} + |eps|^2 e^{-Gl t}
-                       + 2|eps| e^{-at} cos(dm t + arg eps)
+                       + 2|eps| e^{-at} cos(dm t - arg eps)
         time-operator  as hybrid with eps replaced by eps*sqrt(Gl/Gs)
 
     (a = (Gs+Gl)/2; the standard weight and phase shown hold at the kaon
     coincidence dm = a and are generalised through the polar decomposition
-    R e^{i psi} = a - i dm otherwise.)  ``i0`` is the detector calibration;
-    all three intensities share lifetimes and oscillation period but differ
-    in the relative term weights.
+    R e^{i psi} = a - i dm otherwise.)  Hybrid and time-operator are the
+    laws of ``cronin_fitch_state(params, +1)`` at I(0) = i0, the calibration.
     """
     t = _check_times(t)
     if not math.isfinite(i0):
@@ -228,13 +202,25 @@ def intensity_terms(model: DecayModel, params: KaonParams,
     """Complex-exponential terms (D, Z) of the intensity template, so
     I(t)/i0 = Re sum_k D_k exp(-Z_k t).
 
-    With ``normalized`` the coefficients are rescaled to unit mass on
-    [0, inf), which is the form the event sampler consumes.
+    Hybrid and time-operator give the law of ``cronin_fitch_state(params,
+    +1)`` at I(0) = 1, built over plain arrays (the fits build one per
+    likelihood evaluation); ``normalized`` rescales to unit mass instead.
     """
-    w_long, w_int, phase, pref = _intensity_weights(model, params)
-    d = pref * np.array([1.0, w_long, w_int * np.exp(1j * phase)], dtype=complex)
-    z = np.array([params.gamma_s, params.gamma_l,
-                  params.gamma_mean - 1j * params.delta_m], dtype=complex)
+    eps = params.epsilon
+    z = np.array([params.gamma_s, params.gamma_l, params.gamma_mean - 1j * params.delta_m])
+    if model is DecayModel.STANDARD:
+        iw = interference_weights(params.short_energy(), params.long_energy())
+        # R/(2a) -> 1/sqrt2 and psi -> -pi/4 at the kaon coincidence
+        # delta_m = (Gamma_S+Gamma_L)/2.
+        w_int = abs(eps) * iw.r_mod / (2.0 * params.gamma_mean)
+        d = np.array([1.0, abs(eps) ** 2 * params.gamma_l / params.gamma_s,
+                      w_int * np.exp(1j * (iw.psi_phase - np.angle(eps)))]) / abs(1.0 + eps) ** 2
+    else:
+        # cronin_fitch_state(params, +1)'s modes; the (long, short) term is
+        # the conjugate of the (short, long) one, so the two are 2 Re of it
+        c = _pair_coefficients(np.array([1.0, eps]),
+                               np.array([params.gamma_s, params.gamma_l]), model)
+        d = np.array([c[0], c[3], 2.0 * c[1]]) / _initial_intensity(c)
     if normalized:
         d = ExpSum(d, z).normalised().d
     return d, z
@@ -243,13 +229,13 @@ def intensity_terms(model: DecayModel, params: KaonParams,
 def weight_ratio_signature(model: DecayModel, params: KaonParams) -> float:
     """sqrt(long weight) / interference weight of the intensity template.
 
-    Both weights are taken relative to the short-mode term, so the ratio
-    is dimensionless, independent of calibration, and differs between the
-    models: sqrt2 * sqrt(Gamma_L/Gamma_S) (about 0.059 for kaons) for the
-    standard law versus exactly 1/2 for hybrid and time-operator.
+    Both weights are read off ``intensity_terms`` relative to the short-mode
+    term, so the ratio is dimensionless, independent of calibration, and
+    differs between the models: sqrt2 * sqrt(Gamma_L/Gamma_S) (about 0.059
+    for kaons) for the standard law versus exactly 1/2 for the others.
     """
     if abs(params.epsilon) == 0.0:
         raise UndefinedSignatureError(
             "epsilon = 0 leaves no interference term; signature undefined")
-    w_long, w_int, _, _ = _intensity_weights(model, params)
-    return math.sqrt(w_long) / w_int
+    d, _ = intensity_terms(model, params, normalized=False)
+    return math.sqrt(d[0].real * d[1].real) / float(abs(d[2]))

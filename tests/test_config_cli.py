@@ -312,6 +312,24 @@ class TestCliGolden:
             assert list(powers) == [1000, 3000]
             assert all(p < 0.95 for p in powers.values())
 
+    @pytest.mark.parametrize("model", ["hybrid", "twfo"])
+    def test_simulate_detect_fit_returns_the_phase_given(self, tmp_path, capsys, model):
+        # one sign of arg eps through the chain: the default 43.37 degrees
+        # is +0.75695 rad
+        events, binned = tmp_path / "events.csv", tmp_path / "binned.csv"
+        assert main(["simulate", "--model", model, "--epsilon-abs", "0.2", "--n", "200000",
+                     "--seed", "3", "--out", str(events)]) == 0
+        assert main(["detect", "--events", str(events), "--t-max", "2e-9", "--bins", "100",
+                     "--out", str(binned)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--data", str(binned), "--model", model,
+                     "--epsilon-abs", "0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        arg = float(result_fields(lines[-1], "fit")["epsilon_arg_rad"])
+        row = next(line for line in lines if line.startswith("covariance[epsilon_arg]:"))
+        variance = float(row.split(": ")[1].split(",")[1])
+        assert abs(arg - math.radians(43.37)) < 3.0 * math.sqrt(variance), (arg, variance)
+
     @pytest.mark.parametrize("target", ["-1", "0", "1", "1.5", "nan"])
     def test_discriminate_rejects_target_power_outside_unit_interval(self, capsys,
                                                                     target):
@@ -544,10 +562,13 @@ class TestCliContract:
         ["spectrum", "--t-min", "1e-11"],
         ["spectrum", "--t-max", "1e-9"],
         ["spectrum", "--bins", "7"],
+        ["discriminate", "--model-a", "twfo", "--model-b", "standard", "--n-events", "1000",
+         "--trials", "100", "--target-power", "7"],
     ], ids=["intensity-cp", "joint-cp", "joint-quantity", "joint-i0", "curves-i0",
             "simulate-joint-cp", "curves-family-phase", "intensity-family",
             "simulate-family-phase", "simulate-phase", "density-convention",
-            "density-autocorrelation", "density-t-min", "density-t-max", "density-bins"])
+            "density-autocorrelation", "density-t-min", "density-t-max", "density-bins",
+            "discriminate-target-power"])
     def test_flags_that_do_not_apply_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2

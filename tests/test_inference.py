@@ -12,7 +12,8 @@ from kaonlab.inference import (discrimination_power, extract_epsilon,
                                intensity_bin_means, template_design_matrix,
                                weight_ratio_estimate)
 from kaonlab.sampler import BinnedCounts, RunSeed, sample_times_from_terms
-from kaonlab.single_models import cronin_fitch_state, intensity_terms
+from kaonlab.expsum import ExpSum
+from kaonlab.single_models import cronin_fitch_state, intensity_terms, model_terms
 
 
 @pytest.fixture
@@ -97,6 +98,24 @@ class TestFitIntensity:
         assert np.allclose(cov, cov.T)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12 * np.max(np.abs(cov))
         assert math.isfinite(fit.neg_log_likelihood)
+
+    @pytest.mark.parametrize("model", [DecayModel.HYBRID, DecayModel.TIME_OPERATOR],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("eps_abs,eps_arg", [(0.2, 0.75695), (2.27e-3, 0.75695),
+                                                 (0.05, -2.0)])
+    def test_asimov_closure_of_the_state_law(self, model, eps_abs, eps_arg):
+        # counts from the law simulate draws (the CP=+1 state's) fit back to
+        # the |eps| and arg eps they were made with, sign included
+        truth = KaonParams.from_polar_epsilon(eps_abs, eps_arg)
+        edges = np.linspace(0.0, 2e-8, 101)
+        mass = ExpSum(*model_terms(model, cronin_fitch_state(truth, +1))).bin_mass(edges)
+        counts = np.round(1e10 * mass).astype(np.int64)
+        fit = fit_intensity(BinnedCounts(edges, counts, np.zeros_like(counts)), model, truth,
+                            free=("epsilon_abs", "epsilon_arg", "i0"))
+        for name, value, true in (("epsilon_abs", fit.epsilon_abs, eps_abs),
+                                  ("epsilon_arg", fit.epsilon_arg, eps_arg)):
+            k = fit.free.index(name)
+            assert abs(value - true) < 0.1 * math.sqrt(fit.covariance[k, k]), name
 
     def test_cross_model_likelihood_gap(self, params):
         # calibration-only fits compare the fixed shapes, which is the

@@ -8,8 +8,8 @@ from scipy import integrate
 from kaonlab.core import ComplexEnergy, DecayModel, KaonParams, SuperpositionState
 from kaonlab.errors import DegenerateStateError, UndefinedSignatureError
 from kaonlab.single_models import (cronin_fitch_intensity, cronin_fitch_state,
-                                   intensity_terms, negativity_report, pdf,
-                                   survival_standard, weight_ratio_signature)
+                                   intensity_terms, model_terms, negativity_report,
+                                   pdf, survival_standard, weight_ratio_signature)
 
 MODELS = list(DecayModel)
 
@@ -192,7 +192,7 @@ class TestIntensityTemplates:
 
     def test_standard_template_weights(self):
         # kaon-regime closed form: interference weight |eps|/sqrt2 and
-        # phase arg(eps) - pi/4 relative to the short term
+        # phase -arg(eps) - pi/4 relative to the short term
         p = KaonParams()
         ts = np.linspace(0.0, 40 * p.tau_s, 6000)
         vals = cronin_fitch_intensity(DecayModel.STANDARD, p, ts)
@@ -200,7 +200,7 @@ class TestIntensityTemplates:
         eps = abs(p.epsilon)
         assert w_l / w_s == pytest.approx(eps ** 2 * p.gamma_l / p.gamma_s, rel=1e-7)
         assert w_int / w_s == pytest.approx(eps / math.sqrt(2.0), rel=1e-7)
-        assert phase == pytest.approx(np.angle(p.epsilon) - math.pi / 4, abs=1e-7)
+        assert phase == pytest.approx(-np.angle(p.epsilon) - math.pi / 4, abs=1e-7)
 
     def test_standard_long_time_plateau(self):
         p = KaonParams()
@@ -234,6 +234,37 @@ class TestIntensityTemplates:
             series = np.real(np.exp(-np.multiply.outer(ts, z)) @ d)
             assert series == pytest.approx(
                 cronin_fitch_intensity(model, p, ts), rel=1e-13)
+
+    @pytest.mark.parametrize("eps", [2.27e-3 * cmath.exp(0.75695j), 0.2 * cmath.exp(0.75695j),
+                                     0.05 * cmath.exp(-2.0j)], ids=["kaon", "large", "negative-arg"])
+    def test_templates_are_the_state_laws(self, eps):
+        # one sign of arg eps: the hybrid intensity is |psi(t)|^2/|psi(0)|^2
+        # of the CP=+1 state, the twfo one the same with eps*sqrt(Gl/Gs)
+        p = KaonParams(epsilon=eps)
+        ts = np.linspace(0.0, 2e-8, 2001)
+        assert cronin_fitch_intensity(DecayModel.HYBRID, p, ts) == pytest.approx(
+            survival_standard(cronin_fitch_state(p, +1), ts), rel=1e-12, abs=0.0)
+        d, z = intensity_terms(DecayModel.TIME_OPERATOR, p)
+        terms = model_terms(DecayModel.TIME_OPERATOR, cronin_fitch_state(p, +1))
+        expected = np.real(np.exp(-np.multiply.outer(ts, terms[1])) @ terms[0])
+        assert np.real(np.exp(-np.multiply.outer(ts, z)) @ d) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12 * np.max(expected))
+
+    def test_standard_forms_differ_in_interference_weight(self):
+        # relative to the short-lived term: |eps| R/(2a) in the template,
+        # 2|eps| R/Gs in the CP=+1 state's decay-time pdf, ratio 4a/Gs
+        p = KaonParams()
+        eps, a = abs(p.epsilon), p.gamma_mean
+        r = math.hypot(a, p.delta_m)
+        d, z = intensity_terms(DecayModel.STANDARD, p, normalized=False)
+        template = abs(d[2]) / d[0].real
+        c, w = model_terms(DecayModel.STANDARD, cronin_fitch_state(p, +1))
+        short, wave = w == p.gamma_s, w.imag != 0
+        state = np.sum(np.abs(c[wave])) / c[short].real.sum()
+        assert template == pytest.approx(eps * r / (2.0 * a), rel=1e-12)
+        assert state == pytest.approx(2.0 * eps * r / p.gamma_s, rel=1e-12)
+        assert state / template == pytest.approx(4.0 * a / p.gamma_s, rel=1e-12)
+        assert state / template == pytest.approx(2.0035, abs=5e-5)
 
     def test_i0_must_be_positive(self):
         with pytest.raises(ValueError):
