@@ -19,8 +19,8 @@ summed in real arithmetic: Re c e^{-z t} = Re conj(c) e^{-conj(z) t}, so
 every term is taken at the rate with Im z >= 0, and the terms of one rate,
 a conjugate pair among them, make one column.  A real rate a gives the
 column e^{-a t}, a complex one a + ib the two columns e^{-a t} cos(b t)
-and e^{-a t} sin(b t).  The tail mass and the bin masses, which the fits
-evaluate, keep the complex form.
+and e^{-a t} sin(b t).  The tail mass, the bin masses and their exact
+derivatives in d and z, which the fits evaluate, keep the complex form.
 """
 
 from __future__ import annotations
@@ -167,6 +167,36 @@ class ExpSum:
         """Mass in each bin [edges[i], edges[i+1]], as a difference of tails."""
         tails = self._tails(edges)
         return np.real(_contract(tails[:-1] - tails[1:], self._coeffs()[1]))
+
+    def bin_mass_jacobian(self, edges):
+        """(masses, rates), complex (bins, K), the exact derivatives of
+        ``bin_mass`` in d and z at degree 0: masses[:, k] = m_k, the mass
+        of e^{-z_k t} in each bin [a, b], and rates[:, k] = d_k dm_k/dz_k,
+        with dm/dz = (b e^{-zb} - a e^{-za})/z - (e^{-za} - e^{-zb})/z^2.
+        So a real parameter p moves the bin masses by
+        Re(masses @ dd/dp + rates @ dz/dp)."""
+        masses, slopes, _ = self._term_masses(edges)
+        return masses, self.d * slopes
+
+    def bin_mass_hessian(self, edges):
+        """(slopes, curvatures), complex (bins, K): the second derivatives
+        of ``bin_mass`` in d and z that do not vanish, d^2/dd_k dz_k =
+        dm_k/dz_k and d^2/dz_k^2 = d_k d^2m_k/dz_k^2, with d^2m/dz^2 =
+        ((a^2 e^{-za} - b^2 e^{-zb}) - 2 dm/dz)/z, at degree 0."""
+        _, slopes, curvatures = self._term_masses(edges)
+        return slopes, self.d * curvatures
+
+    def _term_masses(self, edges):
+        """m_k, dm_k/dz_k and d^2m_k/dz_k^2 per bin, from moments of the tails."""
+        if self.degree:
+            raise ValueError("bin mass derivatives need degree 0")
+        t = np.asarray(edges, dtype=float)[:, None]
+        tails = np.exp(-t * self.z)
+        masses = (tails[:-1] - tails[1:]) / self.z
+        first = t * tails
+        slopes = ((first[1:] - first[:-1]) - masses) / self.z
+        second = t * first
+        return masses, slopes, ((second[:-1] - second[1:]) - 2.0 * slopes) / self.z
 
     def rounding_floor(self):
         """No solver can ask ``cdf`` or ``sf`` for less: Re sum_k x_k a_k, a_k

@@ -9,6 +9,7 @@ bins that carry the discriminating signal hold only a handful of counts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,13 @@ from .expsum import ExpSum
 from .single_models import intensity_terms, model_terms
 
 _MU_FLOOR = 1e-300
-# central-difference step of the bin-mean derivatives, as a fraction of
-# each parameter's scale (its bound width; i0 itself for i0)
-_REL_STEP = 1e-6
+_EPS = float(np.finfo(float).eps)
+# hybrid and twfo: the iterations of the relaxed fit on the delta_m grid,
+# the starts polished, and the steps of each polish
+_RELAXED_ITERATIONS = 8
+_R_MIX = np.linspace(0.0, 1.0, 5)
+_WELLS = 3
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,8 @@ FIT_PARAMETERS = ("epsilon_abs", "epsilon_arg", "delta_m", "i0")
 
 
 def _poisson_excess(mu, counts):
-    """Poisson nll less its value at mu = counts: sum mu - n - n log(mu/n).
+    """Poisson nll less its value at mu = counts: sum mu - n - n log(mu/n),
+    over the last axis of mu.
 
     Each term vanishes at mu = n, so the sum resolves changes far below
     the rounding of the nll's own terms, which reach 1e10 at 1e9 counts.
@@ -113,7 +119,8 @@ def _poisson_excess(mu, counts):
     n = np.maximum(counts, 1.0)
     rel = (mu - counts) / n
     log_ratio = np.where(rel > -0.5, np.log1p(np.maximum(rel, -0.5)), np.log(mu / n))
-    return float(np.sum(mu - counts - counts * log_ratio))
+    out = np.sum(mu - counts - counts * log_ratio, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _poisson_saturated(counts) -> float:
@@ -195,29 +202,462 @@ def _nelder_mead(func, x0, maxiter=4000):
     return sim[0], float(np.min(fsim)), iterations < maxiter
 
 
+def _law_derivatives(model: DecayModel, params: KaonParams, edges):
+    """Exact first (bins, 3) and second (bins, 3, 3) derivatives of
+    ``intensity_bin_means`` at i0 = 1 in (Re eps, Im eps, delta_m), through
+    ``ExpSum.bin_mass_jacobian`` and ``ExpSum.bin_mass_hessian``.
+
+    Every law's template (``intensity_terms``) is d = n / s on the rates
+    (Gs, Gl, a - i dm), with n = (1, A |eps|^2, B conj(eps)) and
+    s = 1 + C |eps|^2 + 2 D Re eps: hybrid A = C = 1, B = 2, D = 1; twfo
+    A = C = f^2, B = 2f, D = f with f = sqrt(Gl/Gs); standard A = Gl/Gs,
+    B = (a - i dm)/(2a), C = D = 1.  Written in eps itself, not in |eps|
+    and arg eps, the derivatives stay finite and exact at eps = 0."""
+    d, z = intensity_terms(model, params, normalized=False)
+    eps, a = params.epsilon, params.gamma_mean
+    if model is DecayModel.STANDARD:
+        big_a, big_b, db, big_c, big_d = (params.gamma_l / params.gamma_s,
+                                          (a - 1j * params.delta_m) / (2.0 * a),
+                                          -0.5j / a, 1.0, 1.0)
+    else:
+        f = _law_factor(model, params)
+        big_a, big_b, db, big_c, big_d = f * f, 2.0 * f, 0.0, f * f, f
+    dn = np.array([[0.0, 0.0, 0.0],
+                   [2.0 * big_a * eps.real, 2.0 * big_a * eps.imag, 0.0],
+                   [big_b, -1j * big_b, db * eps.conjugate()]])
+    ddn = np.zeros((3, 3, 3), dtype=complex)
+    ddn[1, 0, 0] = ddn[1, 1, 1] = 2.0 * big_a
+    ddn[2, 0, 2] = ddn[2, 2, 0] = db
+    ddn[2, 1, 2] = ddn[2, 2, 1] = -1j * db
+    ds = np.array([2.0 * (big_c * eps.real + big_d), 2.0 * big_c * eps.imag, 0.0])
+    dds = np.diag([2.0 * big_c, 2.0 * big_c, 0.0])
+    s = 1.0 + big_c * abs(eps) ** 2 + 2.0 * big_d * eps.real
+    # d s = n, differentiated once and twice
+    dd = (dn - np.outer(d, ds)) / s
+    mixed = dd[:, :, None] * ds[None, None, :]
+    ddd = (ddn - mixed - np.swapaxes(mixed, 1, 2) - d[:, None, None] * dds) / s
+    dz = np.zeros((3, 3), dtype=complex)
+    dz[2, 2] = -1j
+    terms = ExpSum(d, z)
+    masses, rates = terms.bin_mass_jacobian(edges)
+    slopes, curvatures = terms.bin_mass_hessian(edges)
+    cross = dd[:, :, None] * dz[:, None, :]
+    hess = (np.einsum("ik,kpq->ipq", masses, ddd)
+            + np.einsum("ik,kpq->ipq", slopes, cross + np.swapaxes(cross, 1, 2))
+            + np.einsum("ik,kp,kq->ipq", curvatures, dz, dz))
+    return np.real(masses @ dd + rates @ dz), np.real(hess)
+
+
+def _law_factor(model: DecayModel, params: KaonParams) -> float:
+    """r / |eps| of the hybrid and twfo templates, whose interference
+    weight is 2r relative to the short term: 1 and sqrt(Gl/Gs)."""
+    return 1.0 if model is DecayModel.HYBRID else math.sqrt(params.gamma_l / params.gamma_s)
+
+
+def _irls(x, counts, iterations=25):
+    """Poisson fit of counts ~ x @ beta, identity link, by iteratively
+    reweighted least squares: weights 1/max(mu, 1), stopped when beta moves
+    by less than 1e-10 relative.  Batched over the leading axes of x (one
+    design matrix of the bins by the weights per row); returns (beta,
+    weights)."""
+    weights = np.broadcast_to(1.0 / np.maximum(counts, 1.0), x.shape[:-1])
+    beta = None
+    for _ in range(iterations):
+        xtw = np.swapaxes(x, -1, -2) * weights[..., None, :]
+        beta_new = np.linalg.solve(xtw @ x, xtw @ counts[:, None])[..., 0]
+        weights = 1.0 / np.maximum(np.einsum("...ik,...k->...i", x, beta_new), 1.0)
+        if beta is not None and np.allclose(beta_new, beta, rtol=1e-10, atol=0.0):
+            return beta_new, weights
+        beta = beta_new
+    return beta, weights
+
+
+def _relaxed_columns(edges, params: KaonParams, delta_m) -> np.ndarray:
+    """The four-weight template's bin masses (len(delta_m), bins, 4) at each
+    delta_m: e^{-Gs t} and e^{-Gl t}, built once, then e^{-at} cos(dm t) and
+    e^{-at} sin(dm t), the real and imaginary masses of e^{-(a - i dm) t}."""
+    delta_m = np.asarray(delta_m, dtype=float)
+    decays = ExpSum(np.ones(2), [params.gamma_s, params.gamma_l]).bin_mass_jacobian(edges)[0]
+    waves = ExpSum(np.ones(delta_m.size),
+                   params.gamma_mean - 1j * delta_m).bin_mass_jacobian(edges)[0]
+    x = np.empty((delta_m.size, decays.shape[0], 4))
+    x[..., :2] = decays.real
+    x[..., 2] = waves.real.T
+    x[..., 3] = waves.imag.T
+    return x
+
+
+def _delta_m_grid(edges, params: KaonParams, top: float) -> np.ndarray:
+    """Midpoints of a grid over [0, top] with step at most a/4, the wells of
+    the profile nll in delta_m being about a wide.  The step is a whole
+    fraction of pi/w, w the mean bin width: on uniform bins the cos and sin
+    columns are collinear at every multiple of pi/w, and no midpoint falls
+    on one."""
+    edges = np.asarray(edges, dtype=float)
+    nyquist = math.pi * (edges.size - 1) / (edges[-1] - edges[0])
+    step = nyquist / math.ceil(4.0 * nyquist / params.gamma_mean)
+    return (np.arange(math.ceil(top / step)) + 0.5) * step
+
+
+class _Likelihood:
+    """The binned Poisson nll of one law over the fit box, the calibration
+    i0 profiled out: the objective of every search in ``fit_intensity``.
+    A point is a dict of values for ``FIT_PARAMETERS``."""
+
+    def __init__(self, binned: BinnedCounts, model: DecayModel, params_init: KaonParams):
+        self.counts = np.asarray(binned.pair_counts, dtype=float)
+        self.edges = binned.edges
+        self.model = model
+        self.params_init = params_init
+        self.total = float(np.sum(self.counts))
+        self.base = {
+            "epsilon_abs": abs(params_init.epsilon),
+            "epsilon_arg": float(np.angle(params_init.epsilon)),
+            "delta_m": params_init.delta_m,
+        }
+        self.bounds = dict(_BOUNDS, delta_m=(0.0, 10.0 * params_init.gamma_s))
+
+    def law(self, values) -> KaonParams:
+        return KaonParams.from_polar_epsilon(
+            min(max(values["epsilon_abs"], 0.0), 0.999),
+            values["epsilon_arg"],
+            gamma_s=self.params_init.gamma_s, gamma_l=self.params_init.gamma_l,
+            delta_m=max(values["delta_m"], 0.0))
+
+    def nll(self, values):
+        """(excess, i0): the nll less its value at mu = counts, and the i0
+        that minimises it, at the shape in values."""
+        shape = intensity_bin_means(self.model, self.law(values), self.edges)
+        denom = float(np.sum(shape))
+        if denom <= 0:
+            return 1e30, self.total
+        i0 = self.total / denom
+        return _poisson_excess(i0 * shape, self.counts), i0
+
+    def derivatives(self, values, names):
+        """(mu, jac, hess): the bin means at values, i0 included, and their
+        exact first and second derivatives in names, from
+        ``_law_derivatives``.  names are from ``FIT_PARAMETERS`` and "re",
+        "im", the real and imaginary parts of epsilon."""
+        params, i0 = self.law(values), values["i0"]
+        mu = intensity_bin_means(self.model, params, self.edges, i0=i0)
+        cart, cart2 = _law_derivatives(self.model, params, self.edges)
+        rho, phi = values["epsilon_abs"], values["epsilon_arg"]
+        cos, sin = math.cos(phi), math.sin(phi)
+        # each name's direction in (Re eps, Im eps, delta_m), and the second
+        # derivatives of the polar map
+        basis = {"re": (1.0, 0.0, 0.0), "im": (0.0, 1.0, 0.0), "delta_m": (0.0, 0.0, 1.0),
+                 "epsilon_abs": (cos, sin, 0.0), "epsilon_arg": (-rho * sin, rho * cos, 0.0),
+                 "i0": (0.0, 0.0, 0.0)}
+        turn = np.zeros((3, len(names), len(names)))
+        for p, first in enumerate(names):
+            for q, second in enumerate(names):
+                if first == second == "epsilon_arg":
+                    turn[:, p, q] = (-rho * cos, -rho * sin, 0.0)
+                elif {first, second} == {"epsilon_abs", "epsilon_arg"}:
+                    turn[:, p, q] = (-sin, cos, 0.0)
+        lift = np.array([basis[name] for name in names]).T
+        jac = i0 * (cart @ lift)
+        hess = i0 * (np.einsum("iab,ap,bq->ipq", cart2, lift, lift)
+                     + np.einsum("ia,apq->ipq", cart, turn))
+        if "i0" in names:  # mu is linear in i0
+            k = names.index("i0")
+            jac[:, k] = mu / i0
+            hess[:, k, :] = hess[:, :, k] = jac / i0
+            hess[:, k, k] = 0.0
+        return mu, jac, hess
+
+    def information(self, values, names):
+        """(info, score): the expected information J^T diag(1/mu) J and the
+        score J^T (n - mu)/mu in names; a bin the model gives no rate
+        carries no information."""
+        mu, jac, _ = self.derivatives(values, names)
+        seen = mu > 0
+        mu, jac, n = mu[seen], jac[seen], self.counts[seen]
+        return (jac.T / mu) @ jac, jac.T @ ((n - mu) / mu)
+
+    def covariance(self, info, values, names):
+        """The inverse of info, taken at unit diagonal (the parameters span
+        1e-3 to 1e19).  A parameter the data cannot see keeps unit
+        information at its scale, so the eigenvalue floor leaves it a
+        variance of 1e12 scale^2."""
+        scale = np.array([self.bounds[name][1] - self.bounds[name][0] if name != "i0"
+                          else values["i0"] for name in names])
+        root = np.sqrt(np.diag(info))
+        root = np.where(root > 0, root, 1.0 / scale)
+        eigvals, eigvecs = np.linalg.eigh(info / np.outer(root, root))
+        cov = (eigvecs / np.maximum(eigvals, 1e-12)) @ eigvecs.T / np.outer(root, root)
+        return 0.5 * (cov + cov.T)
+
+
+def _newton_curvature(mu, jac, hess, counts):
+    """The Hessian of the nll sum mu - n log mu in the parameters of mu,
+    J^T diag(n/mu^2) J + sum (1 - n/mu) d^2mu, where it is finite and
+    positive definite; else the expected information J^T diag(1/mu) J,
+    which Fisher scoring steps on."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hessian = (jac.T * (counts / mu / mu)) @ jac + np.einsum("i,ipq->pq",
+                                                                  1.0 - counts / mu, hess)
+    if np.all(np.isfinite(hessian)):
+        try:
+            np.linalg.cholesky(hessian)
+            return hessian
+        except np.linalg.LinAlgError:
+            pass
+    return (jac.T / mu) @ jac
+
+
+def _ranked(runs):
+    """The runs (point, nll, ...) by nll, a nan nll last rather than first."""
+    return sorted(runs, key=lambda run: math.inf if math.isnan(run[1]) else run[1])
+
+
+def _simplex_search(lik: _Likelihood, shape_free):
+    """The standard law's search: a Nelder-Mead simplex (``_nelder_mead``)
+    restarted from 8 deterministic points in the box, in coordinates that
+    map the box onto the unit cube.  Returns (values, converged, starts)."""
+    box = [lik.bounds[name] for name in shape_free]
+    box_lo = np.array([b[0] for b in box])
+    width = np.array([b[1] - b[0] for b in box])
+
+    def unpack(u):
+        return dict(lik.base, **dict(zip(shape_free, box_lo + width * u)))
+
+    x0 = np.array([lik.base[name] for name in shape_free], dtype=float)
+    is_arg = np.array([name == "epsilon_arg" for name in shape_free])
+    starts = [x0]
+    # deterministic multistart: scaled perturbations of the initial
+    # point, then a coarse lattice across the box
+    for factor, turn in ((0.3, 0.0), (3.0, 0.0), (1.0, 0.5 * math.pi),
+                         (0.3, 0.5 * math.pi)):
+        point = np.where(is_arg, x0 + turn, x0 * factor)
+        starts.append(np.clip(point, box_lo, box_lo + width))
+    for k in range(3):
+        fracs = [(0.15, 0.5, 0.85)[(k + j) % 3] for j in range(len(box))]
+        starts.append(box_lo + width * np.array(fracs))
+    runs = [_nelder_mead(lambda u: lik.nll(unpack(u))[0], (start - box_lo) / width)
+            for start in starts]
+    u_hat, _, converged = _ranked(runs)[0]
+    return unpack(u_hat), converged, len(starts)
+
+
+class _FamilySearch:
+    """The hybrid and twfo search: e^{-Gs t} + r^2 e^{-Gl t} +
+    2r e^{-at} cos(dm t - arg eps), r = |eps| ``_law_factor``, from the
+    relaxed four-weight fit, by damped Newton steps.
+
+    The steps run in y, the free parameters with (|eps|, arg eps) replaced
+    by eps = re + i im when both are free: the template is smooth through
+    eps = 0, where the polar pair is not, and |eps| <= 0.5 is a disk."""
+
+    def __init__(self, lik: _Likelihood, shape_free):
+        self.lik, self.shape_free = lik, shape_free
+        self.cartesian = {"epsilon_abs", "epsilon_arg"} <= set(shape_free)
+        phase = ("re", "im") if self.cartesian else tuple(
+            name for name in shape_free if name != "delta_m")
+        self.coords = phase + tuple(name for name in shape_free if name == "delta_m")
+
+    def values(self, y) -> dict:
+        values = dict(self.lik.base, **dict(zip(self.coords, y)))
+        if self.cartesian:
+            values["epsilon_abs"] = math.hypot(values["re"], values["im"])
+            values["epsilon_arg"] = math.atan2(values["im"], values["re"])
+        if values["epsilon_arg"] == -math.pi:
+            values["epsilon_arg"] = math.pi
+        return values
+
+    def point(self, values) -> np.ndarray:
+        """y at values, kept in the box."""
+        eps = values["epsilon_abs"] * cmath.exp(1j * values["epsilon_arg"])
+        values = dict(values, re=eps.real, im=eps.imag)
+        return self.move(np.array([values[name] for name in self.coords]), 0.0)
+
+    def move(self, y, step) -> np.ndarray:
+        """y + step kept in the box: eps pulled back onto the disk, a lone
+        phase wrapped, the rest clipped."""
+        bounds = self.lik.bounds
+        point = dict(zip(self.coords, y + step))
+        if self.cartesian:
+            shrink = min(1.0, bounds["epsilon_abs"][1] / max(
+                math.hypot(point["re"], point["im"]), _MU_FLOOR))
+            point["re"] *= shrink
+            point["im"] *= shrink
+        for name in self.coords:
+            if name == "epsilon_arg":
+                point[name] = math.remainder(point[name], 2.0 * math.pi)
+            elif name in bounds:
+                point[name] = min(max(point[name], bounds[name][0]), bounds[name][1])
+        return np.array([point[name] for name in self.coords])
+
+    def starts(self):
+        """The start and the best wells of the relaxed fit, projected onto
+        the law, as (y, excess, i0): the _WELLS of lowest nll.
+
+        At fixed delta_m the template is linear in the weights of e^{-Gs t},
+        e^{-Gl t}, e^{-at} cos(dm t) and e^{-at} sin(dm t), and the Poisson
+        fit of those is convex: ``_irls``, at the start's delta_m or, with
+        delta_m free, batched over ``_delta_m_grid``.  Weights (w_S, w_L,
+        w_cos, w_sin) project to arg eps = the phase of (w_cos, w_sin), if
+        free, and to the best of five r, if |eps| is free, spaced
+        geometrically from sqrt(w_L/w_S) to r_int, the part of (w_cos,
+        w_sin) along that phase over 2 w_S: the law has the weights (1, r^2,
+        2r cos arg, 2r sin arg), which give its nll at every grid point at
+        once.  The local minima of that nll over the grid are the wells."""
+        lik = self.lik
+        grid = (_delta_m_grid(lik.edges, lik.params_init, lik.bounds["delta_m"][1])
+                if "delta_m" in self.coords else np.array([lik.base["delta_m"]]))
+        guesses = [lik.base]
+        try:
+            x = _relaxed_columns(lik.edges, lik.params_init, grid)
+            # the law re-ranks and polishes the wells, so the relaxed fit
+            # need not converge: 8 iterations leave its nll within 1e-5 of
+            # the converged one on 1e9-count files
+            beta, _ = _irls(x, lik.counts, iterations=_RELAXED_ITERATIONS)
+        except np.linalg.LinAlgError:  # collinear columns: the start alone
+            beta = None
+        if beta is not None:
+            factor = _law_factor(lik.model, lik.params_init)
+            w_s, w_l, w_cos, w_sin = (beta * np.where(beta[:, :1] < 0, -1.0, 1.0)).T
+            arg = (np.arctan2(w_sin, w_cos) if "epsilon_arg" in self.shape_free
+                   else np.full(grid.size, lik.base["epsilon_arg"]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if "epsilon_abs" in self.shape_free:
+                    # the law ties w_L to r^2 w_S: try r between the two
+                    # estimates, from w_L (at least 1/32 of the other,
+                    # as w_L may fit at or below 0) and from the interference
+                    r_int = np.maximum(w_cos * np.cos(arg) + w_sin * np.sin(arg), 0.0) / (2 * w_s)
+                    r_long = np.maximum(np.sqrt(np.maximum(w_l, 0.0) / w_s), r_int / 32.0)
+                    r = r_long[:, None] ** (1.0 - _R_MIX) * r_int[:, None] ** _R_MIX
+                else:
+                    r = np.full((grid.size, 1), lik.base["epsilon_abs"] * factor)
+                r = np.clip(np.nan_to_num(r, nan=0.0), 0.0, lik.bounds["epsilon_abs"][1] * factor)
+                cos, sin = np.cos(arg)[:, None], np.sin(arg)[:, None]
+                weights = np.stack([np.ones_like(r), r * r, 2.0 * r * cos, 2.0 * r * sin], axis=-1)
+                shape = np.einsum("gik,grk->gri", x, weights)
+                total = np.sum(shape, axis=-1)
+                tries = _poisson_excess(shape * (lik.total / total)[..., None], lik.counts)
+                tries = np.where((total > 0) & ~np.isnan(tries), tries, math.inf)
+                pick = np.argmin(tries, axis=1)
+                rows = np.arange(grid.size)
+                r, profile = r[rows, pick], tries[rows, pick]
+            padded = np.concatenate([[math.inf], profile, [math.inf]])
+            wells = np.flatnonzero((padded[1:-1] <= padded[:-2]) & (padded[1:-1] < padded[2:])
+                                   & np.isfinite(profile))
+            # np.unique sorts by nll and keeps one of equal ones, as the
+            # wells at r = 0 are, whatever their delta_m
+            for k in wells[np.unique(profile[wells], return_index=True)[1]][:_WELLS].tolist():
+                guesses.append(dict(lik.base, delta_m=grid[k], epsilon_abs=r[k] / factor,
+                                    epsilon_arg=arg[k]))
+        points = [self.point(guess) for guess in guesses]
+        return _ranked([(y, *lik.nll(self.values(y))) for y in points])[:_WELLS]
+
+    def polish(self, y, excess, i0, best=math.inf):
+        """Damped Newton steps from y, (y, excess, converged), until the
+        gain the step predicts falls to the nll's rounding.  The curvature
+        is the nll's Hessian, from exact second derivatives, where it is
+        positive definite, else the expected information (a Fisher-scoring
+        step); the damping follows Nielsen's rule (H. B. Nielsen, IMM-REP
+        1999-05, DTU), and a parameter the step pushes off a bound is
+        held.  A start whose nll, less ten times the predicted gain, is
+        still above ``best`` is dropped."""
+        lik, names = self.lik, self.coords + ("i0",)
+        clipped = [j for j, name in enumerate(self.coords) if name in ("epsilon_abs", "delta_m")]
+        damping, fresh, grow = 0.0, True, 2.0
+        for _ in range(_NEWTON_STEPS):
+            if fresh:
+                mu, jac, hess = lik.derivatives(dict(self.values(y), i0=i0), names)
+                seen = mu > 0
+                mu, jac, hess, n = mu[seen], jac[seen], hess[seen], lik.counts[seen]
+                rounding = 4.0 * _EPS * float(np.sum(np.abs(mu - n)))
+                curvature = _newton_curvature(mu, jac, hess, n)
+                root = np.sqrt(np.diag(curvature))
+                # a parameter the bin means do not depend on here (delta_m
+                # at eps = 0) has no curvature and no score: it is held
+                blind = ~(root > 0)
+                root = np.where(blind, 1.0, root)
+                unit = curvature / np.outer(root, root)
+                grad = jac.T @ ((n - mu) / mu) / root
+            held = blind.copy()
+            while True:
+                keep = ~held
+                step = np.zeros(len(names))
+                step[keep] = np.linalg.lstsq(  # least squares: two parameters may coincide
+                    unit[np.ix_(keep, keep)] + damping * np.eye(int(keep.sum())), grad[keep],
+                    rcond=None)[0]
+                pushed = np.zeros(len(names), dtype=bool)
+                for j in clipped:
+                    lo, hi = lik.bounds[self.coords[j]]
+                    pushed[j] = keep[j] and ((y[j] <= lo and step[j] < 0)
+                                             or (y[j] >= hi and step[j] > 0))
+                if not pushed.any():
+                    break
+                held |= pushed
+            gain = float(grad @ step - 0.5 * step @ unit @ step)
+            if not gain > rounding or excess - 10.0 * gain > best:
+                return y, excess, True
+            trial = self.move(y, (step / root)[:-1])
+            excess_new, i0_new = lik.nll(self.values(trial))
+            fresh = excess_new < excess
+            if fresh:
+                ratio = (excess - excess_new) / gain
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                y, excess, i0, grow = trial, excess_new, i0_new, 2.0
+            else:
+                damping, grow = max(damping * grow, 1e-3), 2.0 * grow
+        return y, excess, False
+
+    def run(self):
+        """(values, converged, starts): the best of the polished starts.  A
+        best start whose nll is not finite fails the fit at once."""
+        starts = self.starts()
+        if not math.isfinite(starts[0][1]):
+            values = self.values(starts[0][0])
+            raise FitFailureError("likelihood maximisation failed", best=(
+                np.array([values[name] for name in self.shape_free]), starts[0][1]))
+        runs = []
+        for start in starts:
+            runs.append(self.polish(*start, best=min((run[1] for run in runs),
+                                                     default=math.inf)))
+        y_hat, _, converged = _ranked(runs)[0]
+        return self.values(y_hat), converged, len(starts)
+
+
 def fit_intensity(binned: BinnedCounts, model: DecayModel,
                   params_init: KaonParams,
                   free=("epsilon_abs", "epsilon_arg", "i0")) -> FitResult:
     """Poisson maximum likelihood of binned pair counts under a model.
 
     Bin expectations are closed-form integrals of the model's intensity
-    template.  The optimiser is a Nelder-Mead simplex (``_nelder_mead``)
-    restarted from 8 deterministic points inside the bounded box (|epsilon|
-    in [0, 0.5], arg in (-pi, pi], delta_m in [0, 10*Gamma_S]).  It runs in
-    coordinates that map the box onto the unit cube and on the nll less its
-    value at mu = counts, so its stopping tolerances mean the same for
-    every parameter and lie above the rounding of the objective; the
-    calibration i0, which ``free`` must list, is profiled out analytically
-    at each step.  A Fisher-scoring step then follows the score along
-    directions so shallow that the nll's rounding stops the simplex early.
+    template, over the box |epsilon| in [0, 0.5], arg in (-pi, pi],
+    delta_m in [0, 10*Gamma_S]; the calibration i0, which ``free`` must
+    list, is profiled out analytically at every point, and the nll is
+    taken less its value at mu = counts, so that it resolves changes far
+    below the rounding of its own terms.
+
+    Hybrid and twfo are one family, e^{-Gs t} + r^2 e^{-Gl t} +
+    2r e^{-at} cos(dm t - arg eps) with r = |eps| or |eps| sqrt(Gl/Gs), so
+    with |eps| free they reach one nll.  Their search
+    (``_FamilySearch``) starts from the relaxed four-weight fit, convex at
+    fixed delta_m and solved by the iteratively reweighted least squares
+    of ``weight_ratio_estimate``, at the start's delta_m or, with delta_m
+    free, on a grid over its box (``_delta_m_grid``).  The relaxed fits
+    are projected onto the law, and the three points of lowest nll among
+    the start and the wells of the projections' nll over the grid are
+    polished by damped Newton steps on the exact first and second
+    derivatives of the bin means (``_law_derivatives``), in eps itself
+    when |eps| and arg are both free, until the gain a step predicts falls
+    to the nll's rounding.
+
+    The standard law keeps the 8-start Nelder-Mead simplex
+    (``_simplex_search``), then one Fisher-scoring step along directions so
+    shallow that the nll's rounding stops the simplex early.
+
     The covariance is the inverse of the expected information
-    J^T diag(1/mu) J at the optimum, with J the derivatives of the bin
-    means mu by central differences, inverted after scaling to unit
-    diagonal.  A likelihood not finite at the optimum raises FitFailureError.
+    J^T diag(1/mu) J at the optimum, J the exact derivatives of the bin
+    means mu, inverted after scaling to unit diagonal.  A likelihood not
+    finite at the optimum raises FitFailureError.
     """
-    counts = np.asarray(binned.pair_counts, dtype=float)
-    edges = binned.edges
-    if int(np.count_nonzero(counts)) < 5:
+    if int(np.count_nonzero(binned.pair_counts)) < 5:
         raise ValueError("need at least 5 nonempty bins to fit")
     free = tuple(free)
     unknown = set(free) - set(FIT_PARAMETERS)
@@ -230,103 +670,38 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
         raise ValueError("free parameters must include i0, the calibration, "
                          "which every fit profiles out")
 
-    base = {
-        "epsilon_abs": abs(params_init.epsilon),
-        "epsilon_arg": float(np.angle(params_init.epsilon)),
-        "delta_m": params_init.delta_m,
-    }
-    total = float(np.sum(counts))
-    bounds = dict(_BOUNDS, delta_m=(0.0, 10.0 * params_init.gamma_s))
+    lik = _Likelihood(binned, model, params_init)
     shape_free = tuple(name for name in free if name != "i0")
-
-    def unpack(theta):
-        return dict(base, **dict(zip(shape_free, theta)))
-
-    def predict(values, i0):
-        params = KaonParams.from_polar_epsilon(
-            min(max(values["epsilon_abs"], 0.0), 0.999),
-            values["epsilon_arg"],
-            gamma_s=params_init.gamma_s, gamma_l=params_init.gamma_l,
-            delta_m=max(values["delta_m"], 0.0))
-        return intensity_bin_means(model, params, edges, i0=i0)
-
-    def nll_of(theta):
-        shape = predict(unpack(theta), 1.0)
-        denom = float(np.sum(shape))
-        if denom <= 0:
-            return 1e30, total
-        i0 = total / denom
-        return _poisson_excess(i0 * shape, counts), i0
-
-    if shape_free:
-        box = [bounds[name] for name in shape_free]
-        box_lo = np.array([b[0] for b in box])
-        width = np.array([b[1] - b[0] for b in box])
-
-        def objective(u):
-            return nll_of(box_lo + width * u)[0]
-
-        x0 = np.array([base[name] for name in shape_free], dtype=float)
-        is_arg = np.array([name == "epsilon_arg" for name in shape_free])
-        starts = [x0]
-        # deterministic multistart: scaled perturbations of the initial
-        # point, then a coarse lattice across the box
-        for factor, turn in ((0.3, 0.0), (3.0, 0.0), (1.0, 0.5 * math.pi),
-                             (0.3, 0.5 * math.pi)):
-            point = np.where(is_arg, x0 + turn, x0 * factor)
-            starts.append(np.clip(point, box_lo, box_lo + width))
-        for k in range(3):
-            fracs = [(0.15, 0.5, 0.85)[(k + j) % 3] for j in range(len(box))]
-            starts.append(box_lo + width * np.array(fracs))
-        runs = [_nelder_mead(objective, (start - box_lo) / width) for start in starts]
-        # a nan likelihood ranks last, not first
-        u_hat, fun, converged = min(runs, key=lambda run: math.inf if math.isnan(run[1])
-                                    else run[1])
-        theta_hat = box_lo + width * u_hat
+    if not shape_free:
+        values, converged, n_starts = dict(lik.base), True, 1
+    elif model is DecayModel.STANDARD:
+        values, converged, n_starts = _simplex_search(lik, shape_free)
     else:
-        theta_hat = np.array([], dtype=float)
-        converged = True
+        values, converged, n_starts = _FamilySearch(lik, shape_free).run()
 
-    excess, i0_hat = nll_of(theta_hat)
-    nll_hat = excess + _poisson_saturated(counts)
+    def theta(values):
+        return np.array([values[name] for name in shape_free], dtype=float)
+
+    excess, i0_hat = lik.nll(values)
+    nll_hat = excess + _poisson_saturated(lik.counts)
     if not math.isfinite(nll_hat):
-        raise FitFailureError("likelihood maximisation failed", best=(theta_hat, nll_hat))
+        raise FitFailureError("likelihood maximisation failed", best=(theta(values), nll_hat))
 
-    # covariance and score J^T (n - mu)/mu over all free parameters (i0
-    # included); a bin the model gives no rate carries no information
-    def information(values):
-        scale = np.array([bounds[name][1] - bounds[name][0] if name != "i0"
-                          else values["i0"] for name in free])
-        jac = np.empty((counts.size, len(free)))
-        for j, name in enumerate(free):
-            a = max(values[name] - _REL_STEP * scale[j], bounds[name][0])
-            b = min(values[name] + _REL_STEP * scale[j], bounds[name][1])
-            lo, hi = (dict(values, **{name: x}) for x in (a, b))
-            jac[:, j] = (predict(hi, hi["i0"]) - predict(lo, lo["i0"])) / (b - a)
-        mu = predict(values, values["i0"])
-        seen = mu > 0
-        info = (jac[seen].T / mu[seen]) @ jac[seen]
-        # invert at unit diagonal (the parameters span 1e-3 to 1e19); a
-        # parameter the data cannot see keeps unit information at its scale,
-        # so the eigenvalue floor leaves it a variance of 1e12 scale^2
-        root = np.sqrt(np.diag(info))
-        root = np.where(root > 0, root, 1.0 / scale)
-        eigvals, eigvecs = np.linalg.eigh(info / np.outer(root, root))
-        cov = (eigvecs / np.maximum(eigvals, 1e-12)) @ eigvecs.T / np.outer(root, root)
-        return 0.5 * (cov + cov.T), jac[seen].T @ ((counts[seen] - mu[seen]) / mu[seen])
-
-    values = dict(unpack(theta_hat), i0=i0_hat)
-    cov, score = information(values)
-    # the Fisher-scoring step, taken if it stays in the box and leaves the
-    # nll within the simplex's fatol
-    theta_new = theta_hat + (cov @ score)[[free.index(name) for name in shape_free]]
-    if shape_free and all(bounds[name][0] <= x <= bounds[name][1]
-                          for name, x in zip(shape_free, theta_new)):
-        excess_new, i0_new = nll_of(theta_new)
-        if excess_new <= excess + 1e-9:
-            nll_hat += excess_new - excess
-            values = dict(unpack(theta_new), i0=i0_new)
-            cov, _ = information(values)
+    values = dict(values, i0=i0_hat)
+    info, score = lik.information(values, free)
+    cov = lik.covariance(info, values, free)
+    if model is DecayModel.STANDARD and shape_free:
+        # the Fisher-scoring step, taken if it stays in the box and leaves
+        # the nll within the simplex's fatol
+        moved = dict(lik.base, **dict(zip(shape_free, theta(values) + (cov @ score)[
+            [free.index(name) for name in shape_free]])))
+        if all(lik.bounds[name][0] <= moved[name] <= lik.bounds[name][1]
+               for name in shape_free):
+            excess_new, i0_new = lik.nll(moved)
+            if excess_new <= excess + 1e-9:
+                nll_hat += excess_new - excess
+                values = dict(moved, i0=i0_new)
+                cov = lik.covariance(lik.information(values, free)[0], values, free)
 
     return FitResult(model=model,
                      epsilon_abs=float(values["epsilon_abs"]),
@@ -336,7 +711,7 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
                      neg_log_likelihood=float(nll_hat),
                      covariance=cov,
                      free=free,
-                     n_starts=8 if shape_free else 1,
+                     n_starts=n_starts,
                      converged=converged)
 
 
@@ -354,11 +729,7 @@ class WeightRatioEstimate:
 def template_design_matrix(edges, params: KaonParams) -> np.ndarray:
     """Bin integrals of the four-term template
     {e^{-Gs t}, e^{-Gl t}, e^{-at} cos(dm t), e^{-at} sin(dm t)}."""
-    damped = params.gamma_mean - 1j * params.delta_m
-    rates = (params.gamma_s, params.gamma_l, damped, damped)
-    # e^{-at} sin(dm t) = Re(-i e^{-(a - i dm) t})
-    return np.column_stack([ExpSum([d], [z]).bin_mass(edges)
-                            for d, z in zip((1.0, 1.0, 1.0, -1j), rates)])
+    return _relaxed_columns(edges, params, [params.delta_m])[0]
 
 
 def weight_ratio_estimate(binned: BinnedCounts, params: KaonParams) -> WeightRatioEstimate:
@@ -387,17 +758,7 @@ def weight_ratio_estimate(binned: BinnedCounts, params: KaonParams) -> WeightRat
                             "(t_max <= 0.03 tau_L); long regime missing",
                             missing="long")
     x = template_design_matrix(edges, params)
-    weights = 1.0 / np.maximum(counts, 1.0)
-    beta = None
-    for _ in range(25):
-        xtw = x.T * weights
-        beta_new = np.linalg.solve(xtw @ x, xtw @ counts)
-        mu = x @ beta_new
-        weights = 1.0 / np.maximum(mu, 1.0)
-        if beta is not None and np.allclose(beta_new, beta, rtol=1e-10, atol=0.0):
-            beta = beta_new
-            break
-        beta = beta_new
+    beta, weights = _irls(x, counts)
     xtw = x.T * weights
     cov = np.linalg.inv(xtw @ x)
     w_s, w_l, wc, ws = beta

@@ -140,6 +140,75 @@ class TestRealForm:
             np.einsum("...k,...k->...", tails[:-1] - tails[1:], mass)))
 
 
+class TestBinMassDerivatives:
+    """``bin_mass_jacobian`` and ``bin_mass_hessian`` against central
+    differences of one order lower, at a step h of 1e-5 of the coefficient.
+    The truncation error is about 1e-10 of the column, within 1e-7 of its
+    largest value; the difference quotient also carries the rounding of
+    the whole sum, at most 2 eps sum_k |d_k m_k| per value, over 2h."""
+
+    STEP = 1e-5
+
+    @staticmethod
+    def _sums(params):
+        edges = np.linspace(0.0, 2e-8, 101)
+        laws = {model.value: (*intensity_terms(model, params, normalized=False), edges)
+                for model in DecayModel}
+        laws["signed"] = (np.array([2.0, -1.0 + 0.5j, 0.3j]),
+                          np.array([1.0, 3.0 - 2.0j, 2.0 + 7.0j]), np.linspace(0.0, 5.0, 41))
+        return laws
+
+    @staticmethod
+    def assert_close(approx, exact, scale, rounding=0.0):
+        assert np.max(np.abs(approx - exact)) <= 1e-7 * np.max(np.abs(scale)) + rounding
+
+    @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
+    def test_jacobian_is_the_central_difference(self, params, law):
+        d, z, edges = self._sums(params)[law]
+        masses, rates = ExpSum(d, z).bin_mass_jacobian(edges)
+        sum_rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(masses) @ np.abs(d))
+        for k in range(d.size):
+            for unit in (1.0, 1j):
+                for name, coeffs, column in (("d", d, masses[:, k]), ("z", z, rates[:, k])):
+                    h = self.STEP * abs(coeffs[k])
+                    moved = [coeffs.copy(), coeffs.copy()]
+                    moved[0][k] += h * unit
+                    moved[1][k] -= h * unit
+                    sums = [ExpSum(c, z) if name == "d" else ExpSum(d, c) for c in moved]
+                    approx = (sums[0].bin_mass(edges) - sums[1].bin_mass(edges)) / (2 * h)
+                    self.assert_close(approx, np.real(column * unit), column,
+                                      sum_rounding / h)
+
+    @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
+    def test_d_columns_are_the_term_masses(self, params, law):
+        d, z, edges = self._sums(params)[law]
+        masses, _ = ExpSum(d, z).bin_mass_jacobian(edges)
+        for k in range(d.size):
+            assert np.allclose(masses[:, k].real, ExpSum([1.0], [z[k]]).bin_mass(edges),
+                               rtol=1e-13, atol=0.0)
+            assert np.allclose(-masses[:, k].imag, ExpSum([1j], [z[k]]).bin_mass(edges),
+                               rtol=1e-13, atol=1e-30)
+
+    @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
+    def test_hessian_is_the_central_difference_of_the_jacobian(self, params, law):
+        d, z, edges = self._sums(params)[law]
+        slopes, curvatures = ExpSum(d, z).bin_mass_hessian(edges)
+        for k in range(d.size):
+            h = self.STEP * abs(z[k])
+            moved = [z.copy(), z.copy()]
+            moved[0][k] += h
+            moved[1][k] -= h
+            (m_hi, r_hi), (m_lo, r_lo) = (ExpSum(d, c).bin_mass_jacobian(edges) for c in moved)
+            # m_k and d_k m_k' are analytic in z_k: a real step differentiates them
+            self.assert_close((m_hi[:, k] - m_lo[:, k]) / (2 * h), slopes[:, k], slopes[:, k])
+            self.assert_close((r_hi[:, k] - r_lo[:, k]) / (2 * h), curvatures[:, k],
+                              curvatures[:, k])
+
+    def test_degree_one_refused(self):
+        with pytest.raises(ValueError, match="degree 0"):
+            ExpSum([1.0], [1.0], degree=1).bin_mass_jacobian([0.0, 1.0])
+
+
 class TestDegreeOne:
     """Terms d t exp(-z t), against mpmath at 20 digits or more."""
 
