@@ -168,35 +168,26 @@ class ExpSum:
         tails = self._tails(edges)
         return np.real(_contract(tails[:-1] - tails[1:], self._coeffs()[1]))
 
-    def bin_mass_jacobian(self, edges):
-        """(masses, rates), complex (bins, K), the exact derivatives of
-        ``bin_mass`` in d and z at degree 0: masses[:, k] = m_k, the mass
-        of e^{-z_k t} in each bin [a, b], and rates[:, k] = d_k dm_k/dz_k,
-        with dm/dz = (b e^{-zb} - a e^{-za})/z - (e^{-za} - e^{-zb})/z^2.
-        So a real parameter p moves the bin masses by
-        Re(masses @ dd/dp + rates @ dz/dp)."""
-        masses, slopes, _ = self._term_masses(edges)
-        return masses, self.d * slopes
+    def term_masses(self, edges, order=2):
+        """(m, dm/dz, d^2m/dz^2)[:order + 1], complex (bins, K), at degree 0:
+        m[:, k] is the mass of e^{-z_k t} in each bin [a, b], and
 
-    def bin_mass_hessian(self, edges):
-        """(slopes, curvatures), complex (bins, K): the second derivatives
-        of ``bin_mass`` in d and z that do not vanish, d^2/dd_k dz_k =
-        dm_k/dz_k and d^2/dz_k^2 = d_k d^2m_k/dz_k^2, with d^2m/dz^2 =
-        ((a^2 e^{-za} - b^2 e^{-zb}) - 2 dm/dz)/z, at degree 0."""
-        _, slopes, curvatures = self._term_masses(edges)
-        return slopes, self.d * curvatures
+            dm/dz = (b e^{-zb} - a e^{-za})/z - (e^{-za} - e^{-zb})/z^2,
+            d^2m/dz^2 = ((a^2 e^{-za} - b^2 e^{-zb}) - 2 dm/dz)/z.
 
-    def _term_masses(self, edges):
-        """m_k, dm_k/dz_k and d^2m_k/dz_k^2 per bin, from moments of the tails."""
+        ``bin_mass`` is Re(m @ d), so a real parameter p moves it by
+        Re(m @ dd/dp + (d dm/dz) @ dz/dp): these are its exact derivatives
+        in d and z."""
         if self.degree:
             raise ValueError("bin mass derivatives need degree 0")
         t = np.asarray(edges, dtype=float)[:, None]
         tails = np.exp(-t * self.z)
-        masses = (tails[:-1] - tails[1:]) / self.z
-        first = t * tails
-        slopes = ((first[1:] - first[:-1]) - masses) / self.z
-        second = t * first
-        return masses, slopes, ((second[:-1] - second[1:]) - 2.0 * slopes) / self.z
+        out = [(tails[:-1] - tails[1:]) / self.z]
+        # by parts: d^k m/dz^k = ((-1)^k [t^k e^{-zt}]_b^a - k d^{k-1}m/dz^{k-1})/z
+        for k in range(1, order + 1):
+            tails = t * tails
+            out.append(((tails[:-1] - tails[1:]) * (-1.0) ** k - k * out[-1]) / self.z)
+        return tuple(out)
 
     def rounding_floor(self):
         """No solver can ask ``cdf`` or ``sf`` for less: Re sum_k x_k a_k, a_k

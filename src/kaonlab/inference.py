@@ -24,10 +24,13 @@ from .single_models import intensity_terms, model_terms
 _MU_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
 # hybrid and twfo: the iterations of the relaxed fit on the delta_m grid,
-# the starts polished, and the steps of each polish
+# the r tried between its two estimates, the starts polished, the points of
+# the lattice tried where the law cannot follow it, and the steps of each
+# polish
 _RELAXED_ITERATIONS = 8
 _R_MIX = np.linspace(0.0, 1.0, 5)
-_WELLS = 3
+_WELLS = 5
+_LATTICE = 8
 _NEWTON_STEPS = 100
 
 
@@ -202,10 +205,10 @@ def _nelder_mead(func, x0, maxiter=4000):
     return sim[0], float(np.min(fsim)), iterations < maxiter
 
 
-def _law_derivatives(model: DecayModel, params: KaonParams, edges):
-    """Exact first (bins, 3) and second (bins, 3, 3) derivatives of
-    ``intensity_bin_means`` at i0 = 1 in (Re eps, Im eps, delta_m), through
-    ``ExpSum.bin_mass_jacobian`` and ``ExpSum.bin_mass_hessian``.
+def _law_derivatives(model: DecayModel, params: KaonParams, edges, hessian=True):
+    """Exact first (bins, 3) and, if hessian, second (bins, 3, 3) derivatives
+    of ``intensity_bin_means`` at i0 = 1 in (Re eps, Im eps, delta_m),
+    through ``ExpSum.term_masses``; (jac, hess or None).
 
     Every law's template (``intensity_terms``) is d = n / s on the rates
     (Gs, Gl, a - i dm), with n = (1, A |eps|^2, B conj(eps)) and
@@ -238,14 +241,15 @@ def _law_derivatives(model: DecayModel, params: KaonParams, edges):
     ddd = (ddn - mixed - np.swapaxes(mixed, 1, 2) - d[:, None, None] * dds) / s
     dz = np.zeros((3, 3), dtype=complex)
     dz[2, 2] = -1j
-    terms = ExpSum(d, z)
-    masses, rates = terms.bin_mass_jacobian(edges)
-    slopes, curvatures = terms.bin_mass_hessian(edges)
+    masses, slopes, *curvatures = ExpSum(d, z).term_masses(edges, order=2 if hessian else 1)
+    jac = np.real(masses @ dd + (d * slopes) @ dz)
+    if not hessian:
+        return jac, None
     cross = dd[:, :, None] * dz[:, None, :]
     hess = (np.einsum("ik,kpq->ipq", masses, ddd)
             + np.einsum("ik,kpq->ipq", slopes, cross + np.swapaxes(cross, 1, 2))
-            + np.einsum("ik,kp,kq->ipq", curvatures, dz, dz))
-    return np.real(masses @ dd + rates @ dz), np.real(hess)
+            + np.einsum("ik,kp,kq->ipq", d * curvatures[0], dz, dz))
+    return jac, np.real(hess)
 
 
 def _law_factor(model: DecayModel, params: KaonParams) -> float:
@@ -277,9 +281,9 @@ def _relaxed_columns(edges, params: KaonParams, delta_m) -> np.ndarray:
     delta_m: e^{-Gs t} and e^{-Gl t}, built once, then e^{-at} cos(dm t) and
     e^{-at} sin(dm t), the real and imaginary masses of e^{-(a - i dm) t}."""
     delta_m = np.asarray(delta_m, dtype=float)
-    decays = ExpSum(np.ones(2), [params.gamma_s, params.gamma_l]).bin_mass_jacobian(edges)[0]
+    decays = ExpSum(np.ones(2), [params.gamma_s, params.gamma_l]).term_masses(edges, order=0)[0]
     waves = ExpSum(np.ones(delta_m.size),
-                   params.gamma_mean - 1j * delta_m).bin_mass_jacobian(edges)[0]
+                   params.gamma_mean - 1j * delta_m).term_masses(edges, order=0)[0]
     x = np.empty((delta_m.size, decays.shape[0], 4))
     x[..., :2] = decays.real
     x[..., 2] = waves.real.T
@@ -288,14 +292,14 @@ def _relaxed_columns(edges, params: KaonParams, delta_m) -> np.ndarray:
 
 
 def _delta_m_grid(edges, params: KaonParams, top: float) -> np.ndarray:
-    """Midpoints of a grid over [0, top] with step at most a/4, the wells of
-    the profile nll in delta_m being about a wide.  The step is a whole
-    fraction of pi/w, w the mean bin width: on uniform bins the cos and sin
-    columns are collinear at every multiple of pi/w, and no midpoint falls
-    on one."""
+    """Midpoints of a grid over [0, top] with step at most a/8: wells of the
+    law's nll in delta_m about a/5 wide show on sparse files that span a
+    few hundred tau_S.  The step is a whole fraction of pi/w, w the mean
+    bin width: on uniform bins the cos and sin columns are collinear at
+    every multiple of pi/w, and no midpoint falls on one."""
     edges = np.asarray(edges, dtype=float)
     nyquist = math.pi * (edges.size - 1) / (edges[-1] - edges[0])
-    step = nyquist / math.ceil(4.0 * nyquist / params.gamma_mean)
+    step = nyquist / math.ceil(8.0 * nyquist / params.gamma_mean)
     return (np.arange(math.ceil(top / step)) + 0.5) * step
 
 
@@ -334,21 +338,29 @@ class _Likelihood:
         i0 = self.total / denom
         return _poisson_excess(i0 * shape, self.counts), i0
 
-    def derivatives(self, values, names):
+    def derivatives(self, values, names, hessian=True):
         """(mu, jac, hess): the bin means at values, i0 included, and their
-        exact first and second derivatives in names, from
-        ``_law_derivatives``.  names are from ``FIT_PARAMETERS`` and "re",
-        "im", the real and imaginary parts of epsilon."""
+        exact first and, if hessian, second derivatives in names (else hess
+        is None), from ``_law_derivatives``.  names are from
+        ``FIT_PARAMETERS`` and "re", "im", the real and imaginary parts of
+        epsilon."""
         params, i0 = self.law(values), values["i0"]
         mu = intensity_bin_means(self.model, params, self.edges, i0=i0)
-        cart, cart2 = _law_derivatives(self.model, params, self.edges)
+        cart, cart2 = _law_derivatives(self.model, params, self.edges, hessian=hessian)
         rho, phi = values["epsilon_abs"], values["epsilon_arg"]
         cos, sin = math.cos(phi), math.sin(phi)
-        # each name's direction in (Re eps, Im eps, delta_m), and the second
-        # derivatives of the polar map
+        # each name's direction in (Re eps, Im eps, delta_m)
         basis = {"re": (1.0, 0.0, 0.0), "im": (0.0, 1.0, 0.0), "delta_m": (0.0, 0.0, 1.0),
                  "epsilon_abs": (cos, sin, 0.0), "epsilon_arg": (-rho * sin, rho * cos, 0.0),
                  "i0": (0.0, 0.0, 0.0)}
+        lift = np.array([basis[name] for name in names]).T
+        jac = i0 * (cart @ lift)
+        k = names.index("i0") if "i0" in names else None
+        if k is not None:  # mu is linear in i0
+            jac[:, k] = mu / i0
+        if not hessian:
+            return mu, jac, None
+        # the second derivatives of the polar map
         turn = np.zeros((3, len(names), len(names)))
         for p, first in enumerate(names):
             for q, second in enumerate(names):
@@ -356,13 +368,9 @@ class _Likelihood:
                     turn[:, p, q] = (-rho * cos, -rho * sin, 0.0)
                 elif {first, second} == {"epsilon_abs", "epsilon_arg"}:
                     turn[:, p, q] = (-sin, cos, 0.0)
-        lift = np.array([basis[name] for name in names]).T
-        jac = i0 * (cart @ lift)
         hess = i0 * (np.einsum("iab,ap,bq->ipq", cart2, lift, lift)
                      + np.einsum("ia,apq->ipq", cart, turn))
-        if "i0" in names:  # mu is linear in i0
-            k = names.index("i0")
-            jac[:, k] = mu / i0
+        if k is not None:
             hess[:, k, :] = hess[:, :, k] = jac / i0
             hess[:, k, k] = 0.0
         return mu, jac, hess
@@ -371,7 +379,7 @@ class _Likelihood:
         """(info, score): the expected information J^T diag(1/mu) J and the
         score J^T (n - mu)/mu in names; a bin the model gives no rate
         carries no information."""
-        mu, jac, _ = self.derivatives(values, names)
+        mu, jac, _ = self.derivatives(values, names, hessian=False)
         seen = mu > 0
         mu, jac, n = mu[seen], jac[seen], self.counts[seen]
         return (jac.T / mu) @ jac, jac.T @ ((n - mu) / mu)
@@ -456,6 +464,9 @@ class _FamilySearch:
         phase = ("re", "im") if self.cartesian else tuple(
             name for name in shape_free if name != "delta_m")
         self.coords = phase + tuple(name for name in shape_free if name == "delta_m")
+        # the law is even in (delta_m, arg eps): with both free, delta_m = 0
+        # is a mirror, not a wall
+        self.mirror = {"epsilon_arg", "delta_m"} <= set(shape_free)
 
     def values(self, y) -> dict:
         values = dict(self.lik.base, **dict(zip(self.coords, y)))
@@ -473,10 +484,13 @@ class _FamilySearch:
         return self.move(np.array([values[name] for name in self.coords]), 0.0)
 
     def move(self, y, step) -> np.ndarray:
-        """y + step kept in the box: eps pulled back onto the disk, a lone
-        phase wrapped, the rest clipped."""
+        """y + step kept in the box: delta_m < 0 mirrored, eps pulled back
+        onto the disk, a lone phase wrapped, the rest clipped."""
         bounds = self.lik.bounds
         point = dict(zip(self.coords, y + step))
+        if self.mirror and point["delta_m"] < 0.0:
+            point["delta_m"] = -point["delta_m"]
+            point["im" if self.cartesian else "epsilon_arg"] *= -1.0
         if self.cartesian:
             shrink = min(1.0, bounds["epsilon_abs"][1] / max(
                 math.hypot(point["re"], point["im"]), _MU_FLOOR))
@@ -496,13 +510,9 @@ class _FamilySearch:
         At fixed delta_m the template is linear in the weights of e^{-Gs t},
         e^{-Gl t}, e^{-at} cos(dm t) and e^{-at} sin(dm t), and the Poisson
         fit of those is convex: ``_irls``, at the start's delta_m or, with
-        delta_m free, batched over ``_delta_m_grid``.  Weights (w_S, w_L,
-        w_cos, w_sin) project to arg eps = the phase of (w_cos, w_sin), if
-        free, and to the best of five r, if |eps| is free, spaced
-        geometrically from sqrt(w_L/w_S) to r_int, the part of (w_cos,
-        w_sin) along that phase over 2 w_S: the law has the weights (1, r^2,
-        2r cos arg, 2r sin arg), which give its nll at every grid point at
-        once.  The local minima of that nll over the grid are the wells."""
+        delta_m free, batched over ``_delta_m_grid``.  ``profile`` turns
+        each relaxed fit into a point of the law; the local minima of the
+        law's nll over the grid are the wells."""
         lik = self.lik
         grid = (_delta_m_grid(lik.edges, lik.params_init, lik.bounds["delta_m"][1])
                 if "delta_m" in self.coords else np.array([lik.base["delta_m"]]))
@@ -513,33 +523,20 @@ class _FamilySearch:
             # need not converge: 8 iterations leave its nll within 1e-5 of
             # the converged one on 1e9-count files
             beta, _ = _irls(x, lik.counts, iterations=_RELAXED_ITERATIONS)
+            if "delta_m" in self.coords:
+                # and at delta_m = 0, the box's edge, where the sin column
+                # vanishes and the relaxed fit has three weights
+                edge = _relaxed_columns(lik.edges, lik.params_init, [0.0])
+                grid = np.concatenate([[0.0], grid])
+                x = np.concatenate([edge, x])
+                beta = np.concatenate([np.pad(_irls(edge[..., :3], lik.counts,
+                                                    iterations=_RELAXED_ITERATIONS)[0],
+                                              ((0, 0), (0, 1))), beta])
         except np.linalg.LinAlgError:  # collinear columns: the start alone
             beta = None
         if beta is not None:
+            r, arg, profile = self.profile(x, beta)
             factor = _law_factor(lik.model, lik.params_init)
-            w_s, w_l, w_cos, w_sin = (beta * np.where(beta[:, :1] < 0, -1.0, 1.0)).T
-            arg = (np.arctan2(w_sin, w_cos) if "epsilon_arg" in self.shape_free
-                   else np.full(grid.size, lik.base["epsilon_arg"]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if "epsilon_abs" in self.shape_free:
-                    # the law ties w_L to r^2 w_S: try r between the two
-                    # estimates, from w_L (at least 1/32 of the other,
-                    # as w_L may fit at or below 0) and from the interference
-                    r_int = np.maximum(w_cos * np.cos(arg) + w_sin * np.sin(arg), 0.0) / (2 * w_s)
-                    r_long = np.maximum(np.sqrt(np.maximum(w_l, 0.0) / w_s), r_int / 32.0)
-                    r = r_long[:, None] ** (1.0 - _R_MIX) * r_int[:, None] ** _R_MIX
-                else:
-                    r = np.full((grid.size, 1), lik.base["epsilon_abs"] * factor)
-                r = np.clip(np.nan_to_num(r, nan=0.0), 0.0, lik.bounds["epsilon_abs"][1] * factor)
-                cos, sin = np.cos(arg)[:, None], np.sin(arg)[:, None]
-                weights = np.stack([np.ones_like(r), r * r, 2.0 * r * cos, 2.0 * r * sin], axis=-1)
-                shape = np.einsum("gik,grk->gri", x, weights)
-                total = np.sum(shape, axis=-1)
-                tries = _poisson_excess(shape * (lik.total / total)[..., None], lik.counts)
-                tries = np.where((total > 0) & ~np.isnan(tries), tries, math.inf)
-                pick = np.argmin(tries, axis=1)
-                rows = np.arange(grid.size)
-                r, profile = r[rows, pick], tries[rows, pick]
             padded = np.concatenate([[math.inf], profile, [math.inf]])
             wells = np.flatnonzero((padded[1:-1] <= padded[:-2]) & (padded[1:-1] < padded[2:])
                                    & np.isfinite(profile))
@@ -547,21 +544,114 @@ class _FamilySearch:
             # wells at r = 0 are, whatever their delta_m
             for k in wells[np.unique(profile[wells], return_index=True)[1]][:_WELLS].tolist():
                 guesses.append(dict(lik.base, delta_m=grid[k], epsilon_abs=r[k] / factor,
-                                    epsilon_arg=arg[k]))
+                                    epsilon_arg=math.remainder(arg[k], 2.0 * math.pi)))
         points = [self.point(guess) for guess in guesses]
         return _ranked([(y, *lik.nll(self.values(y))) for y in points])[:_WELLS]
 
-    def polish(self, y, excess, i0, best=math.inf):
+    def profile(self, x, beta):
+        """(r, arg, excess) per grid point: the best of the law's points
+        tried there, r = |eps| ``_law_factor``.  The law has the weights
+        (1, r^2, 2r cos arg, 2r sin arg), so the relaxed columns x give its
+        nll at every point tried at once.
+
+        Relaxed weights (w_S, w_L, w_cos, w_sin) project to arg = the phase
+        of (w_cos, w_sin), if free, and, if |eps| is free, to five r spaced
+        geometrically from sqrt(w_L/w_S) to r_int, the part of (w_cos,
+        w_sin) along that phase over 2 w_S.  Where the law cannot follow the
+        relaxed fit (|eps| or arg held away from the data's, or r past its
+        box) its best point lies elsewhere, so a lattice is tried as well:
+        _LATTICE turns of the phase at the held r or the box's, or, with arg
+        held, a ladder of r down from the box by factors of 4; then the
+        vertex of the parabola through the lattice's best value and its
+        neighbours."""
+        lik = self.lik
+        factor = _law_factor(lik.model, lik.params_init)
+        r_max = lik.bounds["epsilon_abs"][1] * factor
+        free_abs = "epsilon_abs" in self.shape_free
+        free_arg = "epsilon_arg" in self.shape_free
+        w_s, w_l, w_cos, w_sin = (beta * np.where(beta[:, :1] < 0, -1.0, 1.0)).T
+        phase = (np.arctan2(w_sin, w_cos) if free_arg
+                 else np.full(len(x), lik.base["epsilon_arg"]))[:, None]
+
+        def law(r, arg):
+            r = np.clip(np.nan_to_num(r, nan=0.0), 0.0, r_max)
+            r, arg = np.broadcast_arrays(r, arg)
+            weights = np.stack([np.ones_like(r), r * r, 2.0 * r * np.cos(arg),
+                                2.0 * r * np.sin(arg)], axis=-1)
+            shape = weights @ np.swapaxes(x, 1, 2)
+            total = np.sum(shape, axis=-1)
+            excess = _poisson_excess(shape * (lik.total / total)[..., None], lik.counts)
+            return r, arg, np.where((total > 0) & ~np.isnan(excess), excess, math.inf)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tried = []
+            if free_abs:
+                # the law ties w_L to r^2 w_S: r between the two estimates,
+                # from w_L (at least 1/32 of the other, as w_L may fit at or
+                # below 0) and from the interference
+                r_int = np.maximum(w_cos * np.cos(phase[:, 0]) + w_sin * np.sin(phase[:, 0]),
+                                   0.0)[:, None] / (2 * w_s[:, None])
+                r_long = np.maximum(np.sqrt(np.maximum(w_l, 0.0) / w_s)[:, None], r_int / 32.0)
+                tried.append(law(r_long ** (1.0 - _R_MIX) * r_int ** _R_MIX, phase))
+            if free_arg or free_abs:
+                # the lattice, in u = arg or log r with spacing du
+                if free_arg:
+                    held_r = r_max if free_abs else lik.base["epsilon_abs"] * factor
+                    du, wrap = 2.0 * math.pi / _LATTICE, "wrap"
+                    u = phase + du * np.arange(_LATTICE)
+
+                    def at(u):
+                        return law(np.full(u.shape, held_r), u)
+                else:
+                    du, wrap = math.log(4.0), "clip"
+                    u = math.log(r_max) - du * np.arange(_LATTICE)[None, :]
+
+                    def at(u):
+                        return law(np.exp(u), phase)
+                lattice = at(u)
+                u = np.broadcast_to(u, lattice[2].shape)
+                best = np.argmin(lattice[2], axis=1)[:, None]
+                f_lo, f_mid, f_hi = (np.take_along_axis(
+                    lattice[2], np.take(np.arange(_LATTICE), best + shift, mode=wrap), axis=1)
+                    for shift in (-1, 0, 1))
+                curvature = f_lo - 2.0 * f_mid + f_hi
+                vertex = np.where(curvature > 0, 0.5 * (f_lo - f_hi) / curvature, 0.0)
+                tried += [lattice, at(np.take_along_axis(u, best, axis=1)
+                                      + du * np.nan_to_num(vertex))]
+            else:
+                tried.append(law(np.full((len(x), 1), lik.base["epsilon_abs"] * factor), phase))
+        r, arg, excess = (np.concatenate(part, axis=1) for part in zip(*tried))
+        pick = np.argmin(excess, axis=1)[:, None]
+        return tuple(np.take_along_axis(part, pick, axis=1)[:, 0] for part in (r, arg, excess))
+
+    def walls(self, y):
+        """The bounds y sits on, as outward normals in y: |eps| or delta_m
+        at an end of its range, but for a mirror, and eps on the edge of
+        its disk."""
+        bounds, normals = self.lik.bounds, []
+        for j, name in enumerate(self.coords):
+            if name in ("epsilon_abs", "delta_m"):
+                lo, hi = bounds[name]
+                if y[j] >= hi:
+                    normals.append(np.eye(len(y))[j])
+                elif y[j] <= lo and not (name == "delta_m" and self.mirror):
+                    normals.append(-np.eye(len(y))[j])
+        if self.cartesian:
+            radius = math.hypot(y[0], y[1])
+            # ``move`` puts eps on the edge to within its rounding
+            if radius >= bounds["epsilon_abs"][1] * (1.0 - 4.0 * _EPS):
+                normals.append(np.concatenate([y[:2] / radius, np.zeros(len(y) - 2)]))
+        return normals
+
+    def polish(self, y, excess, i0):
         """Damped Newton steps from y, (y, excess, converged), until the
         gain the step predicts falls to the nll's rounding.  The curvature
         is the nll's Hessian, from exact second derivatives, where it is
         positive definite, else the expected information (a Fisher-scoring
         step); the damping follows Nielsen's rule (H. B. Nielsen, IMM-REP
-        1999-05, DTU), and a parameter the step pushes off a bound is
-        held.  A start whose nll, less ten times the predicted gain, is
-        still above ``best`` is dropped."""
+        1999-05, DTU), and a step that would leave the box through a bound
+        y sits on is taken along that bound."""
         lik, names = self.lik, self.coords + ("i0",)
-        clipped = [j for j, name in enumerate(self.coords) if name in ("epsilon_abs", "delta_m")]
         damping, fresh, grow = 0.0, True, 2.0
         for _ in range(_NEWTON_STEPS):
             if fresh:
@@ -577,23 +667,24 @@ class _FamilySearch:
                 root = np.where(blind, 1.0, root)
                 unit = curvature / np.outer(root, root)
                 grad = jac.T @ ((n - mu) / mu) / root
-            held = blind.copy()
+                # the walls, in the scaled step's coordinates
+                walls = [np.append(normal / root[:-1], 0.0) for normal in self.walls(y)]
+            held = list(np.eye(len(names))[blind])
+            pending = list(walls)
             while True:
-                keep = ~held
-                step = np.zeros(len(names))
-                step[keep] = np.linalg.lstsq(  # least squares: two parameters may coincide
-                    unit[np.ix_(keep, keep)] + damping * np.eye(int(keep.sum())), grad[keep],
-                    rcond=None)[0]
-                pushed = np.zeros(len(names), dtype=bool)
-                for j in clipped:
-                    lo, hi = lik.bounds[self.coords[j]]
-                    pushed[j] = keep[j] and ((y[j] <= lo and step[j] < 0)
-                                             or (y[j] >= hi and step[j] > 0))
-                if not pushed.any():
+                # the step in the directions no held constraint blocks;
+                # least squares, as two parameters may coincide
+                free = (np.linalg.svd(np.array(held))[2][len(held):].T if held
+                        else np.eye(len(names)))
+                step = free @ np.linalg.lstsq(free.T @ unit @ free + damping * np.eye(
+                    free.shape[1]), free.T @ grad, rcond=None)[0]
+                pushed = [normal for normal in pending if normal @ step > 0]
+                if not pushed:
                     break
-                held |= pushed
+                held += pushed
+                pending = [normal for normal in pending if not normal @ step > 0]
             gain = float(grad @ step - 0.5 * step @ unit @ step)
-            if not gain > rounding or excess - 10.0 * gain > best:
+            if not gain > rounding:
                 return y, excess, True
             trial = self.move(y, (step / root)[:-1])
             excess_new, i0_new = lik.nll(self.values(trial))
@@ -614,11 +705,7 @@ class _FamilySearch:
             values = self.values(starts[0][0])
             raise FitFailureError("likelihood maximisation failed", best=(
                 np.array([values[name] for name in self.shape_free]), starts[0][1]))
-        runs = []
-        for start in starts:
-            runs.append(self.polish(*start, best=min((run[1] for run in runs),
-                                                     default=math.inf)))
-        y_hat, _, converged = _ranked(runs)[0]
+        y_hat, _, converged = _ranked([self.polish(*start) for start in starts])[0]
         return self.values(y_hat), converged, len(starts)
 
 
@@ -640,13 +727,18 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     (``_FamilySearch``) starts from the relaxed four-weight fit, convex at
     fixed delta_m and solved by the iteratively reweighted least squares
     of ``weight_ratio_estimate``, at the start's delta_m or, with delta_m
-    free, on a grid over its box (``_delta_m_grid``).  The relaxed fits
-    are projected onto the law, and the three points of lowest nll among
-    the start and the wells of the projections' nll over the grid are
-    polished by damped Newton steps on the exact first and second
-    derivatives of the bin means (``_law_derivatives``), in eps itself
-    when |eps| and arg are both free, until the gain a step predicts falls
-    to the nll's rounding.
+    free, on a grid over its box (``_delta_m_grid``) and its edge
+    delta_m = 0.  Each relaxed fit is turned into the best of a few points
+    of the law, its projection and, where |eps| or arg is held or r
+    reaches its box, a lattice in the held law's free parameter
+    (``_FamilySearch.profile``); the five points of lowest nll among the
+    start and the wells of that nll over the grid are polished by damped
+    Newton steps on the exact first and second derivatives of the bin
+    means (``_law_derivatives``), in eps itself when |eps| and arg are both
+    free, until the gain a step predicts falls to the nll's rounding.  A
+    step stops at a bound it would cross, |eps| = 0.5 included, and moves
+    along it; with arg free, delta_m = 0 is a mirror, the law being even
+    in (delta_m, arg eps).
 
     The standard law keeps the 8-start Nelder-Mead simplex
     (``_simplex_search``), then one Fisher-scoring step along directions so

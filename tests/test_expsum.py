@@ -141,8 +141,8 @@ class TestRealForm:
 
 
 class TestBinMassDerivatives:
-    """``bin_mass_jacobian`` and ``bin_mass_hessian`` against central
-    differences of one order lower, at a step h of 1e-5 of the coefficient.
+    """``term_masses``: its first and second derivatives in z against
+    central differences of one order lower, at a step h of 1e-5 of the coefficient.
     The truncation error is about 1e-10 of the column, within 1e-7 of its
     largest value; the difference quotient also carries the rounding of
     the whole sum, at most 2 eps sum_k |d_k m_k| per value, over 2h."""
@@ -165,7 +165,8 @@ class TestBinMassDerivatives:
     @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
     def test_jacobian_is_the_central_difference(self, params, law):
         d, z, edges = self._sums(params)[law]
-        masses, rates = ExpSum(d, z).bin_mass_jacobian(edges)
+        masses, slopes = ExpSum(d, z).term_masses(edges, order=1)
+        rates = d * slopes
         sum_rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(masses) @ np.abs(d))
         for k in range(d.size):
             for unit in (1.0, 1j):
@@ -182,7 +183,7 @@ class TestBinMassDerivatives:
     @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
     def test_d_columns_are_the_term_masses(self, params, law):
         d, z, edges = self._sums(params)[law]
-        masses, _ = ExpSum(d, z).bin_mass_jacobian(edges)
+        (masses,) = ExpSum(d, z).term_masses(edges, order=0)
         for k in range(d.size):
             assert np.allclose(masses[:, k].real, ExpSum([1.0], [z[k]]).bin_mass(edges),
                                rtol=1e-13, atol=0.0)
@@ -192,21 +193,21 @@ class TestBinMassDerivatives:
     @pytest.mark.parametrize("law", ["standard", "hybrid", "twfo", "signed"])
     def test_hessian_is_the_central_difference_of_the_jacobian(self, params, law):
         d, z, edges = self._sums(params)[law]
-        slopes, curvatures = ExpSum(d, z).bin_mass_hessian(edges)
+        _, slopes, curvatures = ExpSum(d, z).term_masses(edges)
         for k in range(d.size):
             h = self.STEP * abs(z[k])
             moved = [z.copy(), z.copy()]
             moved[0][k] += h
             moved[1][k] -= h
-            (m_hi, r_hi), (m_lo, r_lo) = (ExpSum(d, c).bin_mass_jacobian(edges) for c in moved)
-            # m_k and d_k m_k' are analytic in z_k: a real step differentiates them
+            (m_hi, s_hi), (m_lo, s_lo) = (ExpSum(d, c).term_masses(edges, order=1) for c in moved)
+            # m_k and m_k' are analytic in z_k: a real step differentiates them
             self.assert_close((m_hi[:, k] - m_lo[:, k]) / (2 * h), slopes[:, k], slopes[:, k])
-            self.assert_close((r_hi[:, k] - r_lo[:, k]) / (2 * h), curvatures[:, k],
+            self.assert_close((s_hi[:, k] - s_lo[:, k]) / (2 * h), curvatures[:, k],
                               curvatures[:, k])
 
     def test_degree_one_refused(self):
         with pytest.raises(ValueError, match="degree 0"):
-            ExpSum([1.0], [1.0], degree=1).bin_mass_jacobian([0.0, 1.0])
+            ExpSum([1.0], [1.0], degree=1).term_masses([0.0, 1.0])
 
 
 class TestDegreeOne:

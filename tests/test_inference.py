@@ -232,13 +232,13 @@ class TestFitIntensity:
         return calls
 
     @staticmethod
-    def assert_fit_command_fails(binned, tmp_path, capsys, *flags):
+    def assert_fit_command_fails(binned, tmp_path, capsys, *flags, model="twfo"):
         from kaonlab.cli import main
         from kaonlab.sampler import write_binned
 
         path = tmp_path / "binned.csv"
         write_binned(path, binned)
-        assert main(["fit", "--data", str(path), "--model", "twfo", *flags]) == 4
+        assert main(["fit", "--data", str(path), "--model", model, *flags]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: numerical-failure:")
@@ -259,6 +259,23 @@ class TestFitIntensity:
         calls.clear()
         self.assert_fit_command_fails(binned, tmp_path, capsys)
         assert len(calls) == 1
+
+    def test_nan_bin_means_fail_the_simplex_fit(self, params, monkeypatch, tmp_path, capsys):
+        # the standard law's search: the simplex, its runs ranked nan last
+        binned = asimov_binned(params, total=1e6)
+        calls = self.nan_bin_means(monkeypatch)
+        with pytest.raises(FitFailureError) as failure:
+            fit_intensity(binned, DecayModel.STANDARD, params)
+        theta, fun = failure.value.best
+        assert theta.shape == (2,) and not math.isfinite(fun)
+        assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
+        # a first simplex that is all nan ends its start: the 8 starts' 3
+        # vertices each, then the one evaluation at the best point
+        assert len(calls) <= 8 * 3 + 1
+
+        calls.clear()
+        self.assert_fit_command_fails(binned, tmp_path, capsys, model="standard")
+        assert len(calls) <= 8 * 3 + 1
 
     def test_nan_bin_means_fail_the_i0_only_fit(self, params, monkeypatch, tmp_path,
                                                  capsys):
@@ -393,6 +410,57 @@ class TestFamilyFit:
                                 free=("epsilon_abs", "epsilon_arg", "delta_m", "i0"))
             assert fit.neg_log_likelihood <= truth_nll + 1e-6, (model, fit)
             assert fit.converged
+
+
+class TestHeldParameterFits:
+    """Fits whose law cannot follow the data: |eps| or arg held away from
+    the data's, or |eps| pushed to its box.  On each of three twfo Poisson
+    files, every hybrid and twfo fit of every free set ends at or below the
+    nll the 8-start Nelder-Mead simplex (``_nelder_mead``) reached when it
+    searched these laws."""
+
+    FREE = [("delta_m", "i0"), ("epsilon_arg", "i0"), ("epsilon_abs", "i0"),
+            ("epsilon_abs", "delta_m", "i0"), ("epsilon_arg", "delta_m", "i0"),
+            ("epsilon_abs", "epsilon_arg", "i0"), ("epsilon_abs", "epsilon_arg", "delta_m", "i0")]
+    # per file and law, in the order of FREE
+    SIMPLEX_NLL = {
+        (0, "hybrid"): (2998.7001050720, 3044.3397263725, 152.0897641219, 151.1712374926,
+                        2981.0551895526, 151.3367501589, 150.9466967894),
+        (0, "twfo"): (151.0759151330, 151.3398155070, 152.0897641219, 151.1712374926,
+                      150.9599187477, 151.3367501589, 150.4617000316),
+        (1, "hybrid"): (245.5727696953, 245.1380877624, 258.0869836972, 240.2130876996,
+                        244.1478053753, 238.1854218499, 237.3672967878),
+        # arg, delta_m free: the optimum is on the edge delta_m = 0
+        (1, "twfo"): (1407.1205204025, 1407.7353881254, 258.0869836972, 240.2130876990,
+                      1407.0808273445, 238.1854218499, 239.4041887424),
+        (2, "hybrid"): (6339.4176431248, 6339.5008130771, 367.9394934342, 367.8027335535,
+                        6307.0470420198, 367.9394375430, 394.3358415452),
+        (2, "twfo"): (29087.1742035974, 29104.4768678970, 367.9394934342, 409.6370634679,
+                      29086.8741056372, 367.9394375430, 397.6057386337),
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self):
+        # 60 bins of tau_S/2, then 60 geometric bins to 5 tau_L; 1e6 counts
+        # at the default epsilon, 1e5 at |eps| = 0.05 and 0.2, drawn in turn
+        params = KaonParams()
+        fine = np.arange(0.0, 30 * params.tau_s, 0.5 * params.tau_s)
+        edges = np.concatenate([fine, np.geomspace(30 * params.tau_s, 5 * params.tau_l, 61)])
+        rng = RunSeed(5).generator()
+        files = []
+        for eps, total in ((params.epsilon, 1e6), (0.05 * np.exp(-2j), 1e5),
+                           (0.2 * np.exp(0.7j), 1e5)):
+            mu = intensity_bin_means(DecayModel.TIME_OPERATOR, KaonParams(epsilon=eps), edges)
+            counts = rng.poisson(mu * total / mu.sum())
+            files.append(BinnedCounts(edges, counts, np.zeros_like(counts)))
+        return files
+
+    @pytest.mark.parametrize("key", list(SIMPLEX_NLL), ids=lambda key: f"{key[0]}-{key[1]}")
+    def test_no_fit_ends_above_the_simplex(self, params, files, key):
+        for free, simplex in zip(self.FREE, self.SIMPLEX_NLL[key]):
+            fit = fit_intensity(files[key[0]], DecayModel(key[1]), params, free=free)
+            assert fit.neg_log_likelihood <= simplex + 1e-6, (free, fit)
+            assert fit.converged, (free, fit)
 
 
 class TestNelderMead:
