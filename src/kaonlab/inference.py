@@ -17,21 +17,22 @@ import numpy as np
 
 from .config import BinnedCounts, RunSeed
 from .core import DecayModel, KaonParams
-from .errors import (CoverageError, DegenerateComparisonError, FitFailureError)
+from .errors import (CoverageError, DegenerateComparisonError, FitFailureError,
+                     ModelPathologyError)
 from .expsum import ExpSum
 from .single_models import intensity_terms, model_terms
 
-_MU_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
-# hybrid and twfo: the iterations of the relaxed fit on the delta_m grid,
-# the r tried between its two estimates, the starts polished, the points of
-# the lattice tried where the law cannot follow it, and the steps of each
-# polish
+# the search: the iterations of the relaxed fit on the delta_m grid, the r
+# tried between its two estimates, the starts polished, the points of the
+# lattice tried where the law cannot follow it, the steps of each polish,
+# and the points inside the intervals of positive means tried at once
 _RELAXED_ITERATIONS = 8
 _R_MIX = np.linspace(0.0, 1.0, 5)
 _WELLS = 5
 _LATTICE = 8
 _NEWTON_STEPS = 100
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,14 @@ def _poisson_excess(mu, counts):
 
     Each term vanishes at mu = n, so the sum resolves changes far below
     the rounding of the nll's own terms, which reach 1e10 at 1e9 counts.
+    A bin with counts and a mean <= 0 has likelihood zero, so the excess
+    there is +inf; an empty bin adds max(mu, 0).
     """
-    mu = np.maximum(mu, _MU_FLOOR)
+    mu = np.maximum(mu, 0.0)
     n = np.maximum(counts, 1.0)
     rel = (mu - counts) / n
-    log_ratio = np.where(rel > -0.5, np.log1p(np.maximum(rel, -0.5)), np.log(mu / n))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(rel > -0.5, np.log1p(np.maximum(rel, -0.5)), np.log(mu / n))
     out = np.sum(mu - counts - counts * log_ratio, axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -143,66 +147,19 @@ def _poisson_saturated(counts) -> float:
     return math.fsum(term(n) for n in np.asarray(counts, dtype=float).tolist())
 
 
-def _nelder_mead(func, x0, maxiter=4000):
-    """Minimise func over the unit cube by the Nelder-Mead simplex.
-
-    The same steps, in the same floating-point operations, as scipy's
-    ``minimize(func, x0, method="Nelder-Mead", bounds=[(0, 1)] * len(x0),
-    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-9})``: the
-    standard coefficients (reflection 1, expansion 2, contraction and
-    shrink 1/2), a first simplex of 5% steps (0.00025 from a zero
-    coordinate) reflected back below the upper bound, every trial point
-    clipped to the cube.  Returns (x, fun, converged); converged is False
-    when the iteration cap stopped the search, or the first simplex is all nan.
-    """
-    x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
-    fsim = np.array([func(vertex) for vertex in sim], dtype=float)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    # sorted twice, as scipy does: argsort is not stable, so ties may move
-    sim, fsim = ordered(*ordered(sim, fsim))
-    if np.all(np.isnan(fsim)):
-        return sim[0], math.nan, False
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-9):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip(2 * xbar - sim[-1], 0.0, 1.0)
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = np.clip(3 * xbar - 2 * sim[-1], 0.0, 1.0)
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
-                fxc = func(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], 0.0, 1.0)
-                fxc = func(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), 0.0, 1.0)
-                    fsim[j] = func(sim[j])
-        iterations += 1
-        sim, fsim = ordered(sim, fsim)
-    return sim[0], float(np.min(fsim)), iterations < maxiter
+def _law_shape(model: DecayModel, params: KaonParams, delta_m):
+    """(f, kappa, shift), arrays over delta_m: every law's template is
+    e^{-Gs t} + kappa r^2 e^{-Gl t} + 2r e^{-at} cos(dm t - arg eps - shift)
+    up to its scale, with r = f |eps|.  hybrid (1, 1, 0), twfo
+    (sqrt(Gl/Gs), 1, 0), standard (R/4a, (Gl/Gs)/f^2, atan(dm/a)) with
+    R = |a - i dm|."""
+    delta_m = np.asarray(delta_m, dtype=float)
+    if model is DecayModel.STANDARD:
+        a = params.gamma_mean
+        f = np.hypot(a, delta_m) / (4.0 * a)
+        return f, (params.gamma_l / params.gamma_s) / (f * f), np.arctan2(delta_m, a)
+    f = 1.0 if model is DecayModel.HYBRID else math.sqrt(params.gamma_l / params.gamma_s)
+    return np.full(delta_m.shape, f), np.ones(delta_m.shape), np.zeros(delta_m.shape)
 
 
 def _law_derivatives(model: DecayModel, params: KaonParams, edges, hessian=True):
@@ -223,7 +180,7 @@ def _law_derivatives(model: DecayModel, params: KaonParams, edges, hessian=True)
                                           (a - 1j * params.delta_m) / (2.0 * a),
                                           -0.5j / a, 1.0, 1.0)
     else:
-        f = _law_factor(model, params)
+        f = float(_law_shape(model, params, params.delta_m)[0])
         big_a, big_b, db, big_c, big_d = f * f, 2.0 * f, 0.0, f * f, f
     dn = np.array([[0.0, 0.0, 0.0],
                    [2.0 * big_a * eps.real, 2.0 * big_a * eps.imag, 0.0],
@@ -250,12 +207,6 @@ def _law_derivatives(model: DecayModel, params: KaonParams, edges, hessian=True)
             + np.einsum("ik,kpq->ipq", slopes, cross + np.swapaxes(cross, 1, 2))
             + np.einsum("ik,kp,kq->ipq", d * curvatures[0], dz, dz))
     return jac, np.real(hess)
-
-
-def _law_factor(model: DecayModel, params: KaonParams) -> float:
-    """r / |eps| of the hybrid and twfo templates, whose interference
-    weight is 2r relative to the short term: 1 and sqrt(Gl/Gs)."""
-    return 1.0 if model is DecayModel.HYBRID else math.sqrt(params.gamma_l / params.gamma_s)
 
 
 def _irls(x, counts, iterations=25):
@@ -303,6 +254,59 @@ def _delta_m_grid(edges, params: KaonParams, top: float) -> np.ndarray:
     return (np.arange(math.ceil(top / step)) + 0.5) * step
 
 
+def _gaps(lo, hi, top):
+    """The open stretches of [0, top] that no interval [lo, hi] along the
+    last axis covers (lo = hi = +inf for none): (index..., gap_lo, gap_hi)
+    of each, index over the leading axes; top broadcasts against them."""
+    order = np.argsort(lo, axis=-1)
+    edge = np.full(lo.shape[:-1] + (1,), math.inf)
+    lo = np.concatenate([np.take_along_axis(lo, order, axis=-1), edge], axis=-1)
+    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=-1), axis=-1)
+    gap_lo = np.concatenate([np.zeros_like(edge), reach], axis=-1)
+    gap_hi = np.minimum(lo, top)
+    index = np.nonzero(gap_hi > gap_lo)
+    return (*index[:-1], gap_lo[index], gap_hi[index])
+
+
+def _feasible_r(x, populated, kappa, r_max, theta):
+    """The intervals of r in [0, r_max] where the law's bin means
+    (``_FamilySearch.profile``) on the relaxed columns x (rows, bins, 4) are
+    positive in every populated bin, at the phases theta (rows,): (row,
+    theta, lo, hi), one entry per interval.
+
+    A bin's mean is A + 2C r + kappa B r^2, with A, B the masses of
+    e^{-Gs t} and e^{-Gl t} and C that of e^{-at} cos(dm t - theta): a
+    populated bin forbids the r between its two roots when C < 0 and
+    C^2 >= kappa A B."""
+    a, b, k = x[..., 0], x[..., 1], kappa[:, None]
+    c = np.cos(theta)[:, None] * x[..., 2] + np.sin(theta)[:, None] * x[..., 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -c + np.sqrt(c * c - k * a * b)
+        blocks = populated & (c < 0) & (root >= 0)
+        row, lo, hi = _gaps(np.where(blocks, a / root, math.inf),
+                            np.where(blocks, root / (k * b), math.inf), r_max[:, None])
+    return row, theta[row], lo, hi
+
+
+def _feasible_theta(x, populated, kappa, r):
+    """The arcs of theta in [0, 2 pi] where the law's bin means at r (rows,)
+    are positive in every populated bin: (row, lo, hi), one entry per arc.
+
+    A bin's mean is P + 2r rho cos(theta - phi), with P = A + kappa B r^2
+    and rho e^{i phi} the mass of e^{-(a - i dm) t}: a populated bin
+    forbids the arc within arccos(P / 2r rho) of phi + pi when P < 2r rho."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = (x[..., 0] + (kappa * r * r)[:, None] * x[..., 1]) / (
+            2.0 * r[:, None] * np.hypot(x[..., 2], x[..., 3]))
+        half = np.where(populated & (cut < 1.0), np.arccos(np.minimum(cut, 1.0)), -math.inf)
+    # each arc and its turns either way, so that one crossing 0 or 2 pi
+    # counts on both sides; a bin that forbids none has lo = +inf
+    middle = (np.mod(np.arctan2(x[..., 3], x[..., 2]) + math.pi, 2.0 * math.pi)[..., None]
+              + 2.0 * math.pi * np.arange(-1, 2))
+    return _gaps((middle - half[..., None]).reshape(len(r), -1),
+                 (middle + half[..., None]).reshape(len(r), -1), 2.0 * math.pi)
+
+
 class _Likelihood:
     """The binned Poisson nll of one law over the fit box, the calibration
     i0 profiled out: the objective of every search in ``fit_intensity``.
@@ -330,11 +334,11 @@ class _Likelihood:
 
     def nll(self, values):
         """(excess, i0): the nll less its value at mu = counts, and the i0
-        that minimises it, at the shape in values."""
+        that minimises it, the total over the shape's positive mass."""
         shape = intensity_bin_means(self.model, self.law(values), self.edges)
-        denom = float(np.sum(shape))
+        denom = float(np.sum(np.maximum(shape, 0.0)))
         if denom <= 0:
-            return 1e30, self.total
+            return math.inf, self.total
         i0 = self.total / denom
         return _poisson_excess(i0 * shape, self.counts), i0
 
@@ -375,20 +379,15 @@ class _Likelihood:
             hess[:, k, k] = 0.0
         return mu, jac, hess
 
-    def information(self, values, names):
-        """(info, score): the expected information J^T diag(1/mu) J and the
-        score J^T (n - mu)/mu in names; a bin the model gives no rate
-        carries no information."""
+    def covariance(self, values, names):
+        """The inverse of the expected information J^T diag(1/mu) J in
+        names, where a bin the model gives no rate carries none, taken at
+        unit diagonal (the parameters span 1e-3 to 1e19).  A parameter the
+        data cannot see keeps unit information at its scale, so the
+        eigenvalue floor leaves it a variance of 1e12 scale^2."""
         mu, jac, _ = self.derivatives(values, names, hessian=False)
         seen = mu > 0
-        mu, jac, n = mu[seen], jac[seen], self.counts[seen]
-        return (jac.T / mu) @ jac, jac.T @ ((n - mu) / mu)
-
-    def covariance(self, info, values, names):
-        """The inverse of info, taken at unit diagonal (the parameters span
-        1e-3 to 1e19).  A parameter the data cannot see keeps unit
-        information at its scale, so the eigenvalue floor leaves it a
-        variance of 1e12 scale^2."""
+        info = (jac[seen].T / mu[seen]) @ jac[seen]
         scale = np.array([self.bounds[name][1] - self.bounds[name][0] if name != "i0"
                           else values["i0"] for name in names])
         root = np.sqrt(np.diag(info))
@@ -415,44 +414,23 @@ def _newton_curvature(mu, jac, hess, counts):
     return (jac.T / mu) @ jac
 
 
+def _local_minima(values, wrap):
+    """The indices of the finite local minima of values, the first of equal
+    neighbours; the ends have one neighbour ("clip") or each other ("wrap")."""
+    padded = np.pad(values, 1, mode="wrap") if wrap == "wrap" else np.pad(
+        values, 1, constant_values=math.inf)
+    return np.flatnonzero((values <= padded[:-2]) & (values < padded[2:]) & np.isfinite(values))
+
+
 def _ranked(runs):
     """The runs (point, nll, ...) by nll, a nan nll last rather than first."""
     return sorted(runs, key=lambda run: math.inf if math.isnan(run[1]) else run[1])
 
 
-def _simplex_search(lik: _Likelihood, shape_free):
-    """The standard law's search: a Nelder-Mead simplex (``_nelder_mead``)
-    restarted from 8 deterministic points in the box, in coordinates that
-    map the box onto the unit cube.  Returns (values, converged, starts)."""
-    box = [lik.bounds[name] for name in shape_free]
-    box_lo = np.array([b[0] for b in box])
-    width = np.array([b[1] - b[0] for b in box])
-
-    def unpack(u):
-        return dict(lik.base, **dict(zip(shape_free, box_lo + width * u)))
-
-    x0 = np.array([lik.base[name] for name in shape_free], dtype=float)
-    is_arg = np.array([name == "epsilon_arg" for name in shape_free])
-    starts = [x0]
-    # deterministic multistart: scaled perturbations of the initial
-    # point, then a coarse lattice across the box
-    for factor, turn in ((0.3, 0.0), (3.0, 0.0), (1.0, 0.5 * math.pi),
-                         (0.3, 0.5 * math.pi)):
-        point = np.where(is_arg, x0 + turn, x0 * factor)
-        starts.append(np.clip(point, box_lo, box_lo + width))
-    for k in range(3):
-        fracs = [(0.15, 0.5, 0.85)[(k + j) % 3] for j in range(len(box))]
-        starts.append(box_lo + width * np.array(fracs))
-    runs = [_nelder_mead(lambda u: lik.nll(unpack(u))[0], (start - box_lo) / width)
-            for start in starts]
-    u_hat, _, converged = _ranked(runs)[0]
-    return unpack(u_hat), converged, len(starts)
-
-
 class _FamilySearch:
-    """The hybrid and twfo search: e^{-Gs t} + r^2 e^{-Gl t} +
-    2r e^{-at} cos(dm t - arg eps), r = |eps| ``_law_factor``, from the
-    relaxed four-weight fit, by damped Newton steps.
+    """The search of every law, e^{-Gs t} + kappa r^2 e^{-Gl t} +
+    2r e^{-at} cos(dm t - arg eps - shift), r = f |eps| (``_law_shape``),
+    from the relaxed four-weight fit, by damped Newton steps.
 
     The steps run in y, the free parameters with (|eps|, arg eps) replaced
     by eps = re + i im when both are free: the template is smooth through
@@ -492,8 +470,8 @@ class _FamilySearch:
             point["delta_m"] = -point["delta_m"]
             point["im" if self.cartesian else "epsilon_arg"] *= -1.0
         if self.cartesian:
-            shrink = min(1.0, bounds["epsilon_abs"][1] / max(
-                math.hypot(point["re"], point["im"]), _MU_FLOOR))
+            top = bounds["epsilon_abs"][1]
+            shrink = top / max(math.hypot(point["re"], point["im"]), top)
             point["re"] *= shrink
             point["im"] *= shrink
         for name in self.coords:
@@ -512,7 +490,8 @@ class _FamilySearch:
         fit of those is convex: ``_irls``, at the start's delta_m or, with
         delta_m free, batched over ``_delta_m_grid``.  ``profile`` turns
         each relaxed fit into a point of the law; the local minima of the
-        law's nll over the grid are the wells."""
+        law's nll over the grid are the wells, and with one grid point the
+        other wells ``profile`` finds there."""
         lik = self.lik
         grid = (_delta_m_grid(lik.edges, lik.params_init, lik.bounds["delta_m"][1])
                 if "delta_m" in self.coords else np.array([lik.base["delta_m"]]))
@@ -535,76 +514,89 @@ class _FamilySearch:
         except np.linalg.LinAlgError:  # collinear columns: the start alone
             beta = None
         if beta is not None:
-            r, arg, profile = self.profile(x, beta)
-            factor = _law_factor(lik.model, lik.params_init)
-            padded = np.concatenate([[math.inf], profile, [math.inf]])
-            wells = np.flatnonzero((padded[1:-1] <= padded[:-2]) & (padded[1:-1] < padded[2:])
-                                   & np.isfinite(profile))
-            # np.unique sorts by nll and keeps one of equal ones, as the
-            # wells at r = 0 are, whatever their delta_m
-            for k in wells[np.unique(profile[wells], return_index=True)[1]][:_WELLS].tolist():
-                guesses.append(dict(lik.base, delta_m=grid[k], epsilon_abs=r[k] / factor,
-                                    epsilon_arg=math.remainder(arg[k], 2.0 * math.pi)))
+            f, _, shift = shape = _law_shape(lik.model, lik.params_init, grid)
+            (r, theta, profile), extra = self.profile(x, beta, shape)
+            wells = _local_minima(profile, "clip")
+            # by nll, one of those that agree to 1e-9: the wells at r = 0,
+            # and the images in delta_m of one standard-law well, whose bin
+            # means on bins of width w repeat with period 2 pi/w
+            wells = wells[np.argsort(profile[wells], kind="stable")]
+            close = np.diff(profile[wells]) <= 1e-9 * np.abs(profile[wells][1:])
+            picks = [(k, r[k], theta[k]) for k in
+                     np.delete(wells, np.flatnonzero(close) + 1)[:_WELLS].tolist()]
+            for k, r_k, theta_k in picks + [(0, *well) for well in extra]:
+                guesses.append(dict(lik.base, delta_m=grid[k], epsilon_abs=r_k / f[k],
+                                    epsilon_arg=math.remainder(theta_k - shift[k], 2.0 * math.pi)))
         points = [self.point(guess) for guess in guesses]
         return _ranked([(y, *lik.nll(self.values(y))) for y in points])[:_WELLS]
 
-    def profile(self, x, beta):
-        """(r, arg, excess) per grid point: the best of the law's points
-        tried there, r = |eps| ``_law_factor``.  The law has the weights
-        (1, r^2, 2r cos arg, 2r sin arg), so the relaxed columns x give its
-        nll at every point tried at once.
+    def profile(self, x, beta, shape):
+        """(r, theta, excess) per grid point, the best of the law's points
+        tried there, and, with one grid point, the other wells tried there
+        as (r, theta) pairs.  shape is ``_law_shape`` per grid point:
+        r = f |eps|, theta = arg eps + shift, and the law has the weights
+        (1, kappa r^2, 2r cos theta, 2r sin theta), so the relaxed columns x
+        give its nll at every point tried at once.
 
-        Relaxed weights (w_S, w_L, w_cos, w_sin) project to arg = the phase
-        of (w_cos, w_sin), if free, and, if |eps| is free, to five r spaced
-        geometrically from sqrt(w_L/w_S) to r_int, the part of (w_cos,
-        w_sin) along that phase over 2 w_S.  Where the law cannot follow the
-        relaxed fit (|eps| or arg held away from the data's, or r past its
-        box) its best point lies elsewhere, so a lattice is tried as well:
-        _LATTICE turns of the phase at the held r or the box's, or, with arg
-        held, a ladder of r down from the box by factors of 4; then the
-        vertex of the parabola through the lattice's best value and its
-        neighbours."""
+        Relaxed weights (w_S, w_L, w_cos, w_sin) project to theta = the
+        phase of (w_cos, w_sin), if arg is free, and, if |eps| is free, to
+        five r spaced geometrically from sqrt(w_L/(kappa w_S)) to r_int, the
+        part of (w_cos, w_sin) along that phase over 2 w_S.  Where the law
+        cannot follow the relaxed fit (|eps| or arg held away from the
+        data's, or r past its box) a lattice is tried as well: _LATTICE
+        turns of the phase at the held r or the box's, or, with arg held, a
+        ladder of r down from the box by factors of 4; then the vertex of
+        the parabola through the lattice's best value and its neighbours.
+        With one grid point each local minimum of the lattice is a well.
+
+        A law with kappa < 1 goes negative where its interference outweighs
+        the rest, so each interval of r along the phases tried, or with
+        |eps| held each arc of theta, where every bin with counts keeps a
+        positive mean (``_feasible_r``, ``_feasible_theta``) is tried at one
+        point inside, and with one grid point each is a well."""
         lik = self.lik
-        factor = _law_factor(lik.model, lik.params_init)
-        r_max = lik.bounds["epsilon_abs"][1] * factor
+        f, kappa, shift = shape
+        r_max = lik.bounds["epsilon_abs"][1] * f
         free_abs = "epsilon_abs" in self.shape_free
         free_arg = "epsilon_arg" in self.shape_free
         w_s, w_l, w_cos, w_sin = (beta * np.where(beta[:, :1] < 0, -1.0, 1.0)).T
         phase = (np.arctan2(w_sin, w_cos) if free_arg
-                 else np.full(len(x), lik.base["epsilon_arg"]))[:, None]
+                 else lik.base["epsilon_arg"] + shift)[:, None]
 
-        def law(r, arg):
-            r = np.clip(np.nan_to_num(r, nan=0.0), 0.0, r_max)
-            r, arg = np.broadcast_arrays(r, arg)
-            weights = np.stack([np.ones_like(r), r * r, 2.0 * r * np.cos(arg),
-                                2.0 * r * np.sin(arg)], axis=-1)
-            shape = weights @ np.swapaxes(x, 1, 2)
-            total = np.sum(shape, axis=-1)
+        def law(r, theta, rows=slice(None)):
+            r = np.clip(np.nan_to_num(r, nan=0.0), 0.0, r_max[rows, None])
+            r, theta = np.broadcast_arrays(r, theta)
+            weights = np.stack([np.ones_like(r), kappa[rows, None] * (r * r),
+                                2.0 * r * np.cos(theta), 2.0 * r * np.sin(theta)], axis=-1)
+            shape = weights @ np.swapaxes(x[rows], 1, 2)
+            total = np.sum(np.maximum(shape, 0.0), axis=-1)
             excess = _poisson_excess(shape * (lik.total / total)[..., None], lik.counts)
-            return r, arg, np.where((total > 0) & ~np.isnan(excess), excess, math.inf)
+            return r, theta, np.where((total > 0) & ~np.isnan(excess), excess, math.inf)
 
+        tried, wells = [], []
         with np.errstate(divide="ignore", invalid="ignore"):
-            tried = []
             if free_abs:
-                # the law ties w_L to r^2 w_S: r between the two estimates,
-                # from w_L (at least 1/32 of the other, as w_L may fit at or
-                # below 0) and from the interference
+                # the law ties w_L to kappa r^2 w_S: r between the two
+                # estimates, from w_L (at least 1/32 of the other, as w_L
+                # may fit at or below 0) and from the interference
                 r_int = np.maximum(w_cos * np.cos(phase[:, 0]) + w_sin * np.sin(phase[:, 0]),
                                    0.0)[:, None] / (2 * w_s[:, None])
-                r_long = np.maximum(np.sqrt(np.maximum(w_l, 0.0) / w_s)[:, None], r_int / 32.0)
+                r_long = np.maximum(np.sqrt(np.maximum(w_l, 0.0) / (kappa * w_s))[:, None],
+                                    r_int / 32.0)
                 tried.append(law(r_long ** (1.0 - _R_MIX) * r_int ** _R_MIX, phase))
+            turns = phase
             if free_arg or free_abs:
-                # the lattice, in u = arg or log r with spacing du
+                # the lattice, in u = theta or log r with spacing du
                 if free_arg:
-                    held_r = r_max if free_abs else lik.base["epsilon_abs"] * factor
+                    held_r = (r_max if free_abs else lik.base["epsilon_abs"] * f)[:, None]
                     du, wrap = 2.0 * math.pi / _LATTICE, "wrap"
-                    u = phase + du * np.arange(_LATTICE)
+                    u = turns = phase + du * np.arange(_LATTICE)
 
                     def at(u):
-                        return law(np.full(u.shape, held_r), u)
+                        return law(np.broadcast_to(held_r, u.shape), u)
                 else:
                     du, wrap = math.log(4.0), "clip"
-                    u = math.log(r_max) - du * np.arange(_LATTICE)[None, :]
+                    u = np.log(r_max)[:, None] - du * np.arange(_LATTICE)
 
                     def at(u):
                         return law(np.exp(u), phase)
@@ -612,17 +604,45 @@ class _FamilySearch:
                 u = np.broadcast_to(u, lattice[2].shape)
                 best = np.argmin(lattice[2], axis=1)[:, None]
                 f_lo, f_mid, f_hi = (np.take_along_axis(
-                    lattice[2], np.take(np.arange(_LATTICE), best + shift, mode=wrap), axis=1)
-                    for shift in (-1, 0, 1))
+                    lattice[2], np.take(np.arange(_LATTICE), best + step, mode=wrap), axis=1)
+                    for step in (-1, 0, 1))
                 curvature = f_lo - 2.0 * f_mid + f_hi
                 vertex = np.where(curvature > 0, 0.5 * (f_lo - f_hi) / curvature, 0.0)
                 tried += [lattice, at(np.take_along_axis(u, best, axis=1)
                                       + du * np.nan_to_num(vertex))]
+                if len(x) == 1 and not (free_arg and free_abs):
+                    wells += [(lattice[0][0, j], lattice[1][0, j])
+                              for j in _local_minima(lattice[2][0], wrap)]
             else:
-                tried.append(law(np.full((len(x), 1), lik.base["epsilon_abs"] * factor), phase))
-        r, arg, excess = (np.concatenate(part, axis=1) for part in zip(*tried))
+                tried.append(law(lik.base["epsilon_abs"] * f[:, None], phase))
+            if (free_abs or free_arg) and np.any(kappa < 1.0):
+                if free_abs:
+                    row, theta_in, lo, hi = (np.concatenate(part) for part in zip(*(
+                        _feasible_r(x, lik.counts > 0, kappa, r_max, turn) for turn in turns.T)))
+                    # the geometric middle, or half the top where the
+                    # interval reaches below a quarter of it
+                    r_in = hi * np.sqrt(np.maximum(lo / hi, 0.25))
+                else:
+                    row, lo, hi = _feasible_theta(x, lik.counts > 0, kappa, held_r[:, 0])
+                    r_in, theta_in = held_r[row, 0], 0.5 * (lo + hi)
+                # a few hundred points at a time, as there may be thousands
+                excess_in = np.empty(len(row))
+                for part in (slice(k, k + _CHUNK) for k in range(0, len(row), _CHUNK)):
+                    excess_in[part] = law(r_in[part, None], theta_in[part, None],
+                                          row[part])[2][:, 0]
+                # each grid point's best
+                order = np.lexsort((excess_in, row))
+                best = order[np.unique(row[order], return_index=True)[1]]
+                tried.append([np.full((len(x), 1), math.inf) for _ in range(3)])
+                for full, part in zip(tried[-1], (r_in, theta_in, excess_in)):
+                    full[row[best], 0] = part[best]
+                if len(x) == 1:
+                    keep = np.isfinite(excess_in)
+                    wells += list(zip(r_in[keep], theta_in[keep]))
+        r, theta, excess = (np.concatenate(part, axis=1) for part in zip(*tried))
         pick = np.argmin(excess, axis=1)[:, None]
-        return tuple(np.take_along_axis(part, pick, axis=1)[:, 0] for part in (r, arg, excess))
+        return (tuple(np.take_along_axis(part, pick, axis=1)[:, 0] for part in (r, theta, excess)),
+                wells)
 
     def walls(self, y):
         """The bounds y sits on, as outward normals in y: |eps| or delta_m
@@ -644,8 +664,8 @@ class _FamilySearch:
         return normals
 
     def polish(self, y, excess, i0):
-        """Damped Newton steps from y, (y, excess, converged), until the
-        gain the step predicts falls to the nll's rounding.  The curvature
+        """Damped Newton steps from y, (y, excess, i0, converged), until
+        the gain the step predicts falls to the nll's rounding.  The curvature
         is the nll's Hessian, from exact second derivatives, where it is
         positive definite, else the expected information (a Fisher-scoring
         step); the damping follows Nielsen's rule (H. B. Nielsen, IMM-REP
@@ -685,7 +705,7 @@ class _FamilySearch:
                 pending = [normal for normal in pending if not normal @ step > 0]
             gain = float(grad @ step - 0.5 * step @ unit @ step)
             if not gain > rounding:
-                return y, excess, True
+                return y, excess, i0, True
             trial = self.move(y, (step / root)[:-1])
             excess_new, i0_new = lik.nll(self.values(trial))
             fresh = excess_new < excess
@@ -695,18 +715,17 @@ class _FamilySearch:
                 y, excess, i0, grow = trial, excess_new, i0_new, 2.0
             else:
                 damping, grow = max(damping * grow, 1e-3), 2.0 * grow
-        return y, excess, False
+        return y, excess, i0, False
 
     def run(self):
-        """(values, converged, starts): the best of the polished starts.  A
-        best start whose nll is not finite fails the fit at once."""
+        """(values, excess, i0, converged, starts): the best of the polished
+        starts.  A best start whose nll is not finite is returned as it is;
+        no start of nll +inf, where a bin with counts has a mean <= 0, is
+        polished."""
         starts = self.starts()
-        if not math.isfinite(starts[0][1]):
-            values = self.values(starts[0][0])
-            raise FitFailureError("likelihood maximisation failed", best=(
-                np.array([values[name] for name in self.shape_free]), starts[0][1]))
-        y_hat, _, converged = _ranked([self.polish(*start) for start in starts])[0]
-        return self.values(y_hat), converged, len(starts)
+        runs = [self.polish(*start) for start in starts if math.isfinite(start[1])]
+        y, excess, i0, converged = _ranked(runs)[0] if runs else (*starts[0], True)
+        return self.values(y), excess, i0, converged, len(starts)
 
 
 def fit_intensity(binned: BinnedCounts, model: DecayModel,
@@ -721,33 +740,24 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
     taken less its value at mu = counts, so that it resolves changes far
     below the rounding of its own terms.
 
-    Hybrid and twfo are one family, e^{-Gs t} + r^2 e^{-Gl t} +
-    2r e^{-at} cos(dm t - arg eps) with r = |eps| or |eps| sqrt(Gl/Gs), so
-    with |eps| free they reach one nll.  Their search
-    (``_FamilySearch``) starts from the relaxed four-weight fit, convex at
-    fixed delta_m and solved by the iteratively reweighted least squares
-    of ``weight_ratio_estimate``, at the start's delta_m or, with delta_m
-    free, on a grid over its box (``_delta_m_grid``) and its edge
-    delta_m = 0.  Each relaxed fit is turned into the best of a few points
-    of the law, its projection and, where |eps| or arg is held or r
-    reaches its box, a lattice in the held law's free parameter
-    (``_FamilySearch.profile``); the five points of lowest nll among the
-    start and the wells of that nll over the grid are polished by damped
-    Newton steps on the exact first and second derivatives of the bin
-    means (``_law_derivatives``), in eps itself when |eps| and arg are both
-    free, until the gain a step predicts falls to the nll's rounding.  A
-    step stops at a bound it would cross, |eps| = 0.5 included, and moves
-    along it; with arg free, delta_m = 0 is a mirror, the law being even
-    in (delta_m, arg eps).
-
-    The standard law keeps the 8-start Nelder-Mead simplex
-    (``_simplex_search``), then one Fisher-scoring step along directions so
-    shallow that the nll's rounding stops the simplex early.
+    Every law is one family, e^{-Gs t} + kappa r^2 e^{-Gl t} +
+    2r e^{-at} cos(dm t - arg eps - shift), r = f |eps| (``_law_shape``),
+    so hybrid and twfo (kappa = 1) reach one nll with |eps| free.  A bin
+    with counts whose mean is <= 0 has likelihood zero, nll +inf, which
+    only the standard law (kappa < 1) reaches; an empty bin adds
+    max(mu, 0).  ``_FamilySearch`` searches every law: the relaxed
+    four-weight fit, convex at fixed delta_m, on a grid over delta_m's
+    box, turned into points of the law, among them one in each interval
+    of r or arc of arg where every bin with counts keeps a positive mean,
+    then damped Newton steps on exact derivatives that take no step to a
+    higher nll, +inf included.  On bins of width w the standard law's bin
+    means repeat in delta_m with period 2 pi/w, so its fit may end on any
+    image of its optimum.
 
     The covariance is the inverse of the expected information
     J^T diag(1/mu) J at the optimum, J the exact derivatives of the bin
-    means mu, inverted after scaling to unit diagonal.  A likelihood not
-    finite at the optimum raises FitFailureError.
+    means mu, inverted after scaling to unit diagonal.  A best point of
+    nll +inf raises ModelPathologyError, one of nan FitFailureError.
     """
     if int(np.count_nonzero(binned.pair_counts)) < 5:
         raise ValueError("need at least 5 nonempty bins to fit")
@@ -764,36 +774,19 @@ def fit_intensity(binned: BinnedCounts, model: DecayModel,
 
     lik = _Likelihood(binned, model, params_init)
     shape_free = tuple(name for name in free if name != "i0")
-    if not shape_free:
-        values, converged, n_starts = dict(lik.base), True, 1
-    elif model is DecayModel.STANDARD:
-        values, converged, n_starts = _simplex_search(lik, shape_free)
+    if shape_free:
+        values, excess, i0_hat, converged, n_starts = _FamilySearch(lik, shape_free).run()
     else:
-        values, converged, n_starts = _FamilySearch(lik, shape_free).run()
-
-    def theta(values):
-        return np.array([values[name] for name in shape_free], dtype=float)
-
-    excess, i0_hat = lik.nll(values)
+        values, (excess, i0_hat), converged, n_starts = dict(lik.base), lik.nll(lik.base), True, 1
+    if excess == math.inf:
+        raise ModelPathologyError(f"every point of the {model.value} law tried gives a bin "
+                                  "with counts a mean <= 0, where the likelihood is zero")
+    if not math.isfinite(excess):
+        raise FitFailureError("likelihood maximisation failed", best=(
+            np.array([values[name] for name in shape_free], dtype=float), excess))
     nll_hat = excess + _poisson_saturated(lik.counts)
-    if not math.isfinite(nll_hat):
-        raise FitFailureError("likelihood maximisation failed", best=(theta(values), nll_hat))
-
     values = dict(values, i0=i0_hat)
-    info, score = lik.information(values, free)
-    cov = lik.covariance(info, values, free)
-    if model is DecayModel.STANDARD and shape_free:
-        # the Fisher-scoring step, taken if it stays in the box and leaves
-        # the nll within the simplex's fatol
-        moved = dict(lik.base, **dict(zip(shape_free, theta(values) + (cov @ score)[
-            [free.index(name) for name in shape_free]])))
-        if all(lik.bounds[name][0] <= moved[name] <= lik.bounds[name][1]
-               for name in shape_free):
-            excess_new, i0_new = lik.nll(moved)
-            if excess_new <= excess + 1e-9:
-                nll_hat += excess_new - excess
-                values = dict(moved, i0=i0_new)
-                cov = lik.covariance(lik.information(values, free)[0], values, free)
+    cov = lik.covariance(values, free)
 
     return FitResult(model=model,
                      epsilon_abs=float(values["epsilon_abs"]),
@@ -855,10 +848,9 @@ def weight_ratio_estimate(binned: BinnedCounts, params: KaonParams) -> WeightRat
     cov = np.linalg.inv(xtw @ x)
     w_s, w_l, wc, ws = beta
     w_int = math.hypot(wc, ws)
-    sigma_int = math.sqrt(max(
-        (wc ** 2 * cov[2, 2] + ws ** 2 * cov[3, 3] + 2 * wc * ws * cov[2, 3])
-        / max(w_int ** 2, _MU_FLOOR), 0.0))
-    if w_int <= 2.0 * sigma_int:
+    # w_int within two sigma of zero: sigma w_int = sqrt((wc, ws) cov (wc, ws))
+    if w_int ** 2 <= 2.0 * math.sqrt(max(
+            wc ** 2 * cov[2, 2] + ws ** 2 * cov[3, 3] + 2 * wc * ws * cov[2, 3], 0.0)):
         return WeightRatioEstimate(math.inf, math.inf, beta, cov, True)
     if w_s <= 0 or w_l <= 0:
         raise FitFailureError(

@@ -6,7 +6,7 @@ import pytest
 from kaonlab import inference
 from kaonlab.core import DecayModel, KaonParams
 from kaonlab.errors import (CoverageError, DegenerateComparisonError,
-                            FitFailureError)
+                            FitFailureError, ModelPathologyError)
 from kaonlab.inference import (discrimination_power, extract_epsilon,
                                find_min_events_for_power, fit_intensity,
                                intensity_bin_means, template_design_matrix,
@@ -39,6 +39,12 @@ def asimov_binned(params, total=1e9):
     mu = intensity_bin_means(DecayModel.TIME_OPERATOR, params, edges)
     counts = np.round(mu * (total / mu.sum())).astype(np.int64)
     return BinnedCounts(edges, counts, np.zeros_like(counts))
+
+
+def _fitted_means(binned, fit):
+    """The bin means of a fit's law at its fitted point."""
+    point = KaonParams.from_polar_epsilon(fit.epsilon_abs, fit.epsilon_arg, delta_m=fit.delta_m)
+    return intensity_bin_means(fit.model, point, binned.edges, i0=fit.i0)
 
 
 class TestExtractEpsilon:
@@ -247,35 +253,20 @@ class TestFitIntensity:
     def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
         binned = asimov_binned(params, total=1e6)
         calls = self.nan_bin_means(monkeypatch)
-        with pytest.raises(FitFailureError) as failure:
-            fit_intensity(binned, DecayModel.TIME_OPERATOR, params)
-        theta, fun = failure.value.best
-        assert theta.shape == (2,) and not math.isfinite(fun)
-        assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
-        # a nan relaxed fit leaves the start alone, and a start whose nll is
-        # nan fails the fit before any Fisher scoring
-        assert len(calls) == 1
+        for model in DecayModel:
+            calls.clear()
+            with pytest.raises(FitFailureError) as failure:
+                fit_intensity(binned, model, params)
+            theta, fun = failure.value.best
+            assert theta.shape == (2,) and not math.isfinite(fun)
+            assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
+            # a nan relaxed fit leaves the start alone, and a start whose
+            # nll is nan fails the fit before any Newton step
+            assert len(calls) == 1, model
 
-        calls.clear()
-        self.assert_fit_command_fails(binned, tmp_path, capsys)
-        assert len(calls) == 1
-
-    def test_nan_bin_means_fail_the_simplex_fit(self, params, monkeypatch, tmp_path, capsys):
-        # the standard law's search: the simplex, its runs ranked nan last
-        binned = asimov_binned(params, total=1e6)
-        calls = self.nan_bin_means(monkeypatch)
-        with pytest.raises(FitFailureError) as failure:
-            fit_intensity(binned, DecayModel.STANDARD, params)
-        theta, fun = failure.value.best
-        assert theta.shape == (2,) and not math.isfinite(fun)
-        assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
-        # a first simplex that is all nan ends its start: the 8 starts' 3
-        # vertices each, then the one evaluation at the best point
-        assert len(calls) <= 8 * 3 + 1
-
-        calls.clear()
-        self.assert_fit_command_fails(binned, tmp_path, capsys, model="standard")
-        assert len(calls) <= 8 * 3 + 1
+            calls.clear()
+            self.assert_fit_command_fails(binned, tmp_path, capsys, model=model.value)
+            assert len(calls) == 1, model
 
     def test_nan_bin_means_fail_the_i0_only_fit(self, params, monkeypatch, tmp_path,
                                                  capsys):
@@ -368,6 +359,11 @@ class TestFamilyFit:
         # the twfo optimum on this file
         assert max(nll.values()) <= 58.8431811518 + 1e-6, nll
 
+    def test_readme_file_standard_optimum(self, readme_binned, capsys):
+        record, _ = _fit_record(["--data", str(readme_binned), "--model", "standard",
+                                 "--free", "epsilon_abs,epsilon_arg,i0"], capsys)
+        assert float(record["nll"]) <= 58.8246756363 + 1e-9, record
+
     @pytest.mark.parametrize("model", ["hybrid", "twfo"])
     def test_edge_of_the_box_keeps_its_sigma(self, readme_binned, capsys, model):
         # |eps| ends on its box edge 0 with arg fixed opposite to the
@@ -411,13 +407,92 @@ class TestFamilyFit:
             assert fit.neg_log_likelihood <= truth_nll + 1e-6, (model, fit)
             assert fit.converged
 
+    def test_every_phase_well_of_a_one_point_grid_is_polished(self, params):
+        # delta_m held: the relaxed fit has one grid point, and the hybrid
+        # law at |eps| 2.27e-3 has two phase wells on this twfo file (|eps|
+        # 0.02); the 8-phase lattice's best point lies in the shallower one
+        # (nll 94.5672 at arg 1.018), the deeper one is at arg -2.571
+        edges = np.linspace(0.0, 1e-8, 101)
+        truth = KaonParams.from_polar_epsilon(0.02, 0.26, delta_m=5e9)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, truth, edges)
+        counts = RunSeed(241).generator().poisson(mu * (1e5 / mu.sum()))
+        binned = BinnedCounts(edges, counts, np.zeros_like(counts))
+        fit = fit_intensity(binned, DecayModel.HYBRID, params, free=("epsilon_arg", "i0"))
+        # the best of 3601 phases
+        assert fit.neg_log_likelihood <= 94.4104309492 + 1e-6, fit
+        assert fit.converged
+
+
+class TestStandardFit:
+    """The standard law through the same search: kappa < 1 lets its rate go
+    negative, and a point where a bin with counts has a mean <= 0 has
+    likelihood zero."""
+
+    def test_fit_ends_where_every_bin_with_counts_has_a_positive_mean(self):
+        # twfo counts at |eps| = 0.1, where the standard law's interference
+        # outweighs the rest over some populated bin at every |eps| above
+        # about 1e-22: a fit that ranked such points by a floored mean ended
+        # at nll 28066.5442 with bins 15 and 16 (18 counts each) at means
+        # -0.875 and -0.409
+        truth = KaonParams.from_polar_epsilon(0.1, 0.7)
+        edges = np.linspace(0.0, 1e-8, 101)
+        mu = intensity_bin_means(DecayModel.TIME_OPERATOR, truth, edges)
+        counts = np.round(mu * (1e6 / mu.sum())).astype(np.int64)
+        binned = BinnedCounts(edges, counts, np.zeros_like(counts))
+        fit = fit_intensity(binned, DecayModel.STANDARD, truth,
+                            free=("epsilon_abs", "epsilon_arg", "i0"))
+        assert math.isfinite(fit.neg_log_likelihood)
+        assert np.all(_fitted_means(binned, fit)[counts > 0] > 0), fit
+
+    def test_bin_means_repeat_in_delta_m(self):
+        # on bins of width w the standard template's interference weight,
+        # (a - i dm) conj(eps)/2a, cancels the 1/(a - i dm) of its bin
+        # integral, so its bin means repeat with period 2 pi/w in delta_m
+        # and, arg eps turned over, mirror about every multiple of pi/w;
+        # twfo's do not
+        edges = np.linspace(0.0, 2e-8, 101)
+        period = 2.0 * math.pi / 2e-10
+        for dm in (1.142e8, 5.6e9):
+            at = {model: intensity_bin_means(
+                model, KaonParams.from_polar_epsilon(2.27e-3, 0.7, delta_m=dm), edges)
+                for model in (DecayModel.STANDARD, DecayModel.TIME_OPERATOR)}
+            for image, arg in ((dm + period, 0.7), (period - dm, -0.7), (3 * period - dm, -0.7)):
+                for model, means in at.items():
+                    moved = intensity_bin_means(
+                        model, KaonParams.from_polar_epsilon(2.27e-3, arg, delta_m=image), edges)
+                    gap = np.max(np.abs(moved - means)) / np.max(means)
+                    if model is DecayModel.STANDARD:
+                        assert gap <= 1e-15, (dm, image)
+                    else:
+                        assert gap >= 1e-5, (dm, image)
+
+    def test_scan_file_fit_may_land_on_an_image(self, params):
+        # the bench's scan file: the optimum 365.8834485301, at delta_m
+        # 1.142e8 or on any image of it, which gives the same nll
+        binned = asimov_binned(params)
+        fit = fit_intensity(binned, DecayModel.STANDARD, params,
+                            free=("epsilon_abs", "epsilon_arg", "delta_m", "i0"))
+        assert fit.neg_log_likelihood <= 365.8834485301 + 1e-9, fit
+        period = 2.0 * math.pi / 2e-10
+        turns = round(fit.delta_m / period)
+        folded = fit_intensity(binned, DecayModel.STANDARD, KaonParams.from_polar_epsilon(
+            fit.epsilon_abs, math.copysign(1.0, fit.delta_m - turns * period) * fit.epsilon_arg,
+            delta_m=abs(fit.delta_m - turns * period)), free=("i0",))
+        assert folded.delta_m < 0.5 * period
+        assert folded.neg_log_likelihood == pytest.approx(fit.neg_log_likelihood, rel=0,
+                                                          abs=1e-9)
+
 
 class TestHeldParameterFits:
     """Fits whose law cannot follow the data: |eps| or arg held away from
     the data's, or |eps| pushed to its box.  On each of three twfo Poisson
-    files, every hybrid and twfo fit of every free set ends at or below the
-    nll the 8-start Nelder-Mead simplex (``_nelder_mead``) reached when it
-    searched these laws."""
+    files, every fit of every free set ends at or below the nll the 8-start
+    Nelder-Mead simplex reached when it searched these laws, at a point
+    where every bin with counts has a positive mean.  Where the simplex's
+    standard-law point had a bin with counts at a mean <= 0, the bound is
+    the best feasible nll of a 200,001-point log scan of |eps|, or any
+    feasible point (inf); where no point is feasible (None) the fit raises
+    ModelPathologyError."""
 
     FREE = [("delta_m", "i0"), ("epsilon_arg", "i0"), ("epsilon_abs", "i0"),
             ("epsilon_abs", "delta_m", "i0"), ("epsilon_arg", "delta_m", "i0"),
@@ -437,6 +512,12 @@ class TestHeldParameterFits:
                         6307.0470420198, 367.9394375430, 394.3358415452),
         (2, "twfo"): (29087.1742035974, 29104.4768678970, 367.9394934342, 409.6370634679,
                       29086.8741056372, 367.9394375430, 397.6057386337),
+        (0, "standard"): (154.3542985727, 155.2774610173, 154.6371107221, 152.9395734433,
+                          150.1710798277, 153.4984828821, 150.1703454918),
+        (1, "standard"): (1399.7813951975, 1399.0936159103, 3386.5875608756, 281.3115607375,
+                          1398.9925391920, 820.6875187896, 239.8294121154),
+        (2, "standard"): (29029.1757827583, None, 107485.7194186503, 1120.7655552201,
+                          29022.0804325687, math.inf, 390.3953153764),
     }
 
     @pytest.fixture(scope="class")
@@ -457,71 +538,31 @@ class TestHeldParameterFits:
 
     @pytest.mark.parametrize("key", list(SIMPLEX_NLL), ids=lambda key: f"{key[0]}-{key[1]}")
     def test_no_fit_ends_above_the_simplex(self, params, files, key):
+        binned, model = files[key[0]], DecayModel(key[1])
         for free, simplex in zip(self.FREE, self.SIMPLEX_NLL[key]):
-            fit = fit_intensity(files[key[0]], DecayModel(key[1]), params, free=free)
+            if simplex is None:
+                with pytest.raises(ModelPathologyError):
+                    fit_intensity(binned, model, params, free=free)
+                continue
+            fit = fit_intensity(binned, model, params, free=free)
             assert fit.neg_log_likelihood <= simplex + 1e-6, (free, fit)
             assert fit.converged, (free, fit)
+            assert np.all(_fitted_means(binned, fit)[binned.pair_counts > 0] > 0), (free, fit)
 
+    def test_no_feasible_point_exits_3(self, files, tmp_path, capsys):
+        # file 2 with |eps| held at its default: no phase gives every bin
+        # with counts a positive standard-law mean
+        from kaonlab.cli import main
+        from kaonlab.sampler import write_binned
 
-class TestNelderMead:
-    """inference._nelder_mead against scipy's bounded Nelder-Mead: the same
-    point, value, success flag and number of calls, bit for bit."""
-
-    @staticmethod
-    def assert_same_as_scipy(func, x0, maxiter=4000):
-        optimize = pytest.importorskip("scipy.optimize")
-        scipy_calls, port_calls = [], []
-        expected = optimize.minimize(lambda u: scipy_calls.append(1) or func(u), x0,
-                                     method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(x0),
-                                     options={"maxiter": maxiter, "xatol": 1e-10,
-                                              "fatol": 1e-9})
-        x, fun, converged = inference._nelder_mead(
-            lambda u: port_calls.append(1) or func(u), x0, maxiter=maxiter)
-        assert np.array_equal(x, expected.x)
-        assert fun == expected.fun
-        assert converged == expected.success
-        assert len(port_calls) == len(scipy_calls) == expected.nfev
-        return expected
-
-    def test_every_start_of_a_fit(self, params, monkeypatch):
-        runs = []
-        port = inference._nelder_mead
-
-        def record(func, x0):
-            runs.append((func, x0))
-            return port(func, x0)
-
-        monkeypatch.setattr(inference, "_nelder_mead", record)
-        # the standard law is the one searched by the simplex
-        fit_intensity(asimov_binned(params), DecayModel.STANDARD, params,
-                      free=("epsilon_abs", "epsilon_arg", "delta_m", "i0"))
-        monkeypatch.undo()
-        assert len(runs) == 8
-        for func, x0 in runs:
-            self.assert_same_as_scipy(func, x0)
-
-    @staticmethod
-    def bowl(u):
-        return float((u[0] - 0.3) ** 2 + 3.0 * (u[1] - 0.6) ** 2)
-
-    @pytest.mark.parametrize("x0", [[1.0, 0.6], [0.0, 0.5]], ids=["upper-bound", "zero"])
-    def test_first_simplex(self, x0):
-        # a start on the upper bound reflects its 5% step back inside; a
-        # zero coordinate steps by 0.00025
-        self.assert_same_as_scipy(self.bowl, np.array(x0))
-
-    def test_shrink(self):
-        res = self.assert_same_as_scipy(lambda u: max(abs(u[0] - 0.3), abs(u[1] - 0.6)),
-                                        np.array([0.9, 0.1]))
-        # without a shrink each iteration costs at most two calls
-        assert res.nfev > 3 + 2 * (res.nit - 1)
-
-    def test_iteration_cap(self):
-        def rosenbrock(u):
-            return float(100.0 * (u[1] - u[0] ** 2) ** 2 + (1.0 - u[0]) ** 2)
-
-        res = self.assert_same_as_scipy(rosenbrock, np.array([0.1, 0.9]), maxiter=30)
-        assert not res.success
+        path = tmp_path / "binned.csv"
+        write_binned(path, files[2])
+        assert main(["fit", "--data", str(path), "--model", "standard",
+                     "--free", "epsilon_arg,i0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model-pathology:")
+        assert captured.err.count("\n") == 1, captured.err
 
 
 class TestWeightRatio:
