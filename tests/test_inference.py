@@ -250,23 +250,31 @@ class TestFitIntensity:
         assert captured.err.startswith("error: numerical-failure:")
         assert captured.err.count("\n") == 1, captured.err
 
-    def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
+    def assert_nan_bin_means_fail(self, model, params, monkeypatch, tmp_path, capsys):
         binned = asimov_binned(params, total=1e6)
         calls = self.nan_bin_means(monkeypatch)
-        for model in DecayModel:
-            calls.clear()
-            with pytest.raises(FitFailureError) as failure:
-                fit_intensity(binned, model, params)
-            theta, fun = failure.value.best
-            assert theta.shape == (2,) and not math.isfinite(fun)
-            assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
-            # a nan relaxed fit leaves the start alone, and a start whose
-            # nll is nan fails the fit before any Newton step
-            assert len(calls) == 1, model
+        with pytest.raises(FitFailureError) as failure:
+            fit_intensity(binned, model, params)
+        theta, fun = failure.value.best
+        assert theta.shape == (2,) and not math.isfinite(fun)
+        assert 0.0 <= theta[0] <= 0.5 and -math.pi <= theta[1] <= math.pi
+        # a nan relaxed fit leaves the start alone, and a start whose nll is
+        # nan fails the fit before any Newton step
+        assert len(calls) == 1, model
 
-            calls.clear()
-            self.assert_fit_command_fails(binned, tmp_path, capsys, model=model.value)
-            assert len(calls) == 1, model
+        calls.clear()
+        self.assert_fit_command_fails(binned, tmp_path, capsys, model=model.value)
+        assert len(calls) == 1, model
+
+    def test_nan_bin_means_fail_the_fit(self, params, monkeypatch, tmp_path, capsys):
+        for model in (DecayModel.TIME_OPERATOR, DecayModel.HYBRID):
+            self.assert_nan_bin_means_fail(model, params, monkeypatch, tmp_path, capsys)
+
+    def test_nan_bin_means_fail_the_simplex_fit(self, params, monkeypatch, tmp_path, capsys):
+        # the standard law takes the same search as the other laws, and fails
+        # as early
+        self.assert_nan_bin_means_fail(DecayModel.STANDARD, params, monkeypatch, tmp_path,
+                                       capsys)
 
     def test_nan_bin_means_fail_the_i0_only_fit(self, params, monkeypatch, tmp_path,
                                                  capsys):
